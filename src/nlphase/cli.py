@@ -57,8 +57,8 @@ _KERNEL_KEYS = {"dim", "s", "family", "nu", "gamma_reg"}
 _POTENTIAL_KEYS = {"family", "d", "kappa", "Q_modulation"}
 _GEOMETRY_KEYS = {"tau", "direction", "M", "M_factor", "h", "cells_per_tau",
                   "buffer", "buffer_factor", "r_cut", "r_cut_factor"}
-_SOLVER_KEYS = {"max_iters", "grad_tol", "rel_decrease_tol", "stall_window",
-                "theta", "theta0", "epsilon"}
+_SOLVER_KEYS = {"max_iters", "grad_tol", "rel_decrease_tol", "theta", "theta0",
+                "epsilon"}
 _EXPERIMENT_KEYS = {"kind", "radii", "tau_list", "eps_list", "directions",
                     "levels", "trials", "radius_range", "barrier_R",
                     "barrier_delta", "reference_set_level", "density_floor",
@@ -186,11 +186,12 @@ class ExperimentConfig:
 
     def solve_options(self) -> min_mod.SolveOptions:
         s = self.solver
+        base = min_mod.SolveOptions()
         return min_mod.SolveOptions(
-            max_iters=int(s.get("max_iters", 40000)),
-            grad_tol=float(s.get("grad_tol", 1e-8)),
-            rel_decrease_tol=float(s.get("rel_decrease_tol", 1e-10)),
-            stall_window=int(s.get("stall_window", 50)),
+            max_iters=int(s.get("max_iters", base.max_iters)),
+            grad_tol=float(s.get("grad_tol", base.grad_tol)),
+            rel_decrease_tol=float(s.get("rel_decrease_tol",
+                                         base.rel_decrease_tol)),
             epsilon=(None if s.get("epsilon") is None
                      else float(s.get("epsilon"))))
 
@@ -313,6 +314,8 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> dict:
             "tau": tau, "direction": list(d), "F_value": result.F_value,
             "iterations": result.iterations, "grad_norm": result.grad_norm,
             "converged": result.converged,
+            "stop_reason": result.diagnostics["stop_reason"],
+            "nfev": result.diagnostics["nfev"],
             "width": width, "band": [band_lo, band_hi],
             "M": domain.M, "M0_emp": width / tau,
             "upper_distance": ud,

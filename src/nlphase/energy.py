@@ -56,11 +56,13 @@ class WindowError(ValueError):
 
 
 def _gauss_panels(edges, order=16):
+    """Gauss-Legendre nodes and weights on the panels along the last axis."""
     x, w = np.polynomial.legendre.leggauss(order)
-    a, b = edges[:-1], edges[1:]
-    nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
-    weights = 0.5 * (b - a)[:, None] * np.broadcast_to(w, nodes.shape)
-    return nodes.ravel(), weights.ravel()
+    a, b = edges[..., :-1, None], edges[..., 1:, None]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
+    weights = 0.5 * (b - a) * w
+    flat = edges.shape[:-1] + (-1,)
+    return nodes.reshape(flat), weights.reshape(flat)
 
 
 def _unit_integral_2d(s, d1, d2, core):
@@ -173,22 +175,24 @@ def _unit_stencil(n: int, s: float, k_cells: int, rmax_cells: float) -> np.ndarr
 
 
 def _halfplane_tail_2d(s, d, r_cut):
-    """int over {z_t > d, |z| > r_cut} of |z|^(-2-2s) dz."""
-    if d >= r_cut:
-        c = math.sqrt(math.pi) * _gamma_fn(s + 0.5) / (2.0 * s * _gamma_fn(s + 1.0))
-        return c * d ** (-2.0 * s)
-    z_far = 100.0 * max(r_cut, abs(d), 1.0)
-    edges = np.geomspace(r_cut, z_far, 200)
-    rr, rw = _gauss_panels(edges)
-    theta = math.pi - 2.0 * np.arcsin(np.clip(d / rr, -1.0, 1.0))
-    val = float(np.sum(rw * rr ** (-1.0 - 2.0 * s) * theta))
-    val += (math.pi * z_far ** (-2.0 * s) / (2.0 * s)
-            - 2.0 * d * z_far ** (-1.0 - 2.0 * s) / (1.0 + 2.0 * s))
-    return val
+    """int over {z_t > d, |z| > r_cut} of |z|^(-2-2s) dz, for each d."""
+    d = np.asarray(d, dtype=float)
+    c = math.sqrt(math.pi) * _gamma_fn(s + 0.5) / (2.0 * s * _gamma_fn(s + 1.0))
+    out = c * np.maximum(d, r_cut) ** (-2.0 * s)
+    near = d < r_cut
+    if near.any():
+        dn = d[near]
+        z_far = 100.0 * np.maximum(np.abs(dn), max(r_cut, 1.0))
+        rr, rw = _gauss_panels(np.geomspace(r_cut, z_far, 200, axis=-1))
+        theta = math.pi - 2.0 * np.arcsin(np.clip(dn[:, None] / rr, -1.0, 1.0))
+        out[near] = (np.sum(rw * rr ** (-1.0 - 2.0 * s) * theta, axis=-1)
+                     + math.pi * z_far ** (-2.0 * s) / (2.0 * s)
+                     - 2.0 * dn * z_far ** (-1.0 - 2.0 * s) / (1.0 + 2.0 * s))
+    return out
 
 
 def _halfplane_tail_1d(s, d, r_cut):
-    return max(d, r_cut) ** (-2.0 * s) / (2.0 * s)
+    return np.maximum(d, r_cut) ** (-2.0 * s) / (2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -305,37 +309,45 @@ class WeightTable:
         self.k_cells = int(math.floor(self.r_cut / h + 1e-12))
         self.stencil = (h ** (n - 2.0 * s)) * _unit_stencil(
             n, s, self.k_cells, self.r_cut / h)
-        self._g_slab = self._g_rows(np.arange(domain.n_p), np.arange(domain.n_t))
-        self._tail_cache: dict = {}
+        K = self.k_cells
+        self._g_ext = self._g_rows(np.arange(domain.n_p),
+                                   np.arange(-K, domain.n_t + K))
+        self._g_slab = self._g_ext[:, K:K + domain.n_t]
+        # tail weights of the contiguous row range [lo, lo + size), grown
+        # on demand: (lo, T_plus, T_minus)
+        self._tails = (0, np.empty(0), np.empty(0))
         self._period_cache: dict | None = None
 
     # -- tails -----------------------------------------------------------
 
-    def _tail_row(self, it: int) -> tuple:
-        """(T_plus, T_minus) for the row with absolute index it."""
-        hit = self._tail_cache.get(it)
-        if hit is not None:
-            return hit
-        d = self.domain
-        tc = d.t_lo + (it + 0.5) * d.h
-        tail = _halfplane_tail_2d if d.dim == 2 else _halfplane_tail_1d
-        s = self.kernel.s
-        amp = self.kernel.Lam * d.cell_volume
-        val = (amp * tail(s, tc - d.t_lo, self.r_cut),
-               amp * tail(s, d.t_hi - tc, self.r_cut))
-        self._tail_cache[it] = val
-        return val
+    def _tails_for(self, its) -> tuple:
+        """(T_plus, T_minus) for the rows with absolute indices ``its``."""
+        its = np.asarray(its)
+        lo, tp, tm = self._tails
+        hi = lo + tp.size
+        new_lo, new_hi = min(lo, int(its.min())), max(hi, int(its.max()) + 1)
+        if (new_lo, new_hi) != (lo, hi):
+            below = self._tail_rows(new_lo, lo)
+            above = self._tail_rows(hi, new_hi)
+            tp = np.concatenate([below[0], tp, above[0]])
+            tm = np.concatenate([below[1], tm, above[1]])
+            lo = new_lo
+            self._tails = (lo, tp, tm)
+        return tp[its - lo], tm[its - lo]
 
-    def _tails_for(self, its: np.ndarray) -> tuple:
-        tp = np.empty(len(its))
-        tm = np.empty(len(its))
-        for j, it in enumerate(its):
-            tp[j], tm[j] = self._tail_row(int(it))
-        return tp, tm
+    def _tail_rows(self, it0: int, it1: int) -> tuple:
+        """(T_plus, T_minus) computed for the rows it0 .. it1 - 1."""
+        d = self.domain
+        tc = d.t_lo + (np.arange(it0, it1) + 0.5) * d.h
+        tail = _halfplane_tail_2d if d.dim == 2 else _halfplane_tail_1d
+        amp = self.kernel.Lam * d.cell_volume
+        return (amp * tail(self.kernel.s, tc - d.t_lo, self.r_cut),
+                amp * tail(self.kernel.s, d.t_hi - tc, self.r_cut))
 
     def tail_weights(self, index: tuple) -> tuple:
         """Beyond-cutoff far-field tail weights (T_plus, T_minus) of a cell."""
-        return self._tail_row(index[1])
+        tp, tm = self._tails_for([index[1]])
+        return float(tp[0]), float(tm[0])
 
     # -- direct entry queries ---------------------------------------------
 
@@ -368,12 +380,7 @@ class WeightTable:
     def row_sums(self) -> np.ndarray:
         """Per-cell total interaction weight, tails included."""
         pid = self._period_data()
-        if self.kernel.family == "standard":
-            rs = pid["CA1"].copy()
-        else:
-            rs = (1.0 + 0.25 * self._g_slab) * pid["CA1"] + 0.25 * pid["CAG"]
-        tp, tm = self._tails_for(np.arange(self.domain.n_t))
-        return rs + tp[None, :] + tm[None, :]
+        return pid["RS"] + pid["tp"] + pid["tm"]
 
     # -- heterogeneity ------------------------------------------------------
 
@@ -429,27 +436,22 @@ class WeightTable:
         return out[:, :X.shape[1]]
 
     def _period_data(self) -> dict:
+        """Per-slab-cell weight sums over all rows (RS), the rows below the
+        slab (WB) and above it (WA), and the tail weights (tp, tm)."""
         pc = self._folded()
-        if "CA1" in pc:
+        if "RS" in pc:
             return pc
         d = self.domain
         K = self.k_cells
         n_T = d.n_t + 2 * K
-        slab = slice(K, K + d.n_t)
-        ones = np.ones((d.n_p, n_T))
         chi_b = np.zeros((d.n_p, n_T))
         chi_b[:, :K] = 1.0
         chi_a = np.zeros((d.n_p, n_T))
         chi_a[:, K + d.n_t:] = 1.0
-        pc["CA1"] = self._corr_periodic(ones)[:, slab]
-        pc["Fb"] = self._corr_periodic(chi_b)[:, slab]
-        pc["Fa"] = self._corr_periodic(chi_a)[:, slab]
-        if self.kernel.family != "standard":
-            g = self._g_rows(np.arange(d.n_p), np.arange(-K, d.n_t + K))
-            pc["g_ext"] = g
-            pc["CAG"] = self._corr_periodic(g)[:, slab]
-            pc["FGb"] = self._corr_periodic(g * chi_b)[:, slab]
-            pc["FGa"] = self._corr_periodic(g * chi_a)[:, slab]
+        pc["RS"] = self._weighted_sum(np.ones((d.n_p, n_T)))
+        pc["WB"] = self._weighted_sum(chi_b)
+        pc["WA"] = self._weighted_sum(chi_a)
+        pc["tp"], pc["tm"] = self._tails_for(np.arange(d.n_t))
         return pc
 
     # -- per-period functional, gradient, operator ----------------------------
@@ -463,38 +465,8 @@ class WeightTable:
         return float(np.sum(potential.q(x) * potential.profile(field.values))) \
             * d.cell_volume * self._pscale(epsilon)
 
-    def period_energy_parts(self, field: Field, potential=None, epsilon=None):
-        """(kinetic_total, potential, tail) of the per-period functional."""
-        d = self.domain
-        K = self.k_cells
-        U = field.extended_rows(K)
-        pid = self._period_data()
-        slab = slice(K, K + d.n_t)
-        u = field.values
-        fb, fa = field.far_below, field.far_above
-        CAU = self._corr_periodic(U)[:, slab]
-        CAU2 = self._corr_periodic(U * U)[:, slab]
-        base = u * u * pid["CA1"] - 2.0 * u * CAU + CAU2
-        farq = ((u - fb) ** 2 * pid["Fb"] + (u - fa) ** 2 * pid["Fa"])
-        if self.kernel.family != "standard":
-            g = pid["g_ext"]
-            CAGU = self._corr_periodic(g * U)[:, slab]
-            CAGU2 = self._corr_periodic(g * U * U)[:, slab]
-            gm = self._g_slab
-            base = (1.0 + 0.25 * gm) * base + 0.25 * (
-                u * u * pid["CAG"] - 2.0 * u * CAGU + CAGU2)
-            farq = (1.0 + 0.25 * gm) * farq + 0.25 * (
-                (u - fb) ** 2 * pid["FGb"] + (u - fa) ** 2 * pid["FGa"])
-        tp, tm = self._tails_for(np.arange(d.n_t))
-        tail = float(np.sum((u - fb) ** 2 * tp[None, :]
-                            + (u - fa) ** 2 * tm[None, :]))
-        kinetic = 0.5 * float(np.sum(base)) + 0.5 * float(np.sum(farq)) + tail
-        pot = 0.0 if potential is None else self.potential_sum(field, potential, epsilon)
-        return kinetic, pot, tail
-
     def period_value(self, field: Field, potential, epsilon=None) -> float:
-        kin, pot, _ = self.period_energy_parts(field, potential, epsilon)
-        return kin + pot
+        return self.period_report(field, potential, epsilon).total
 
     def period_report(self, field: Field, potential=None,
                       epsilon=None) -> EnergyReport:
@@ -507,28 +479,15 @@ class WeightTable:
         beyond-cutoff tail.
         """
         d = self.domain
-        K = self.k_cells
-        U = field.extended_rows(K)
+        U = field.extended_rows(self.k_cells)
         pid = self._period_data()
-        slab = slice(K, K + d.n_t)
         u = field.values
         fb, fa = field.far_below, field.far_above
-        CAU = self._corr_periodic(U)[:, slab]
-        CAU2 = self._corr_periodic(U * U)[:, slab]
-        base = u * u * pid["CA1"] - 2.0 * u * CAU + CAU2
-        farq = (u - fb) ** 2 * pid["Fb"] + (u - fa) ** 2 * pid["Fa"]
-        if self.kernel.family != "standard":
-            g = pid["g_ext"]
-            CAGU = self._corr_periodic(g * U)[:, slab]
-            CAGU2 = self._corr_periodic(g * U * U)[:, slab]
-            gm = self._g_slab
-            base = (1.0 + 0.25 * gm) * base + 0.25 * (
-                u * u * pid["CAG"] - 2.0 * u * CAGU + CAGU2)
-            farq = (1.0 + 0.25 * gm) * farq + 0.25 * (
-                (u - fb) ** 2 * pid["FGb"] + (u - fa) ** 2 * pid["FGa"])
-        tp, tm = self._tails_for(np.arange(d.n_t))
-        tail = float(np.sum((u - fb) ** 2 * tp[None, :]
-                            + (u - fa) ** 2 * tm[None, :]))
+        base = (u * u * pid["RS"] - 2.0 * u * self._weighted_sum(U)
+                + self._weighted_sum(U * U))
+        farq = (u - fb) ** 2 * pid["WB"] + (u - fa) ** 2 * pid["WA"]
+        tail = float(np.sum((u - fb) ** 2 * pid["tp"]
+                            + (u - fa) ** 2 * pid["tm"]))
         far_sum = float(np.sum(farq))
         kin_in = 0.5 * float(np.sum(base)) - 0.5 * far_sum
         kin_cross = far_sum + tail
@@ -539,30 +498,62 @@ class WeightTable:
                             None if epsilon is None else float(epsilon),
                             self.r_cut, d.h, tail)
 
+    def _weighted_sum(self, U: np.ndarray) -> np.ndarray:
+        """sum_j w_ij U_j over the extended rows ``U``, for each slab cell i."""
+        K = self.k_cells
+        slab = slice(K, K + self.domain.n_t)
+        conv = self._corr_periodic(U)[:, slab]
+        if self.kernel.family == "standard":
+            return conv
+        conv_g = self._corr_periodic(self._g_ext * U)[:, slab]
+        return (1.0 + 0.25 * self._g_slab) * conv + 0.25 * conv_g
+
+    def _kinetic_gradient(self, u, U, far_below, far_above) -> np.ndarray:
+        """Kinetic gradient at slab values ``u``; ``U`` is u with far rows."""
+        pid = self._period_data()
+        return 2.0 * (u * pid["RS"] - self._weighted_sum(U)
+                      + pid["tp"] * (u - far_below)
+                      + pid["tm"] * (u - far_above))
+
     def gradient(self, field: Field, potential, epsilon=None) -> np.ndarray:
         """Gradient of the per-period functional in the cell values."""
         d = self.domain
-        K = self.k_cells
-        U = field.extended_rows(K)
-        pid = self._period_data()
-        slab = slice(K, K + d.n_t)
         u = field.values
-        CAU = self._corr_periodic(U)[:, slab]
-        if self.kernel.family == "standard":
-            kin = u * pid["CA1"] - CAU
-        else:
-            g = pid["g_ext"]
-            CAGU = self._corr_periodic(g * U)[:, slab]
-            kin = ((1.0 + 0.25 * self._g_slab) * (u * pid["CA1"] - CAU)
-                   + 0.25 * (u * pid["CAG"] - CAGU))
-        tp, tm = self._tails_for(np.arange(d.n_t))
-        grad = 2.0 * kin + 2.0 * (tp[None, :] * (u - field.far_below)
-                                  + tm[None, :] * (u - field.far_above))
+        grad = self._kinetic_gradient(u, field.extended_rows(self.k_cells),
+                                      field.far_below, field.far_above)
         if potential is not None:
             x = d.world_centers()
             grad = grad + (potential.q(x) * potential.profile_derivative(u)
                            * d.cell_volume * self._pscale(epsilon))
         return grad
+
+    def objective(self, far_below: float, far_above: float, potential,
+                  epsilon=None):
+        """Fused oracle ``fun(x) -> (value, gradient)`` of the per-period
+        functional on the flat slab values, with the far rows fixed.
+
+        With the far rows fixed the kinetic part is a quadratic form
+        (1/2) u.Au - b.u + c, so its value follows from its gradient,
+        E_kin = (1/2) u.(grad E_kin(u) + grad E_kin(0)) + E_kin(0), and one
+        call costs one spectral correlation (two for the modulated kernel).
+        """
+        d, K = self.domain, self.k_cells
+        zero = Field(d, np.zeros(d.shape), far_below, far_above)
+        U = zero.extended_rows(K)
+        g0 = self._kinetic_gradient(zero.values, U, far_below, far_above)
+        c = self.period_report(zero).total
+        qv = (potential.q(d.world_centers()) * d.cell_volume
+              * self._pscale(epsilon))
+
+        def fun(x):
+            u = x.reshape(d.shape)
+            U[:, K:K + d.n_t] = u
+            gk = self._kinetic_gradient(u, U, far_below, far_above)
+            value = (0.5 * float(np.sum(u * (gk + g0))) + c
+                     + float(np.sum(qv * potential.profile(u))))
+            return value, (gk + qv * potential.profile_derivative(u)).ravel()
+
+        return fun
 
     def apply_lk(self, field: Field, index=None):
         """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included)."""

@@ -2,12 +2,15 @@
 
 The strip problem minimizes the per-period functional over the admissible
 class of periodic states that are >= theta below the strip (t <= 0) and
-<= -theta above it (t >= M), with values in [-1, 1].  The deterministic
-surrogate for the minimal minimizer is projected gradient descent started
-from the pointwise-smallest admissible state; its quality is certified a
-posteriori by the Birkhoff monotonicity of level sets, by frozen-boundary
-ball re-solves (local minimality in the plane, not just per period), by
-multi-start agreement and by the period-doubling consistency check.
+<= -theta above it (t >= M), with values in [-1, 1].  These obstacles are
+box bounds, so the deterministic surrogate for the minimal minimizer is
+scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995)
+started from the pointwise-smallest admissible state and driven by the
+fused value-and-gradient oracle `WeightTable.objective`.  Its quality is
+certified a posteriori by the Birkhoff monotonicity of level sets, by
+frozen-boundary ball re-solves (local minimality in the plane, not just per
+period), by multi-start agreement and by the period-doubling consistency
+check.
 """
 
 from __future__ import annotations
@@ -65,8 +68,7 @@ def minimal_seed(domain: StripDomain, constraints: Constraints) -> Field:
 class SolveOptions:
     max_iters: int = 40000
     grad_tol: float = 1e-8
-    rel_decrease_tol: float = 1e-10
-    stall_window: int = 50
+    rel_decrease_tol: float = 1e-15
     epsilon: float | None = None
     record_trace: bool = True
 
@@ -92,13 +94,20 @@ class SolveResult:
         }
 
 
-def _lipschitz_estimate(weights: WeightTable, potential, epsilon) -> float:
-    rs = float(weights.row_sums().max())
-    r = np.linspace(-1.0, 1.0, 201)
-    wr = potential.profile_derivative(r)
-    wrr = float(np.max(np.abs(np.gradient(wr, r)))) * 2.0  # Q <= 2
-    vol = weights.domain.cell_volume
-    return 2.0 * rs + wrr * vol * weights._pscale(epsilon)
+# scipy L-BFGS-B exit messages, by prefix, and the stop reasons they mean
+_STOP_REASONS = (
+    ("CONVERGENCE: NORM OF PROJECTED GRADIENT", "grad_tol"),
+    ("CONVERGENCE: RELATIVE REDUCTION", "stall"),
+    ("ABNORMAL", "no_descent"),
+    ("STOP: TOTAL NO. OF ITERATIONS", "iteration_cap"),
+)
+
+
+def _stop_reason(message: str) -> str:
+    for prefix, reason in _STOP_REASONS:
+        if message.startswith(prefix):
+            return reason
+    raise RuntimeError(f"L-BFGS-B stopped: {message}")
 
 
 def minimize_strip(kernel, potential, domain: StripDomain,
@@ -106,12 +115,17 @@ def minimize_strip(kernel, potential, domain: StripDomain,
                    weights: WeightTable | None = None, r_cut: float | None = None,
                    seed_field: Field | None = None,
                    validate: bool = True) -> SolveResult:
-    """Projected gradient descent on the per-period functional.
+    """L-BFGS-B on the per-period functional over the obstacle box:
+    [theta, 1] below the strip, [-1, -theta] above it, [-1, 1] elsewhere.
 
-    Accepted iterations never increase the objective; the run stops when
-    the projected-gradient norm falls below ``grad_tol`` or the relative
-    decrease over ``stall_window`` iterations falls below
-    ``rel_decrease_tol``.
+    Accepted iterations never increase the objective.
+    ``diagnostics["stop_reason"]`` is ``grad_tol`` (largest projected-gradient
+    entry below ``grad_tol``), ``stall`` (relative reduction of F in one
+    iteration below ``rel_decrease_tol``), ``no_descent`` (no admissible
+    descent left at machine precision) or ``iteration_cap`` (``max_iters``
+    reached, the only exit with ``converged=False``);
+    ``diagnostics["nfev"]`` counts oracle evaluations.  Trace rows are
+    (iteration, F, projected-gradient norm, ||x_k - x_{k-1}||).
     """
     options = options or SolveOptions()
     if domain.M < domain.tau:
@@ -126,71 +140,54 @@ def minimize_strip(kernel, potential, domain: StripDomain,
         weights = build_weights(kernel, domain,
                                 8.0 * domain.tau if r_cut is None else r_cut)
 
-    u = (minimal_seed(domain, constraints) if seed_field is None
-         else project(constraints, seed_field)).values
+    u0 = (minimal_seed(domain, constraints) if seed_field is None
+          else project(constraints, seed_field)).values
+    lo = constraints.project_values(domain, np.full(domain.shape, -1.0)).ravel()
+    hi = constraints.project_values(domain, np.ones(domain.shape)).ravel()
     eps = options.epsilon
-    fld = Field(domain, u)
-    F = weights.period_value(fld, potential, eps)
-    g = weights.gradient(fld, potential, eps)
-    L = _lipschitz_estimate(weights, potential, eps)
-    step = 1.0 / L
-    trace = []
-    best_window = [F]
-    converged = False
-    gnorm = math.inf
-    it = 0
-    for it in range(1, options.max_iters + 1):
-        accepted = False
-        t = step
-        for _ in range(60):
-            cand = constraints.project_values(domain, u - t * g)
-            fld_c = Field(domain, cand)
-            F_c = weights.period_value(fld_c, potential, eps)
-            if F_c <= F:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            converged = True  # no admissible descent left at machine scale
-            break
-        du = cand - u
-        g_new = weights.gradient(fld_c, potential, eps)
-        dg = g_new - g
-        u, F_prev, F, g = cand, F, F_c, g_new
-        # Barzilai-Borwein step for the next trial, kept in a safe band
-        denom = float(np.sum(du * dg))
-        if denom > 0.0:
-            step = min(max(float(np.sum(du * du)) / denom, 0.01 / L), 1e4 / L)
-        else:
-            step = 10.0 / L
-        res = u - constraints.project_values(domain, u - g)
-        gnorm = float(np.linalg.norm(res))
-        if options.record_trace:
-            trace.append((it, F, gnorm, t))
-        if gnorm < options.grad_tol:
-            converged = True
-            break
-        best_window.append(F)
-        if len(best_window) > options.stall_window:
-            old = best_window.pop(0)
-            if old - F <= options.rel_decrease_tol * max(abs(F), 1.0):
-                converged = True
-                break
+    far = Field(domain, u0)
+    oracle = weights.objective(far.far_below, far.far_above, potential, eps)
+    last = {}
 
-    fld = Field(domain, u)
-    res = u - constraints.project_values(domain, u - weights.gradient(
-        fld, potential, eps))
-    gnorm = float(np.linalg.norm(res))
+    def fun(x):
+        value, last["grad"] = oracle(x)
+        return value, last["grad"]
+
+    def projected_norm(x, g):
+        return float(np.linalg.norm(x - np.clip(x - g, lo, hi)))
+
+    trace = []
+    x_prev = u0.ravel()
+
+    def record(intermediate_result):
+        # scipy passes the iterate by this parameter name; the accepted
+        # iterate is the point of the oracle's last evaluation
+        nonlocal x_prev
+        x = intermediate_result.x.copy()
+        trace.append((len(trace) + 1, float(intermediate_result.fun),
+                      projected_norm(x, last["grad"]),
+                      float(np.linalg.norm(x - x_prev))))
+        x_prev = x
+
+    res = sopt.minimize(
+        fun, x_prev, jac=True, method="L-BFGS-B", bounds=sopt.Bounds(lo, hi),
+        callback=record if options.record_trace else None,
+        options={"maxiter": options.max_iters, "maxfun": math.inf,
+                 "ftol": options.rel_decrease_tol, "gtol": options.grad_tol})
+    reason = _stop_reason(res.message)
+
+    fld = Field(domain, np.clip(res.x, lo, hi).reshape(domain.shape))
     result = SolveResult(
         field=fld,
         F_value=weights.period_value(fld, potential, eps),
-        iterations=it,
-        grad_norm=gnorm,
-        converged=converged,
+        iterations=int(res.nit),
+        grad_norm=projected_norm(res.x, res.jac),
+        converged=reason != "iteration_cap",
         trace=np.array(trace) if options.record_trace else None,
     )
-    result.diagnostics["theta"] = constraints.theta
-    result.diagnostics["upper_distance"] = upper_distance(fld, constraints.theta)
+    result.diagnostics.update(
+        theta=constraints.theta, stop_reason=reason, nfev=int(res.nfev),
+        upper_distance=upper_distance(fld, constraints.theta))
     return result
 
 

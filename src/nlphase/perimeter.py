@@ -16,7 +16,7 @@ periodicity, and stability under small indicator flips.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,21 +85,14 @@ def per_K(weights: WeightTable, mask: SetMask, window) -> PerimeterResult:
 
 def _per_K_period(weights: WeightTable, mask: SetMask) -> PerimeterResult:
     """Per-period K-perimeter (class pairs counted once)."""
-    d = weights.domain
     ind = mask.indicator_field()
     rep = weights.period_report(ind)
     part1 = rep.kinetic_in / 4.0
     # split the far cross term into the E-side and complement-side parts
     pid = weights._period_data()
-    u = ind.values
     chiE = mask.inside
-    tp, tm = weights._tails_for(np.arange(d.n_t))
-    Fb = pid["Fb"] + tp[None, :]
-    Fa = pid["Fa"] + tm[None, :]
-    if weights.kernel.family != "standard":
-        gm = weights._g_slab
-        Fb = (1.0 + 0.25 * gm) * pid["Fb"] + 0.25 * pid["FGb"] + tp[None, :]
-        Fa = (1.0 + 0.25 * gm) * pid["Fa"] + 0.25 * pid["FGa"] + tm[None, :]
+    Fb = pid["WB"] + pid["tp"]
+    Fa = pid["WA"] + pid["tm"]
     part2 = float(np.sum(np.where(chiE, (0.0 if mask.far_below else 1.0) * Fb
                                   + (0.0 if mask.far_above else 1.0) * Fa, 0.0)))
     part3 = float(np.sum(np.where(~chiE, (1.0 if mask.far_below else 0.0) * Fb
@@ -142,10 +135,7 @@ def gamma_sweep(kernel, potential, domain, constraints: Constraints,
     records = []
     seed = None
     for eps in eps_list:
-        opt = SolveOptions(max_iters=base.max_iters, grad_tol=base.grad_tol,
-                           rel_decrease_tol=base.rel_decrease_tol,
-                           stall_window=base.stall_window, epsilon=eps,
-                           record_trace=False)
+        opt = replace(base, epsilon=eps, record_trace=False)
         res = minimize_strip(kernel, potential, domain, constraints,
                              options=opt, weights=weights,
                              seed_field=seed, validate=False)

@@ -72,7 +72,7 @@ def _strip(s, tau, Mf, cpt, dirn=(0, 1), Bf=4.0):
 
 
 def _solve(s, tau, Mf, cpt, dirn=(0, 1), eps=None, r_cut=None,
-           max_iters=60000, stall=100, theta=0.9):
+           max_iters=60000, theta=0.9):
     kernel = KernelSpec(dim=2, s=s, tau=tau, family="modulated")
     potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True)
     domain = _strip(s, tau, Mf, cpt, dirn)
@@ -80,8 +80,7 @@ def _solve(s, tau, Mf, cpt, dirn=(0, 1), eps=None, r_cut=None,
                             8.0 * tau if r_cut is None else r_cut)
     result = minimize_strip(
         kernel, potential, domain, Constraints(theta), weights=weights,
-        options=SolveOptions(max_iters=max_iters, stall_window=stall,
-                             epsilon=eps),
+        options=SolveOptions(max_iters=max_iters, epsilon=eps),
         validate=False)
     return dict(kernel=kernel, potential=potential, domain=domain,
                 weights=weights, result=result, eps=eps)
@@ -131,7 +130,7 @@ def scaling_runs():
     out = {}
     for s, cfg in SCALING_CFG.items():
         run = _solve(s, 1.0, cfg["Mf"], cfg["cpt"], eps=cfg["eps"],
-                     r_cut=cfg["r_cut"], max_iters=30000, stall=60)
+                     r_cut=cfg["r_cut"], max_iters=30000)
         u = run["result"].field.values
         dom = run["domain"]
         ip, it = np.unravel_index(int(np.argmin(np.abs(u))), u.shape)

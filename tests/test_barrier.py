@@ -28,8 +28,7 @@ def strip_three_quarter():
     weights = build_weights(kernel, domain, 8.0)
     result = minimize_strip(kernel, potential, domain, Constraints(0.9),
                             weights=weights,
-                            options=SolveOptions(max_iters=40000,
-                                                 stall_window=100))
+                            options=SolveOptions(max_iters=40000))
     probe = build_barrier(kernel, R=1e6, delta=1.0)
     bar = build_barrier(kernel, R=18.0, delta=probe.c3 * 1.05)
     return kernel, potential, domain, weights, result, bar

@@ -131,6 +131,9 @@ class TestPipelines:
         tags = {v["tag"] for v in rep["verdicts"]}
         assert {"tauPLcond", "disttau", "birkhoff", "classA"} <= tags
         assert rep["rows"][0]["M0_emp"] > 0
+        assert rep["rows"][0]["stop_reason"] in {"grad_tol", "stall",
+                                                 "no_descent"}
+        assert rep["rows"][0]["nfev"] >= rep["rows"][0]["iterations"]
         field_csv = (tmp_path / "out" / "field_tau1_w01.csv").read_text()
         assert field_csv.splitlines()[0] == "x1,x2,u"
 

@@ -195,11 +195,21 @@ def brute_window(wt, fld, window):
                         kin_in += 0.5 * w * diff2
                     else:
                         kin_cross += w * diff2
-            tp, tm = wt.tail_weights((ip % n_p, it)) if 0 <= it < n_t else (
-                wt._tail_row(it))
+            tp, tm = wt.tail_weights((ip % n_p, it))
             kin_cross += ((val(ip, it) - fld.far_below) ** 2 * tp
                           + (val(ip, it) - fld.far_above) ** 2 * tm)
     return kin_in, kin_cross
+
+
+class TestTails:
+    def test_rows_independent_of_query_order(self):
+        _, dom, grown = axis_setup()
+        _, _, fresh = axis_setup()
+        its = np.arange(-30, dom.n_t + 30)
+        for chunk in (its[40:50], its[:5], its[-3:], its[20:60]):
+            grown._tails_for(chunk)
+        assert np.array_equal(np.array(grown._tails_for(its)),
+                              np.array(fresh._tails_for(its)))
 
 
 class TestWindowEnergies:
@@ -410,6 +420,39 @@ class TestOperatorAndGradient:
             um[i] -= step
             fd = (wt.period_value(Field(dom, up), pot, eps)
                   - wt.period_value(Field(dom, um), pot, eps)) / (2 * step)
+            assert grad[i] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    @pytest.mark.parametrize("eps", [None, 0.25])
+    def test_objective_matches_report_and_gradient(self, dim, family, eps):
+        direction = (0, 1) if dim == 2 else (1,)
+        kernel = KernelSpec(dim=dim, s=0.3, tau=1.0, family=family)
+        dom = build_domain(1.0, Direction(direction, 1.0), M=4.0, h=0.25,
+                           buffer=2.0)
+        wt = build_weights(kernel, dom, 2.0)
+        pot = PotentialSpec(family="quartic", Q_modulation=True)
+        far_below, far_above = 0.7, -0.4
+        rng = np.random.default_rng(11)
+        u = rng.uniform(-0.8, 0.8, dom.shape)
+        fun = wt.objective(far_below, far_above, pot, eps)
+        value, grad = fun(u.ravel())
+        grad = grad.reshape(dom.shape)
+        fld = Field(dom, u, far_below, far_above)
+        assert value == pytest.approx(wt.period_report(fld, pot, eps).total,
+                                      rel=1e-12)
+        ref = wt.gradient(fld, pot, eps)
+        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+        step = 1e-6
+        for _ in range(10):
+            i = (int(rng.integers(0, dom.n_p)), int(rng.integers(0, dom.n_t)))
+            up = u.copy()
+            up[i] += step
+            um = u.copy()
+            um[i] -= step
+            fd = (wt.period_value(Field(dom, up, far_below, far_above), pot, eps)
+                  - wt.period_value(Field(dom, um, far_below, far_above),
+                                    pot, eps)) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=1e-6)
 
     def test_gradient_zero_at_matching_well(self):

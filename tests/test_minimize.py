@@ -103,6 +103,17 @@ class TestMinimizeStrip:
                               options=SolveOptions(max_iters=20000))
         assert res2.F_value == pytest.approx(res.F_value, rel=1e-6)
 
+    def test_iteration_cap_not_converged(self, solved):
+        kernel, potential, domain, weights, cons, _ = solved
+        res = minimize_strip(kernel, potential, domain, cons, weights=weights,
+                             options=SolveOptions(max_iters=3))
+        assert not res.converged
+        assert res.diagnostics["stop_reason"] == "iteration_cap"
+        assert res.iterations == 3 and len(res.trace) == 3
+        # the last trace row describes the returned iterate
+        assert res.trace[-1, 1] == pytest.approx(res.F_value, rel=1e-12)
+        assert res.trace[-1, 2] == pytest.approx(res.grad_norm, rel=1e-12)
+
     def test_admissibility_of_result(self, solved):
         _, _, domain, _, cons, res = solved
         again = cons.project_values(domain, res.field.values.copy())
