@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from nlphase import (Direction, Field, PERIOD, apply_LK, ball_at_cell,
-                     build_domain, build_weights, total_energy)
+from nlphase import (Direction, Field, PERIOD, ball_at_cell, build_domain,
+                     build_weights)
 from nlphase.model import KernelSpec, PotentialSpec
 
 kernel = KernelSpec(dim=2, s=0.25, tau=1.0, family="modulated")
@@ -15,20 +15,20 @@ weights = build_weights(kernel, domain, 8.0)
 t = domain.t_centers()
 field = Field(domain, np.tile(np.tanh(4.0 - t), (domain.n_p, 1)))
 
-period = total_energy(weights, potential, field, PERIOD)
+period = weights.window_report(field, PERIOD, potential)
 print("per-period energy:")
 for key, val in period.as_dict().items():
     print(f"  {key:>14}: {val}")
 
 ball = ball_at_cell(domain, (0, domain.n_t // 2), 2.0)
-rep = total_energy(weights, potential, field, ball)
+rep = weights.window_report(field, ball, potential)
 print(f"\nball window (R=2): total {rep.total:.6f} = "
       f"{rep.kinetic_in:.6f} + {rep.kinetic_cross:.6f} + {rep.potential:.6f}")
 
-scaled = total_energy(weights, potential, field, ball, epsilon=0.25)
+scaled = weights.window_report(field, ball, potential, epsilon=0.25)
 print(f"scaled functional (eps=1/4): potential x {scaled.potential / rep.potential:.4f}")
 
-lk = apply_LK(weights, field)
+lk = weights.apply_lk(field)
 res = np.abs(2.0 * lk + potential.q(domain.world_centers())
              * potential.profile_derivative(field.values))
 print(f"\noperator L_K: range [{lk.min():.3f}, {lk.max():.3f}]")

@@ -134,12 +134,14 @@ class BarrierFn:
 
 
 def _lk_radial(profile, rho, s, n, r_inner, r_outer, far_value=1.0,
-               n_panels=96, n_phi=96, order=8):
+               absolute=False, n_panels=96, n_phi=96, order=8):
     """L_K at radius rho for a radial profile, standard kernel.
 
     Antisymmetric +-z pairing over the half circle cancels the odd singular
     part exactly; the region beyond r_outer, where the profile equals
-    ``far_value``, is added in closed form.
+    ``far_value``, is added in closed form.  With ``absolute`` each
+    difference enters by its modulus, which gives the envelope integral
+    int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite for s < 1/2) instead.
     """
     rho = float(rho)
     edges = np.geomspace(r_inner, r_outer, n_panels + 1)
@@ -148,6 +150,13 @@ def _lk_radial(profile, rho, s, n, r_inner, r_outer, far_value=1.0,
     rr = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xg[None, :]).ravel()
     ww = (0.5 * (b - a)[:, None] * np.broadcast_to(wg, (a.size, order))).ravel()
     w0 = float(profile(rho))
+    gap = abs(w0 - far_value) if absolute else w0 - far_value
+
+    def pair(w_plus, w_minus):
+        if absolute:
+            return np.abs(w0 - w_plus) + np.abs(w0 - w_minus)
+        return 2.0 * w0 - w_plus - w_minus
+
     if n == 2:
         phi = (np.arange(n_phi) + 0.5) * (math.pi / n_phi)
         cs = np.cos(phi)
@@ -155,15 +164,15 @@ def _lk_radial(profile, rho, s, n, r_inner, r_outer, far_value=1.0,
                         + 2.0 * rho * rr[:, None] * cs[None, :])
         rminus = np.sqrt(rho * rho + rr[:, None] ** 2
                          - 2.0 * rho * rr[:, None] * cs[None, :])
-        pair = 2.0 * w0 - profile(rplus) - profile(rminus)
-        ang = pair.sum(axis=1) * (math.pi / n_phi)
+        ang = pair(profile(rplus), profile(rminus)).sum(axis=1) \
+            * (math.pi / n_phi)
         val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * ang))
-        tail = (w0 - far_value) * 2.0 * math.pi \
-            * r_outer ** (-2.0 * s) / (2.0 * s)
+        tail = gap * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s)
     else:
-        pair = 2.0 * w0 - profile(np.abs(rho + rr)) - profile(np.abs(rho - rr))
-        val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * pair))
-        tail = (w0 - far_value) * 2.0 * r_outer ** (-2.0 * s) / (2.0 * s)
+        val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s)
+                           * pair(profile(np.abs(rho + rr)),
+                                  profile(np.abs(rho - rr)))))
+        tail = gap * 2.0 * r_outer ** (-2.0 * s) / (2.0 * s)
     return val + tail
 
 
@@ -263,11 +272,9 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
     worst_hi = 0.0
     prof = barrier.w_radial
     for p in rho:
-        if envelope_only:
-            lk = kernel.Lam * _lk_abs_radial(prof, float(p), s, n, R)
-        else:
-            lk = abs(_lk_radial(prof, float(p), s, n,
-                                1e-7 * max(R, 1.0), p + R))
+        lk = _lk_radial(prof, float(p), s, n, 1e-7 * max(R, 1.0), p + R,
+                        absolute=envelope_only)
+        lk = kernel.Lam * lk if envelope_only else abs(lk)
         wv = float(prof(p))
         worst_op = max(worst_op, lk / (barrier.delta * (1.0 + wv)))
         ratio = (1.0 + wv) / (R + 1.0 - p) ** (-2.0 * s)
@@ -282,33 +289,6 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
         "passed": bool(worst_op <= 1.05 and worst_lo >= 1.0 - 1e-9
                        and worst_hi <= 1.0 + 1e-9),
     }
-
-
-def _lk_abs_radial(profile, rho, s, n, R, n_panels=96, n_phi=96, order=8):
-    """Envelope integral int |w(x) - w(y)| |x-y|^(-n-2s) dy (s < 1/2)."""
-    edges = np.geomspace(1e-7 * max(R, 1.0), rho + R, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    a, b = edges[:-1], edges[1:]
-    rr = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xg[None, :]).ravel()
-    ww = (0.5 * (b - a)[:, None] * np.broadcast_to(wg, (a.size, order))).ravel()
-    w0 = float(profile(rho))
-    if n == 2:
-        phi = (np.arange(n_phi) + 0.5) * (math.pi / n_phi)
-        cs = np.cos(phi)
-        rplus = np.sqrt(rho * rho + rr[:, None] ** 2
-                        + 2.0 * rho * rr[:, None] * cs[None, :])
-        rminus = np.sqrt(rho * rho + rr[:, None] ** 2
-                         - 2.0 * rho * rr[:, None] * cs[None, :])
-        pair = np.abs(w0 - profile(rplus)) + np.abs(w0 - profile(rminus))
-        ang = pair.sum(axis=1) * (math.pi / n_phi)
-        val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * ang))
-        tail = abs(w0 - 1.0) * 2.0 * math.pi * (rho + R) ** (-2.0 * s) / (2.0 * s)
-    else:
-        pair = (np.abs(w0 - profile(np.abs(rho + rr)))
-                + np.abs(w0 - profile(np.abs(rho - rr))))
-        val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * pair))
-        tail = abs(w0 - 1.0) * 2.0 * (rho + R) ** (-2.0 * s) / (2.0 * s)
-    return val + tail
 
 
 def barrier_slide_test(weights: WeightTable, potential, field: Field,

@@ -182,7 +182,7 @@ class ExperimentConfig:
             raise ConfigError("give r_cut or r_cut_factor, not both")
         if "r_cut" in g:
             return float(g["r_cut"])
-        return float(g.get("r_cut_factor", 8.0)) * tau
+        return float(g.get("r_cut_factor", energy_mod.R_CUT_FACTOR)) * tau
 
     def solve_options(self) -> min_mod.SolveOptions:
         s = self.solver
@@ -268,14 +268,19 @@ def run_validate(cfg: ExperimentConfig, out: Path) -> dict:
     return bundle
 
 
-def _solve_one(cfg, tau, direction, validate=True):
+def _solve_one(cfg, tau, direction):
+    # main validates the hypotheses once, at the configured tau; the strip
+    # hypothesis xi = tau >= 1 also has to hold at this solve's tau
+    if tau < 1.0:
+        raise ConfigError(f"strip solves require tau >= 1, got {tau}",
+                          tag="xi=tau")
     kernel = cfg.kernel_spec(tau)
     potential = cfg.potential_spec(tau)
     domain = cfg.domain(tau, direction)
     weights = energy_mod.build_weights(kernel, domain, cfg.r_cut(tau))
     result = min_mod.minimize_strip(kernel, potential, domain,
                                     cfg.constraints(), cfg.solve_options(),
-                                    weights=weights, validate=validate)
+                                    weights=weights, validate=False)
     return kernel, potential, domain, weights, result
 
 

@@ -21,16 +21,27 @@ with weights assembled from a translation-structured stencil:
 
 Interactions beyond the cutoff radius with the two constant far-field
 half-planes are bounded with the Lambda-envelope (exact for the standard
-kernel) and carried as flagged tail estimates.  All heavy sums -- window
-energies, per-period energies, gradients, the operator L_K -- evaluate
-through FFT correlations, so the cutoff radius can be taken comparable to
-the simulated region at negligible cost.
+kernel) and carried as flagged tail estimates.
+
+Every kinetic and perimeter quantity goes through three `WeightTable`
+primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
+
+* `offset_weights` -- pair weights for arrays of offsets and modulation
+  values (entry queries, ball blocks, two-cell flips);
+* `interaction_sum` -- sum_j w_ij u_j over the periodic slab plus tails
+  times far values (per-period energy, gradient, L_K, flip gains, frozen
+  ball couplings, row sums and far-plane weights);
+* `rect_form` -- the bilinear form B(X, Y) = sum_ij w_ij X_i Y_j on a
+  materialized rectangle (window energies, windowed K-perimeters).
+
+Both sums evaluate through FFTs, so the cutoff radius can be taken
+comparable to the simulated region at negligible cost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +52,7 @@ from .lattice import Direction, Field, StripDomain
 
 NEAR_EXACT_CELLS = 6          # exact pair integrals out to this many cells
 CORE_FRACTION = 1.0 / 16.0    # singular-core exclusion radius, in cells
+R_CUT_FACTOR = 8.0            # default cutoff radius, in units of tau
 
 
 class ConfigurationError(ValueError):
@@ -281,14 +293,6 @@ class EnergyReport:
         }
 
 
-def _wrap_1d(row: np.ndarray, K: int, size: int) -> np.ndarray:
-    """Place a stencil row (offsets -K..K) on an FFT axis, offset 0 at 0."""
-    out = np.zeros(size)
-    for dt in range(-K, K + 1):
-        out[dt % size] += row[dt + K]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # weight table
 
@@ -349,27 +353,34 @@ class WeightTable:
         tp, tm = self._tails_for([index[1]])
         return float(tp[0]), float(tm[0])
 
-    # -- direct entry queries ---------------------------------------------
+    # -- pair weights -------------------------------------------------------
+
+    def offset_weights(self, dp, dt, g_i, g_j) -> np.ndarray:
+        """Pair weights a(Delta) (1 + (g_i + g_j)/4) at cell offsets
+        (dp, dt) between cells with modulation values g_i and g_j, broadcast
+        over arrays; zero for the self pair and beyond the stencil."""
+        K = self.k_cells
+        near = (np.abs(dp) <= K) & (np.abs(dt) <= K)
+        row = np.where(near, dp, 0) + K if self.domain.dim == 2 else 0
+        a = np.where(near, self.stencil[row, np.where(near, dt, 0) + K], 0.0)
+        return a * (1.0 + 0.25 * (g_i + g_j))
 
     def offset_weight(self, index: tuple, dp_cells: int, dt_cells: int) -> float:
         """Weight between cell ``index`` and the lattice site at that offset."""
         d = self.domain
-        K = self.k_cells
-        if max(abs(dp_cells), abs(dt_cells)) > K:
+        if max(abs(dp_cells), abs(dt_cells)) > self.k_cells:
             raise ConfigurationError("offset beyond r_cut")
+        ip, it = index
+        gi = self._g_rows(ip, it)[0, 0]
+        gj = self._g_rows(ip + dp_cells, it + dt_cells)[0, 0]
         if (dp_cells, dt_cells) == (0, 0):
             a = (d.h ** (d.dim - 2.0 * self.kernel.s)
                  * unit_pair_integral(d.dim, self.kernel.s, 0, 0))
-        else:
-            a = self.stencil[dp_cells + K if d.dim == 2 else 0, dt_cells + K]
-            if a == 0.0:
-                raise ConfigurationError("offset beyond r_cut")
-        if self.kernel.family == "standard":
-            return float(a)
-        ip, it = index
-        gi = self._g_rows(np.array([ip]), np.array([it]))[0, 0]
-        gj = self._g_rows(np.array([ip + dp_cells]), np.array([it + dt_cells]))[0, 0]
-        return float(a * (1.0 + 0.25 * (gi + gj)))
+            return float(a * (1.0 + 0.25 * (gi + gj)))
+        w = float(self.offset_weights(dp_cells, dt_cells, gi, gj))
+        if w == 0.0:
+            raise ConfigurationError("offset beyond r_cut")
+        return w
 
     def pair_weight(self, i: tuple, j: tuple, m: int = 0) -> float:
         """Weight between fundamental cell i and the m-th image of cell j."""
@@ -379,8 +390,12 @@ class WeightTable:
 
     def row_sums(self) -> np.ndarray:
         """Per-cell total interaction weight, tails included."""
-        pid = self._period_data()
-        return pid["RS"] + pid["tp"] + pid["tm"]
+        return self._period_data()["rs"]
+
+    def far_weights(self) -> tuple:
+        """Per-cell total weight to the far half-plane below the slab and to
+        the one above it: the far rows within the cutoff plus the tails."""
+        return self._period_data()["far"]
 
     # -- heterogeneity ------------------------------------------------------
 
@@ -398,14 +413,15 @@ class WeightTable:
 
     # -- spectral helpers -----------------------------------------------------
 
-    def _embed_stencil(self, shape) -> np.ndarray:
+    def _embed(self, shape) -> np.ndarray:
+        """The stencil on an FFT grid, offset 0 at index 0; offsets that
+        wrap onto one index (the periodic p axis, n_p < 2K + 1) add up."""
         K = self.k_cells
+        offs = np.arange(-K, K + 1)
+        rows = (offs[:, None] % shape[0] if self.domain.dim == 2
+                else np.zeros((1, 1), dtype=int))
         A = np.zeros(shape)
-        if self.domain.dim == 2:
-            for dp in range(-K, K + 1):
-                A[dp % shape[0], :] += _wrap_1d(self.stencil[dp + K], K, shape[1])
-        else:
-            A[0, :] = _wrap_1d(self.stencil[0], K, shape[1])
+        np.add.at(A, (rows, offs[None, :] % shape[1]), self.stencil)
         return A
 
     def _folded(self) -> dict:
@@ -413,17 +429,12 @@ class WeightTable:
             return self._period_cache
         d = self.domain
         K = self.k_cells
-        n_T = d.n_t + 2 * K
-        nt_fft = sfft.next_fast_len(n_T + 2 * K + 1)
-        S = np.zeros((d.n_p, nt_fft))
-        if d.dim == 2:
-            for dp in range(-K, K + 1):
-                S[dp % d.n_p, :] += _wrap_1d(self.stencil[dp + K], K, nt_fft)
-        else:
-            S[0, :] = _wrap_1d(self.stencil[0], K, nt_fft)
+        nt_fft = sfft.next_fast_len(d.n_t + 4 * K + 1)
+        S = self._embed((d.n_p, nt_fft))
         self._period_cache = {
             "FS_conj": np.conj(sfft.rfftn(S, axes=(0, 1))),
             "nt_fft": nt_fft,
+            "tails": self._tails_for(np.arange(d.n_t)),
         }
         return self._period_cache
 
@@ -436,23 +447,42 @@ class WeightTable:
         return out[:, :X.shape[1]]
 
     def _period_data(self) -> dict:
-        """Per-slab-cell weight sums over all rows (RS), the rows below the
-        slab (WB) and above it (WA), and the tail weights (tp, tm)."""
+        """Per-slab-cell row sums (rs) and weights to the two far
+        half-planes (far), tails included."""
         pc = self._folded()
-        if "RS" in pc:
+        if "rs" in pc:
             return pc
         d = self.domain
         K = self.k_cells
-        n_T = d.n_t + 2 * K
-        chi_b = np.zeros((d.n_p, n_T))
-        chi_b[:, :K] = 1.0
-        chi_a = np.zeros((d.n_p, n_T))
-        chi_a[:, K + d.n_t:] = 1.0
-        pc["RS"] = self._weighted_sum(np.ones((d.n_p, n_T)))
-        pc["WB"] = self._weighted_sum(chi_b)
-        pc["WA"] = self._weighted_sum(chi_a)
-        pc["tp"], pc["tm"] = self._tails_for(np.arange(d.n_t))
+        below = np.zeros((d.n_p, d.n_t + 2 * K))
+        below[:, :K] = 1.0
+        above = np.zeros_like(below)
+        above[:, K + d.n_t:] = 1.0
+        pc["rs"] = self.interaction_sum(np.ones_like(below), 1.0, 1.0)
+        pc["far"] = (self.interaction_sum(below, 1.0, 0.0),
+                     self.interaction_sum(above, 0.0, 1.0))
         return pc
+
+    def _weighted_sum(self, U: np.ndarray) -> np.ndarray:
+        """sum_j w_ij U_j over the extended rows ``U``, for each slab cell i."""
+        K = self.k_cells
+        slab = slice(K, K + self.domain.n_t)
+        conv = self._corr_periodic(U)[:, slab]
+        if self.kernel.family == "standard":
+            return conv
+        conv_g = self._corr_periodic(self._g_ext * U)[:, slab]
+        return (1.0 + 0.25 * self._g_slab) * conv + 0.25 * conv_g
+
+    def interaction_sum(self, U: np.ndarray, far_below: float,
+                        far_above: float) -> np.ndarray:
+        """sum_j w_ij U_j over every world cell j, for each slab cell i.
+
+        ``U`` holds the slab values with ``k_cells`` far rows on each side
+        (`Field.extended_rows`); the far half-planes beyond the cutoff enter
+        through the tail weights with the values ``far_below``/``far_above``.
+        """
+        tp, tm = self._folded()["tails"]
+        return self._weighted_sum(U) + tp * far_below + tm * far_above
 
     # -- per-period functional, gradient, operator ----------------------------
 
@@ -480,17 +510,19 @@ class WeightTable:
         """
         d = self.domain
         U = field.extended_rows(self.k_cells)
-        pid = self._period_data()
+        pc = self._period_data()
         u = field.values
         fb, fa = field.far_below, field.far_above
-        base = (u * u * pid["RS"] - 2.0 * u * self._weighted_sum(U)
-                + self._weighted_sum(U * U))
-        farq = (u - fb) ** 2 * pid["WB"] + (u - fa) ** 2 * pid["WA"]
-        tail = float(np.sum((u - fb) ** 2 * pid["tp"]
-                            + (u - fa) ** 2 * pid["tm"]))
-        far_sum = float(np.sum(farq))
-        kin_in = 0.5 * float(np.sum(base)) - 0.5 * far_sum
-        kin_cross = far_sum + tail
+        # sum over slab cells i and all world cells j of w_ij (u_i - u_j)^2:
+        # twice the slab pairs plus once the far-field pairs
+        full = float(np.sum(u * u * pc["rs"]
+                            - 2.0 * u * self.interaction_sum(U, fb, fa)
+                            + self.interaction_sum(U * U, fb * fb, fa * fa)))
+        far_b, far_a = pc["far"]
+        tp, tm = pc["tails"]
+        kin_cross = float(np.sum((u - fb) ** 2 * far_b + (u - fa) ** 2 * far_a))
+        tail = float(np.sum((u - fb) ** 2 * tp + (u - fa) ** 2 * tm))
+        kin_in = 0.5 * (full - kin_cross)
         pot = 0.0 if potential is None else self.potential_sum(field, potential,
                                                                epsilon)
         total = kin_in + kin_cross + pot
@@ -498,22 +530,10 @@ class WeightTable:
                             None if epsilon is None else float(epsilon),
                             self.r_cut, d.h, tail)
 
-    def _weighted_sum(self, U: np.ndarray) -> np.ndarray:
-        """sum_j w_ij U_j over the extended rows ``U``, for each slab cell i."""
-        K = self.k_cells
-        slab = slice(K, K + self.domain.n_t)
-        conv = self._corr_periodic(U)[:, slab]
-        if self.kernel.family == "standard":
-            return conv
-        conv_g = self._corr_periodic(self._g_ext * U)[:, slab]
-        return (1.0 + 0.25 * self._g_slab) * conv + 0.25 * conv_g
-
     def _kinetic_gradient(self, u, U, far_below, far_above) -> np.ndarray:
         """Kinetic gradient at slab values ``u``; ``U`` is u with far rows."""
-        pid = self._period_data()
-        return 2.0 * (u * pid["RS"] - self._weighted_sum(U)
-                      + pid["tp"] * (u - far_below)
-                      + pid["tm"] * (u - far_above))
+        return 2.0 * (u * self.row_sums()
+                      - self.interaction_sum(U, far_below, far_above))
 
     def gradient(self, field: Field, potential, epsilon=None) -> np.ndarray:
         """Gradient of the per-period functional in the cell values."""
@@ -557,7 +577,10 @@ class WeightTable:
 
     def apply_lk(self, field: Field, index=None):
         """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included)."""
-        lk = self.gradient(field, potential=None) / (2.0 * self.domain.cell_volume)
+        U = field.extended_rows(self.k_cells)
+        lk = ((field.values * self.row_sums()
+               - self.interaction_sum(U, field.far_below, field.far_above))
+              / self.domain.cell_volume)
         if index is None:
             return lk
         return float(lk[index])
@@ -584,7 +607,13 @@ class WeightTable:
         chi = window.contains(P, T).astype(float)
         if not chi.any():
             raise WindowError("window contains no cells")
-        kin_in, kin_cross = self._masked_kinetic(V, G, chi)
+        form = self.rect_form(G)
+        chiV = chi * V
+        chiV2 = chiV * V
+        kin_in = form(chiV2, chi) - form(chiV, chiV)
+        # all pairs with one end in the window, less those with both ends
+        kin_cross = (form(chiV2, np.ones_like(V)) - 2.0 * form(chiV, V)
+                     + form(chi, V * V) - 2.0 * kin_in)
 
         its = np.arange(rect[2], rect[3])
         tp, tm = self._tails_for(its)
@@ -637,77 +666,49 @@ class WeightTable:
         return V, G, P, T
 
     def _fft_shape(self, grid_shape) -> tuple:
+        """Transform shape for a rectangle: lags up to K on n cells stay
+        alias-free on n + K points (and n >= 2K + 1 holds the stencil)."""
         K = self.k_cells
-        st = sfft.next_fast_len(grid_shape[1] + 2 * K + 1)
+        st = sfft.next_fast_len(grid_shape[1] + K)
         if self.domain.dim == 1:
             return (1, st)
-        return (sfft.next_fast_len(grid_shape[0] + 2 * K + 1), st)
+        return (sfft.next_fast_len(grid_shape[0] + K), st)
 
-    def _masked_kinetic(self, V, G, chi) -> tuple:
-        """(in, cross) kinetic sums of a rectangle grid against a mask."""
-        shape = self._fft_shape(V.shape)
-        A = self._embed_stencil(shape)
+    def rect_form(self, G: np.ndarray):
+        """Bilinear form B(X, Y) = sum_ij w_ij X_i Y_j over the cells of a
+        materialized rectangle whose modulation values are ``G``.
+
+        Each argument array is transformed once per form (pass the same
+        object again to reuse its spectrum), and the sum is taken by
+        Parseval against the real spectrum of the symmetric stencil, so no
+        inverse transform is needed.
+        """
+        shape = self._fft_shape(G.shape)
+        spec = sfft.rfftn(self._embed(shape), axes=(0, 1)).real
+        spec[:, 1:(shape[1] + 1) // 2] *= 2.0    # conjugate-pair bins
+        spec /= shape[0] * shape[1]
         mod = self.kernel.family != "standard"
+        memo = {}
 
-        def F(X):
-            return sfft.rfftn(X, s=shape, axes=(0, 1))
+        def spectra(X):
+            # keyed by identity; the memo keeps X alive so ids stay unique
+            if id(X) not in memo:
+                FX = sfft.rfftn(X, s=shape, axes=(0, 1))
+                FGX = sfft.rfftn(G * X, s=shape, axes=(0, 1)) if mod else None
+                memo[id(X)] = (X, FX, FGX)
+            return memo[id(X)][1:]
 
-        f = {}
-        f["chi"], f["chiV"], f["chiV2"] = F(chi), F(chi * V), F(chi * V * V)
-        f["one"], f["V"], f["V2"] = F(np.ones_like(V)), F(V), F(V * V)
-        if mod:
-            f["gchi"], f["gchiV"], f["gchiV2"] = (
-                F(G * chi), F(G * chi * V), F(G * chi * V * V))
-            f["g"], f["gV"], f["gV2"] = F(G), F(G * V), F(G * V * V)
+        def form(X, Y) -> float:
+            FX, FGX = spectra(X)
+            FY, FGY = spectra(Y)
+            sY = spec * FY
+            z = np.vdot(FX, sY)
+            if mod:
+                z += 0.25 * np.vdot(FGX, sY)
+                z += 0.25 * np.vdot(FX, np.multiply(spec, FGY, out=sY))
+            return float(z.real)
 
-        def qsum(pairs):
-            spec = np.zeros_like(f["chi"])
-            for c, X, Y in pairs:
-                spec += c * np.conj(f[X]) * f[Y]
-            lag = sfft.irfftn(spec, s=shape, axes=(0, 1))
-            return float(np.sum(A * lag))
-
-        terms_in = [(0.5, "chiV2", "chi"), (0.5, "chi", "chiV2"),
-                    (-1.0, "chiV", "chiV")]
-        if mod:
-            terms_in += [(0.125, "gchiV2", "chi"), (0.125, "gchi", "chiV2"),
-                         (-0.25, "gchiV", "chiV"),
-                         (0.125, "chiV2", "gchi"), (0.125, "chi", "gchiV2"),
-                         (-0.25, "chiV", "gchiV")]
-        kin_in = qsum(terms_in)
-
-        for nm, full in (("cchi", "one"), ("cchiV", "V"), ("cchiV2", "V2")):
-            f[nm] = f[full] - f["chi" if nm == "cchi" else
-                               "chiV" if nm == "cchiV" else "chiV2"]
-        terms_x = [(1.0, "chiV2", "cchi"), (1.0, "chi", "cchiV2"),
-                   (-2.0, "chiV", "cchiV")]
-        if mod:
-            f["gcchi"] = f["g"] - f["gchi"]
-            f["gcchiV"] = f["gV"] - f["gchiV"]
-            f["gcchiV2"] = f["gV2"] - f["gchiV2"]
-            terms_x += [(0.25, "gchiV2", "cchi"), (0.25, "gchi", "cchiV2"),
-                        (-0.5, "gchiV", "cchiV"),
-                        (0.25, "chiV2", "gcchi"), (0.25, "chi", "gcchiV2"),
-                        (-0.5, "chiV", "gcchiV")]
-        kin_cross = qsum(terms_x)
-        return kin_in, kin_cross
-
-    def masked_interaction(self, X: np.ndarray, Y: np.ndarray,
-                           G: np.ndarray) -> float:
-        """Sum over ordered pairs of w_ij X_i Y_j on a common rectangle."""
-        shape = self._fft_shape(X.shape)
-        A = self._embed_stencil(shape)
-
-        def F(Z):
-            return sfft.rfftn(Z, s=shape, axes=(0, 1))
-
-        spec = np.conj(F(X)) * F(Y)
-        if self.kernel.family != "standard":
-            spec = spec + 0.25 * (np.conj(F(G * X)) * F(Y)
-                                  + np.conj(F(X)) * F(G * Y))
-        lag = sfft.irfftn(spec, s=shape, axes=(0, 1))
-        return float(np.sum(A * lag))
-
+        return form
 
 # ---------------------------------------------------------------------------
 # public operation wrappers
@@ -715,20 +716,6 @@ class WeightTable:
 
 def build_weights(kernel, domain: StripDomain, r_cut: float) -> WeightTable:
     return WeightTable(kernel, domain, r_cut)
-
-
-def total_energy(weights: WeightTable, potential, field: Field, window,
-                 epsilon=None) -> EnergyReport:
-    return weights.window_report(field, window, potential, epsilon)
-
-
-def apply_LK(weights: WeightTable, field: Field, index=None):
-    return weights.apply_lk(field, index)
-
-
-def energy_gradient(weights: WeightTable, potential, field: Field,
-                    epsilon=None) -> np.ndarray:
-    return weights.gradient(field, potential, epsilon)
 
 
 def rescale_field(field: Field, epsilon: float) -> Field:

@@ -167,13 +167,13 @@ def boundary_cells(mask: SetMask, rect) -> np.ndarray:
     return differs
 
 
-def grid_boundary_count(mask: SetMask, cube, k: int,
-                        c_star: float | None = None) -> tuple:
-    """Number of subcubes of a k^n partition meeting both phases.
+def _subcubes(mask: SetMask, cube, k: int) -> tuple:
+    """Cells of a cube and their subcubes in a k^n partition.
 
-    ``cube`` is (corner, r) with the corner in frame coordinates.  Returns
-    (count, passed) where passed compares against c_star * k^(n-1) when a
-    threshold constant is supplied (and is None otherwise).
+    Returns (rect, P, T, incube, sub_p, sub_t, mixed): the covering cell
+    rectangle, its frame-coordinate grids, the cells inside the cube, the
+    subcube index of every cell and the k x k flags of the subcubes that
+    meet both phases.
     """
     corner, r = cube
     d = mask.domain
@@ -191,17 +191,28 @@ def grid_boundary_count(mask: SetMask, cube, k: int,
     grid = mask.unrolled(rect)
     P, T = _rect_grids(d, rect)
     inx = (P >= corner[0]) & (P < corner[0] + r) if d.dim == 2 else np.ones_like(P, bool)
-    iny = (T >= corner[1]) & (T < corner[1] + r)
-    incube = inx & iny
+    incube = inx & (T >= corner[1]) & (T < corner[1] + r)
     sub_p = np.clip(((P - corner[0]) / (r / k)).astype(int), 0, k - 1)
     sub_t = np.clip(((T - corner[1]) / (r / k)).astype(int), 0, k - 1)
     has_in = np.zeros((k, k), dtype=bool)
     has_out = np.zeros((k, k), dtype=bool)
-    sel = incube
-    np.logical_or.at(has_in, (sub_p[sel & grid], sub_t[sel & grid]), True)
-    np.logical_or.at(has_out, (sub_p[sel & ~grid], sub_t[sel & ~grid]), True)
-    count = int(np.count_nonzero(has_in & has_out))
-    passed = None if c_star is None else count >= c_star * k ** (d.dim - 1)
+    np.logical_or.at(has_in, (sub_p[incube & grid], sub_t[incube & grid]), True)
+    np.logical_or.at(has_out, (sub_p[incube & ~grid], sub_t[incube & ~grid]),
+                     True)
+    return rect, P, T, incube, sub_p, sub_t, has_in & has_out
+
+
+def grid_boundary_count(mask: SetMask, cube, k: int,
+                        c_star: float | None = None) -> tuple:
+    """Number of subcubes of a k^n partition meeting both phases.
+
+    ``cube`` is (corner, r) with the corner in frame coordinates.  Returns
+    (count, passed) where passed compares against c_star * k^(n-1) when a
+    threshold constant is supplied (and is None otherwise).
+    """
+    count = int(np.count_nonzero(_subcubes(mask, cube, k)[-1]))
+    passed = (None if c_star is None
+              else count >= c_star * k ** (mask.domain.dim - 1))
     return count, passed
 
 
@@ -213,23 +224,8 @@ def boundary_cube_family(mask: SetMask, cube, k: int) -> list:
     guarantees disjointness after recentering; all returned cubes lie in
     the doubled open cube.
     """
-    corner, r = cube
-    d = mask.domain
-    if r / k < d.h:
-        raise GeometryError("subcube side must be at least one cell")
-    h = d.h
-    it0 = int(math.floor((corner[1] - d.t_lo) / h))
-    it1 = int(math.ceil((corner[1] + r - d.t_lo) / h))
-    ip0 = int(math.floor(corner[0] / h))
-    ip1 = int(math.ceil((corner[0] + r) / h))
-    rect = (ip0, ip1, it0, it1)
-    grid = mask.unrolled(rect)
-    P, T = _rect_grids(d, rect)
+    rect, P, T, incube, sub_p, sub_t, has_mixed = _subcubes(mask, cube, k)
     bcells = boundary_cells(mask, rect)
-    incube = ((P >= corner[0]) & (P < corner[0] + r)
-              & (T >= corner[1]) & (T < corner[1] + r))
-    sub_p = np.clip(((P - corner[0]) / (r / k)).astype(int), 0, k - 1)
-    sub_t = np.clip(((T - corner[1]) / (r / k)).astype(int), 0, k - 1)
 
     # mixed subcubes and one boundary-cell representative for each
     reps = {}
@@ -239,13 +235,7 @@ def boundary_cube_family(mask: SetMask, cube, k: int) -> list:
         if key not in reps:
             reps[key] = (float(P[i, j]), float(T[i, j]))
     mixed = {}
-    selin = incube & grid
-    selout = incube & ~grid
-    has_in = np.zeros((k, k), dtype=bool)
-    has_out = np.zeros((k, k), dtype=bool)
-    np.logical_or.at(has_in, (sub_p[selin], sub_t[selin]), True)
-    np.logical_or.at(has_out, (sub_p[selout], sub_t[selout]), True)
-    for a, b in zip(*np.nonzero(has_in & has_out)):
+    for a, b in zip(*np.nonzero(has_mixed)):
         key = (int(a), int(b))
         if key in reps:
             mixed[key] = reps[key]
@@ -257,7 +247,7 @@ def boundary_cube_family(mask: SetMask, cube, k: int) -> list:
                    if key[0] % 3 == ra and key[1] % 3 == rb]
             if len(cls) > len(best):
                 best = cls
-    side = r / k
+    side = cube[1] / k
     return [{"center": c, "side": side, "subcube": key} for key, c in best]
 
 

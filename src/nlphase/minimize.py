@@ -21,7 +21,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from scipy import optimize as sopt
 
-from .energy import ConfigurationError, WeightTable, build_weights
+from .energy import (R_CUT_FACTOR, BallWindow, ConfigurationError,
+                     WeightTable, build_weights)
 from .lattice import Field, StripDomain, birkhoff_shift
 from .model import validate_hypotheses
 
@@ -137,8 +138,8 @@ def minimize_strip(kernel, potential, domain: StripDomain,
             raise ConfigurationError(
                 "hypothesis validation failed: " + ", ".join(rep.failing_tags()))
     if weights is None:
-        weights = build_weights(kernel, domain,
-                                8.0 * domain.tau if r_cut is None else r_cut)
+        weights = build_weights(
+            kernel, domain, R_CUT_FACTOR * domain.tau if r_cut is None else r_cut)
 
     u0 = (minimal_seed(domain, constraints) if seed_field is None
           else project(constraints, seed_field)).values
@@ -244,19 +245,6 @@ def upper_distance(field: Field, theta: float) -> float:
     return float(d.M - t[cols].max())
 
 
-def _ball_cells(weights: WeightTable, center, radius):
-    d = weights.domain
-    K = weights.k_cells
-    p0, t0 = center
-    ip0 = int(math.floor((p0 - radius) / d.h)) - K
-    ip1 = int(math.ceil((p0 + radius) / d.h)) + K
-    it0 = int(math.floor((t0 - radius - d.t_lo) / d.h)) - K
-    it1 = int(math.ceil((t0 + radius - d.t_lo) / d.h)) + K
-    if d.dim == 1:
-        ip0, ip1 = 0, 1
-    return (ip0, ip1, it0, it1)
-
-
 def ball_improvement(weights: WeightTable, potential, field: Field,
                      center, radius: float, epsilon=None,
                      maxiter: int = 400) -> float:
@@ -268,35 +256,24 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     construction; a value at solver scale certifies local minimality.
     """
     d = weights.domain
-    rect = _ball_cells(weights, center, radius)
+    ball = BallWindow(tuple(center), float(radius))
+    rect = weights._rect_for(ball)
     V, G, P, T = weights.materialize(field, rect)
-    p0, t0 = center
-    inball = (P - p0) ** 2 + (T - t0) ** 2 < radius ** 2
+    inball = ball.contains(P, T)
     idx = np.nonzero(inball)
     nb = idx[0].size
     if nb == 0:
         return 0.0
-    K = weights.k_cells
-    A = weights.stencil
+    gi = G[idx]
+    W_bb = weights.offset_weights(idx[0][None, :] - idx[0][:, None],
+                                  idx[1][None, :] - idx[1][:, None],
+                                  gi[:, None], gi[None, :])
 
-    dpc = idx[0][None, :] - idx[0][:, None]
-    dtc = idx[1][None, :] - idx[1][:, None]
-    ok = (np.abs(dpc) <= K) & (np.abs(dtc) <= K)
-    W_bb = np.zeros((nb, nb))
-    if d.dim == 2:
-        W_bb[ok] = A[dpc[ok] + K, dtc[ok] + K]
-    else:
-        W_bb[ok] = A[0, dtc[ok] + K]
-    if weights.kernel.family != "standard":
-        gi = G[idx]
-        W_bb *= 1.0 + 0.25 * (gi[:, None] + gi[None, :])
-
-    # frozen couplings from the full-field interaction sums
-    rows_fund = np.mod(np.arange(rect[0], rect[1]), d.n_p)
-    grad_kin = weights.gradient(field, potential=None)      # periodic classes
+    # frozen couplings from the full-field interaction sums (periodic classes)
+    conv_tot = weights.interaction_sum(field.extended_rows(weights.k_cells),
+                                       field.far_below, field.far_above)
     rs = weights.row_sums()
-    conv_tot = field.values * rs - 0.5 * grad_kin           # sum_j w u_j + tails*far
-    cell_cols = rows_fund[idx[0]]
+    cell_cols = np.mod(idx[0] + rect[0], d.n_p)
     cell_rows = idx[1] + rect[2]
     inside_slab = (cell_rows >= 0) & (cell_rows < d.n_t)
     if not inside_slab.all():

@@ -29,7 +29,7 @@ numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -418,16 +418,3 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
             "planelike runs require xi = tau >= 1"))
 
     return rep
-
-
-def standard_kernel(dim=2, s=0.25, tau=1.0, **kw) -> KernelSpec:
-    return KernelSpec(dim=dim, s=s, tau=tau, family="standard", **kw)
-
-
-def modulated_kernel(dim=2, s=0.25, tau=1.0, **kw) -> KernelSpec:
-    return KernelSpec(dim=dim, s=s, tau=tau, family="modulated", **kw)
-
-
-def with_scale(kernel: KernelSpec, tau: float) -> KernelSpec:
-    """Same kernel family at a different periodicity scale."""
-    return replace(kernel, tau=tau, xi=tau if kernel.xi == kernel.tau else kernel.xi)

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import PERIOD, PeriodWindow, WeightTable, build_weights
+from .energy import (PERIOD, R_CUT_FACTOR, PeriodWindow, WeightTable,
+                     build_weights)
 from .geometry import SetMask, level_mask, symmetric_difference_measure
 from .lattice import Field
 from .minimize import Constraints, SolveOptions, minimize_strip
@@ -66,9 +67,10 @@ def per_K(weights: WeightTable, mask: SetMask, window) -> PerimeterResult:
     Y1 = (chiW & ~chiE).astype(float)
     Y2 = (~chiE & ~chiW).astype(float)
     X3 = (chiE & ~chiW).astype(float)
-    part1 = weights.masked_interaction(X1, Y1, G)
-    part2 = weights.masked_interaction(X1, Y2, G)
-    part3 = weights.masked_interaction(X3, Y1, G)
+    form = weights.rect_form(G)
+    part1 = form(X1, Y1)
+    part2 = form(X1, Y2)
+    part3 = form(X3, Y1)
 
     its = np.arange(rect[2], rect[3])
     tp, tm = weights._tails_for(its)
@@ -89,10 +91,8 @@ def _per_K_period(weights: WeightTable, mask: SetMask) -> PerimeterResult:
     rep = weights.period_report(ind)
     part1 = rep.kinetic_in / 4.0
     # split the far cross term into the E-side and complement-side parts
-    pid = weights._period_data()
+    Fb, Fa = weights.far_weights()
     chiE = mask.inside
-    Fb = pid["WB"] + pid["tp"]
-    Fa = pid["WA"] + pid["tm"]
     part2 = float(np.sum(np.where(chiE, (0.0 if mask.far_below else 1.0) * Fb
                                   + (0.0 if mask.far_above else 1.0) * Fa, 0.0)))
     part3 = float(np.sum(np.where(~chiE, (1.0 if mask.far_below else 0.0) * Fb
@@ -129,8 +129,8 @@ def gamma_sweep(kernel, potential, domain, constraints: Constraints,
     if any(not 0.0 < e <= domain.tau for e in eps_list):
         raise ValueError("epsilon values must lie in (0, tau]")
     if weights is None:
-        weights = build_weights(kernel, domain,
-                                8.0 * domain.tau if r_cut is None else r_cut)
+        weights = build_weights(
+            kernel, domain, R_CUT_FACTOR * domain.tau if r_cut is None else r_cut)
     base = options or SolveOptions()
     records = []
     seed = None
@@ -232,63 +232,67 @@ def minimal_surface_extract(sweep: dict, m0_ref: float | None = None,
 
 
 def flip_gains(weights: WeightTable, mask: SetMask) -> tuple:
-    """Per-cell perimeter change for single-cell flips and the pair
-    correction needed for connected two-cell flips.
+    """Perimeter changes of single-cell and connected two-cell flips.
 
     Flipping one world copy of cell i changes the perimeter by
     sum_j w_ij (2 [chi_j = chi_i] - 1) = m_i * (sum_j w_ij m_j) in terms of
-    the signed indicator m; negative values are improving flips.
+    the signed indicator m; flipping two cells i, j together changes it by
+    the sum of their single gains less 2 w_ij m_i m_j.  Returns the single
+    gains, the pair gains along t (cells (ip, it), (ip, it + 1)) and, in
+    two dimensions, along p (cells (ip, it), (ip + 1, it), periodic);
+    negative values are improving flips.
     """
     _require_subcritical(weights)
     ind = mask.indicator_field()
     m = ind.values
-    rs = weights.row_sums()
-    conv = m * rs - 0.5 * weights.gradient(ind, potential=None)
-    return m * conv, m
+    g = weights._g_slab
+    single = m * weights.interaction_sum(ind.extended_rows(weights.k_cells),
+                                         ind.far_below, ind.far_above)
+    pair_t = (single[:, :-1] + single[:, 1:] - 2.0 * m[:, :-1] * m[:, 1:]
+              * weights.offset_weights(0, 1, g[:, :-1], g[:, 1:]))
+    if weights.domain.dim == 1:
+        return single, pair_t, None
+    pair_p = (single + np.roll(single, -1, axis=0)
+              - 2.0 * m * np.roll(m, -1, axis=0)
+              * weights.offset_weights(1, 0, g, np.roll(g, -1, axis=0)))
+    return single, pair_t, pair_p
 
 
 def surface_local_min_check(weights: WeightTable, mask: SetMask,
                             trials: int = 20, radius_range=(None, None),
                             seed: int = 0, tol_rel: float = 1e-10) -> dict:
-    """Search balls for improving {1,2}-cell indicator flips."""
+    """Search balls for improving {1,2}-cell indicator flips.
+
+    Balls wrap periodically in p, so a ball near the period boundary also
+    holds the cells it reaches across it.
+    """
     d = weights.domain
     rng = np.random.default_rng(seed)
-    delta1, m = flip_gains(weights, mask)
-    # two-cell corrections for axis-adjacent pairs inside the slab
-    w10 = weights.stencil[1 + weights.k_cells if d.dim == 2 else 0,
-                          0 + weights.k_cells]
-    w01 = weights.stencil[0 + weights.k_cells if d.dim == 2 else 0,
-                          1 + weights.k_cells]
+    single, pair_t, pair_p = flip_gains(weights, mask)
     total = per_K(weights, mask, PERIOD).per_K
     r_lo = radius_range[0] or 2.0 * d.h
     r_hi = radius_range[1] or 2.0 * d.tau
     P, T = d.frame_centers()
+    L = d.n_p * d.h
     best = 0.0
     rows = []
     for _ in range(trials):
         r = rng.uniform(r_lo, r_hi)
         t0 = rng.uniform(d.t_lo + r, d.t_hi - r)
-        p0 = rng.uniform(0.0, d.n_p * d.h)
-        inball = (P - p0) ** 2 + (T - t0) ** 2 < r * r
+        p0 = rng.uniform(0.0, L)
+        dP = np.mod(P - p0 + 0.5 * L, L) - 0.5 * L
+        inball = dP ** 2 + (T - t0) ** 2 < r * r
         if not inball.any():
             rows.append({"note": "empty ball"})
             continue
-        gain1 = float(np.min(np.where(inball, delta1, np.inf)))
-        gain2 = np.inf
-        # vertical neighbors
+        worst = float(np.min(single[inball]))
         pair = inball[:, :-1] & inball[:, 1:]
         if pair.any():
-            d2 = (delta1[:, :-1] + delta1[:, 1:]
-                  - 2.0 * w01 * m[:, :-1] * m[:, 1:])
-            gain2 = min(gain2, float(np.min(np.where(pair, d2, np.inf))))
-        if d.dim == 2 and d.n_p > 1:
-            mr = np.roll(m, -1, axis=0)
-            dr = np.roll(delta1, -1, axis=0)
-            ib = inball & np.roll(inball, -1, axis=0)
-            if ib.any():
-                d2 = delta1 + dr - 2.0 * w10 * m * mr
-                gain2 = min(gain2, float(np.min(np.where(ib, d2, np.inf))))
-        worst = min(gain1, gain2)
+            worst = min(worst, float(np.min(pair_t[pair])))
+        if pair_p is not None and d.n_p > 1:
+            pair = inball & np.roll(inball, -1, axis=0)
+            if pair.any():
+                worst = min(worst, float(np.min(pair_p[pair])))
         rows.append({"center": (p0, t0), "radius": r, "best_gain": worst})
         best = min(best, worst)
     improvement = max(-best, 0.0)

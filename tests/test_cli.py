@@ -137,6 +137,29 @@ class TestPipelines:
         field_csv = (tmp_path / "out" / "field_tau1_w01.csv").read_text()
         assert field_csv.splitlines()[0] == "x1,x2,u"
 
+    def test_planelike_validates_hypotheses_once(self, tmp_path,
+                                                 monkeypatch):
+        from nlphase import cli, minimize
+        calls = []
+        original = cli.validate_hypotheses
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_hypotheses", counting)
+        monkeypatch.setattr(minimize, "validate_hypotheses", counting)
+        path = write_config(tmp_path, base_config(experiment={"trials": 2}))
+        main(["planelike", "--config", path, "--out", str(tmp_path / "out")])
+        assert (tmp_path / "out" / "report.json").exists()
+        assert len(calls) == 1
+
+    def test_strip_solve_below_unit_tau_rejected(self, tmp_path):
+        raw = base_config(geometry={"tau": 0.5})
+        path = write_config(tmp_path, raw)
+        assert main(["scaling", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+
     def test_scaling_pipeline_synthetic_fit(self, tmp_path):
         raw = base_config(experiment={"radii": [1.0, 1.5, 2.0, 2.5]},
                           solver={"max_iters": 4000, "epsilon": 0.25})

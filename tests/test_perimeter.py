@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nlphase.energy import BoxWindow, PERIOD, build_weights
+from nlphase.energy import BallWindow, BoxWindow, PERIOD, build_weights
 from nlphase.geometry import SetMask, level_mask
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase.minimize import Constraints, SolveOptions
 from nlphase.model import KernelSpec, PotentialSpec
-from nlphase.perimeter import (RegimeError, gamma_sweep, indicator_energy,
-                               minimal_surface_extract, per_K,
-                               surface_local_min_check)
+from nlphase.perimeter import (RegimeError, flip_gains, gamma_sweep,
+                               indicator_energy, minimal_surface_extract,
+                               per_K, surface_local_min_check)
 
 
 def setup(s=0.25, family="standard", M=4.0, h=0.25, B=2.0, r_cut=2.0):
@@ -131,6 +131,53 @@ class TestPerK:
         assert res.parts[0] == pytest.approx(part1, rel=0.02)
         assert res.per_K - res.tail_estimate == pytest.approx(
             part1 + part2 + part3, rel=0.02)
+
+
+class TestFlipGains:
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    def test_flips_match_window_energy_change(self, family):
+        # flipping one world copy of a cell, or of two axis neighbours,
+        # changes the indicator energy of a window holding them by four
+        # times the perimeter change; the p-neighbour of the last column is
+        # the first column of the next world copy
+        _, dom, wt = setup(family=family)
+        rng = np.random.default_rng(5)
+        mask = SetMask(dom, rng.random(dom.shape) < 0.5, True, False)
+        ind = mask.indicator_field()
+        m = ind.values
+        single, pair_t, pair_p = flip_gains(wt, mask)
+        h = dom.h
+
+        def quarter_change(cells):
+            (ip0, it0), (ip1, it1) = cells[0], cells[-1]
+            center = ((0.5 * (ip0 + ip1) + 0.5) * h,
+                      dom.t_lo + (0.5 * (it0 + it1) + 0.5) * h)
+            window = BallWindow(center, 2.5 * h)
+
+            def flip(V, P, T):
+                V = V.copy()
+                for ip, it in cells:
+                    hit = ((np.abs(P - (ip + 0.5) * h) < 0.25 * h)
+                           & (np.abs(T - dom.t_lo - (it + 0.5) * h) < 0.25 * h))
+                    assert np.count_nonzero(hit) == 1
+                    V[hit] = -V[hit]
+                return V
+
+            before = wt.window_report(ind, window).total
+            after = wt.window_report(ind, window, transform=flip).total
+            return 0.25 * (after - before)
+
+        n_p = dom.n_p
+        for ip, it in ((n_p - 1, dom.n_t // 2), (1, 7), (2, dom.n_t - 9)):
+            i = (ip, it)
+            assert quarter_change([i]) == pytest.approx(single[i], rel=1e-10)
+            for dp, dt, gains in ((0, 1, pair_t), (1, 0, pair_p)):
+                j = ((ip + dp) % n_p, it + dt)
+                formula = (single[i] + single[j] - 2.0 * m[i] * m[j]
+                           * wt.offset_weight(i, dp, dt))
+                exact = quarter_change([i, (ip + dp, it + dt)])
+                assert exact == pytest.approx(gains[i], rel=1e-10)
+                assert exact == pytest.approx(formula, rel=1e-10)
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,54 @@
+"""Names the benchmark and the demos rely on.
+
+The benchmark wraps library functions and methods by name
+(``perfbench/tracing.py``) and its slow oracle calls two entry queries of
+`WeightTable`; the demos drive the public API end to end.  A deletion or
+rename that breaks either shows up here instead of in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from nlphase.energy import WeightTable
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted(p for p in (ROOT / "demos").glob("demo_*.py")
+               if p.name != "demo_barrier.py")   # covered by test_barrier
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracing = _tracing()
+    for mod_name, fn_name, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(mod_name), fn_name))
+    for mod_name, cls_name, meth, _ in tracing.METHODS:
+        cls = getattr(importlib.import_module(mod_name), cls_name)
+        assert meth in cls.__dict__, f"{cls_name}.{meth}"
+
+
+def test_oracle_entry_queries_exist():
+    for meth in ("offset_weight", "tail_weights"):
+        assert meth in WeightTable.__dict__
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
