@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 from pathlib import Path
@@ -624,6 +625,7 @@ def main(argv=None) -> int:
         return 2
     except Exception as err:  # runtime failure
         print(f"runtime failure: {err}", file=sys.stderr)
+        print(traceback.format_exc(), end="", file=sys.stderr)
         return 1
     return 0 if bundle.get("passed", False) else 1
 

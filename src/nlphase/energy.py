@@ -9,7 +9,9 @@ with weights assembled from a translation-structured stencil:
 
 * offsets up to ``NEAR_EXACT_CELLS`` cells use the exact cell-pair integral
   of the radial envelope, computed by reducing the double integral to the
-  kernel against the cell autocorrelation ("tent") profile;
+  kernel against the cell autocorrelation ("tent") profile; each class of
+  offsets under the 8 lattice symmetries is integrated once, and its
+  angular tent profile, which does not depend on s, is shared across s;
 * longer offsets use midpoint quadrature with the leading curvature
   correction, whose relative error at the crossover radius is below 1e-3;
 * pairs of touching cells (and the self pair, which never enters any energy
@@ -77,27 +79,32 @@ def _gauss_panels(edges, order=16):
     return nodes.reshape(flat), weights.reshape(flat)
 
 
-def _unit_integral_2d(s, d1, d2, core):
-    """int |z|^(-2-2s) (1-|z1-d1|)_+ (1-|z2-d2|)_+ dz over |z| >= core."""
-    q = 2.0 + 2.0 * s
-    d = math.hypot(d1, d2)
-    touching = max(abs(d1), abs(d2)) <= 1
-    rmax = d + math.sqrt(2.0)
-    rmin = max(d - math.sqrt(2.0), core)
-    edges = np.geomspace(rmin, rmax, 161 if touching else 49)
-    rr, rw = _gauss_panels(edges)
-    n_phi = 1024 if touching else 512
+def _angular_tent(rr, d1, d2, n_phi):
+    """(2 pi / n_phi) sum_phi (1-|r cos phi - d1|)_+ (1-|r sin phi - d2|)_+
+    at each radius r of ``rr``, in chunks of 256 radii."""
     phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
     cs, sn = np.cos(phi), np.sin(phi)
-    total = 0.0
+    ang = np.empty_like(rr)
     for lo in range(0, rr.size, 256):
         r = rr[lo:lo + 256, None]
-        w = rw[lo:lo + 256]
         v = (np.maximum(1.0 - np.abs(r * cs - d1), 0.0)
              * np.maximum(1.0 - np.abs(r * sn - d2), 0.0))
-        ang = v.sum(axis=1) * (2.0 * math.pi / n_phi)
-        total += float(np.sum(w * r[:, 0] ** (1.0 - q) * ang))
-    return total
+        ang[lo:lo + 256] = v.sum(axis=1) * (2.0 * math.pi / n_phi)
+    return ang
+
+
+@lru_cache(maxsize=None)
+def _radial_profile(d1, d2, rmin):
+    """The s-free part of a 2D pair integral: radial Gauss nodes and weights
+    on [rmin, |d| + sqrt 2] and the angular tent sums at the nodes."""
+    touching = max(d1, d2) <= 1
+    edges = np.geomspace(rmin, math.hypot(d1, d2) + math.sqrt(2.0),
+                         161 if touching else 49)
+    rr, rw = _gauss_panels(edges)
+    ang = _angular_tent(rr, d1, d2, 1024 if touching else 512)
+    for a in (rr, rw, ang):
+        a.flags.writeable = False  # the cache hands them to every s
+    return rr, rw, ang
 
 
 def _seg_1d(a, b, c0, c1, q):
@@ -141,17 +148,32 @@ def pair_core_exclusion(n: int, s: float, d1: int, d2: int = 0) -> float:
     return 0.0
 
 
-@lru_cache(maxsize=None)
 def unit_pair_integral(n: int, s: float, d1: int, d2: int = 0) -> float:
     """Exact envelope integral for unit cells at an integer offset, with
-    the singular-core convention of `pair_core_exclusion`."""
+    the singular-core convention of `pair_core_exclusion`.  The offset is
+    folded onto 0 <= d2 <= d1 before the cache lookup, so each lattice
+    symmetry class is integrated once per s."""
     d1, d2 = abs(int(d1)), abs(int(d2))
+    if d2 > d1:
+        d1, d2 = d2, d1
+    return _folded_pair_integral(n, s, d1, d2)
+
+
+@lru_cache(maxsize=None)
+def _folded_pair_integral(n, s, d1, d2):
+    """`unit_pair_integral` for 0 <= d2 <= d1; in 2D the integral of
+    |z|^(-2-2s) (1-|z1-d1|)_+ (1-|z2-d2|)_+ over |z| >= core."""
     core = pair_core_exclusion(n, s, d1, d2)
     if n == 1:
         return _unit_integral_1d(s, d1, core)
-    if d2 > d1:
-        d1, d2 = d2, d1
-    return _unit_integral_2d(s, d1, d2, max(core, 1e-9))
+    q = 2.0 + 2.0 * s
+    rr, rw, ang = _radial_profile(
+        d1, d2, max(math.hypot(d1, d2) - math.sqrt(2.0), core, 1e-9))
+    total = 0.0
+    for lo in range(0, rr.size, 256):
+        total += float(np.sum(rw[lo:lo + 256] * rr[lo:lo + 256] ** (1.0 - q)
+                              * ang[lo:lo + 256]))
+    return total
 
 
 def _unit_stencil(n: int, s: float, k_cells: int, rmax_cells: float) -> np.ndarray:

@@ -212,24 +212,29 @@ def eval_potential_derivative(spec: PotentialSpec, x, r):
     return spec.q(x) * spec.profile_derivative(r)
 
 
-def gamma_of(spec: PotentialSpec, theta: float) -> float:
+def gamma_of(spec: PotentialSpec, theta):
     """Certified positive lower bound for inf over x and |r| <= theta of W.
 
     All built-in well shapes are even in r and non-increasing in |r| on
     [0, 1], so the r-infimum sits at |r| = theta.  Without Q-modulation the
     bound is exact; with modulation Q >= 1 so the Q-free value is already a
     valid lower bound, tightened here by a grid scan with a 0.99 safety
-    factor against the grid missing the x-infimum.
+    factor against the grid missing the x-infimum.  ``theta`` may be an
+    array, which scans the grid once; a scalar returns a float.  The well
+    shape is evaluated one theta at a time, because numpy rounds r**2 and
+    r**d on a scalar differently than inside an array, and an entry must
+    equal the scalar answer bitwise.
     """
-    if not 0.0 <= theta < 1.0:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= theta) & (theta < 1.0)):
         raise ValueError(f"theta must lie in [0,1), got {theta}")
-    base = float(spec.profile(theta))
-    if not spec.Q_modulation:
-        return base
-    xs = np.linspace(0.0, spec.tau, 65)
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    qmin = float(spec.q(grid).min())
-    return 0.99 * min(qmin, 1.0) * base
+    base = np.array([spec.profile(t) for t in theta.flat]).reshape(theta.shape)
+    if spec.Q_modulation:
+        xs = np.linspace(0.0, spec.tau, 65)
+        grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        qmin = float(spec.q(grid).min())
+        base = 0.99 * min(qmin, 1.0) * base
+    return float(base) if theta.ndim == 0 else base
 
 
 def psi_s(s: float, t) -> np.ndarray | float:
@@ -369,7 +374,7 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
     thetas = rng.random(samples) * 0.98
     rs = thetas * (2.0 * rng.random(samples) - 1.0)
     vals = eval_potential(potential, xs, rs)
-    lo = np.array([gamma_of(potential, float(t)) for t in thetas])
+    lo = gamma_of(potential, thetas)
     worst = float(np.max(lo - vals))
     rep.checks.append(HypothesisCheck("W2", worst <= 1e-12, worst,
                                       "W >= gamma(theta) on |r| <= theta"))

@@ -154,6 +154,21 @@ class TestPipelines:
         assert (tmp_path / "out" / "report.json").exists()
         assert len(calls) == 1
 
+    def test_runtime_failure_keeps_traceback(self, tmp_path, monkeypatch,
+                                             capsys):
+        from nlphase import cli
+
+        def exploding_pipeline(cfg, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._PIPELINES, "validate", exploding_pipeline)
+        path = write_config(tmp_path, base_config())
+        assert main(["validate", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: boom\nTraceback")
+        assert "exploding_pipeline" in err
+
     def test_strip_solve_below_unit_tau_rejected(self, tmp_path):
         raw = base_config(geometry={"tau": 0.5})
         path = write_config(tmp_path, raw)

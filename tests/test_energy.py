@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from nlphase import energy
 from nlphase.energy import (BallWindow, BoxWindow, PERIOD, ConfigurationError,
                             WindowError, build_weights, rescale_field,
                             unit_pair_integral)
@@ -11,6 +13,7 @@ from nlphase.lattice import Direction, Field, build_domain
 from nlphase.model import KernelSpec, PotentialSpec
 
 CORE = 1.0 / 16.0
+NEAR = energy.NEAR_EXACT_CELLS
 
 
 def oracle_unit_weight(s, d1, d2):
@@ -199,6 +202,69 @@ def brute_window(wt, fld, window):
             kin_cross += ((val(ip, it) - fld.far_below) ** 2 * tp
                           + (val(ip, it) - fld.far_above) ** 2 * tm)
     return kin_in, kin_cross
+
+
+def lattice_images(d1, d2):
+    """The 8 images of an offset under the symmetries of the square lattice."""
+    return [(e1 * a, e2 * b) for a, b in ((d1, d2), (d2, d1))
+            for e1 in (1, -1) for e2 in (1, -1)]
+
+
+class TestStencilQuadrature:
+    @pytest.fixture
+    def tent_calls(self, monkeypatch):
+        """Cold caches and a record of every angular tent-sum evaluation."""
+        energy._folded_pair_integral.cache_clear()
+        energy._radial_profile.cache_clear()
+        calls = []
+        original = energy._angular_tent
+
+        def counting(rr, d1, d2, n_phi):
+            calls.append((d1, d2))
+            return original(rr, d1, d2, n_phi)
+
+        monkeypatch.setattr(energy, "_angular_tent", counting)
+        return calls
+
+    def test_one_quadrature_per_symmetry_class(self, tent_calls):
+        # the near disc |d| <= 6 holds 19 classes (112 signed offsets)
+        energy._unit_stencil(2, 0.25, 8, 8.0)
+        assert len(tent_calls) == len(set(tent_calls)) == 19
+        assert all(0 <= d2 <= d1 for d1, d2 in tent_calls)
+
+    def test_angular_profile_shared_across_s(self, tent_calls):
+        energy._unit_stencil(2, 0.25, 8, 8.0)
+        tent_calls.clear()
+        # s < 1/2 integrates touching pairs in full, as at s = 0.25
+        energy._unit_stencil(2, 0.3, 8, 8.0)
+        assert tent_calls == []
+        # s >= 1/2 excludes the core of touching pairs: a new radial range
+        energy._unit_stencil(2, 0.75, 8, 8.0)
+        assert sorted(tent_calls) == [(1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_near_entries_equal_signed_integrals(self, s):
+        K = 8
+        stencil = energy._unit_stencil(2, s, K, float(K))
+        for dp in range(-NEAR, NEAR + 1):
+            for dt in range(-NEAR, NEAR + 1):
+                if 0 < math.hypot(dp, dt) <= NEAR:
+                    assert stencil[K + dp, K + dt] == unit_pair_integral(
+                        2, s, dp, dt), (dp, dt)
+
+    @settings(max_examples=30, deadline=None)
+    @given(s=st.floats(0.05, 0.95), d1=st.integers(-NEAR, NEAR),
+           d2=st.integers(-NEAR, NEAR))
+    def test_pair_integral_lattice_symmetric(self, s, d1, d2):
+        ref = unit_pair_integral(2, s, d1, d2)
+        for a, b in lattice_images(d1, d2):
+            assert unit_pair_integral(2, s, a, b) == ref
+        # the fold is exact: the s-free tent sum itself has the symmetry
+        rr = np.linspace(0.05, math.hypot(d1, d2) + 1.5, 97)
+        tent = energy._angular_tent(rr, abs(d1), abs(d2), 512)
+        for a, b in lattice_images(d1, d2):
+            np.testing.assert_allclose(energy._angular_tent(rr, a, b, 512),
+                                       tent, rtol=0, atol=1e-13)
 
 
 class TestTails:

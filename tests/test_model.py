@@ -140,6 +140,25 @@ class TestGammaOf:
             r = rng.uniform(-theta, theta, 500)
             assert np.all(eval_potential(spec, x, r) >= bound - 1e-12)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("qmod", [False, True])
+    def test_array_equals_scalar_calls(self, family, qmod):
+        spec = make_potential(family, Q_modulation=qmod)
+        thetas = np.random.default_rng(4).random(300) * 0.999
+        assert np.array_equal(gamma_of(spec, thetas),
+                              [gamma_of(spec, t) for t in thetas])
+
+    def test_scalar_returns_float(self):
+        spec = make_potential("quartic", Q_modulation=True)
+        assert type(gamma_of(spec, 0.5)) is float
+        assert type(gamma_of(spec, np.float64(0.5))) is float
+
+    def test_out_of_range_entry_rejected(self):
+        spec = make_potential("quartic", Q_modulation=True)
+        for bad in ([0.1, 1.0, 0.2], [-1e-12, 0.5], [0.3, np.nan], 1.0):
+            with pytest.raises(ValueError, match="theta"):
+                gamma_of(spec, bad)
+
 
 class TestPsi:
     def test_three_regimes(self):
@@ -195,3 +214,16 @@ class TestValidateHypotheses:
         rep = validate_hypotheses(spec, make_potential("quartic"),
                                   planelike=True)
         assert not rep["xi=tau"].passed
+
+    def test_q_grid_scanned_once(self):
+        grid_scans = []
+
+        class CountingPotential(PotentialSpec):
+            def q(self, x):
+                if np.shape(x) == (65 * 65, 2):
+                    grid_scans.append(1)
+                return super().q(x)
+
+        validate_hypotheses(KernelSpec(dim=2, s=0.3, tau=1.0),
+                            CountingPotential(Q_modulation=True), samples=256)
+        assert len(grid_scans) == 1
