@@ -13,8 +13,7 @@ from .lattice import (Direction, Field, StripDomain, build_domain,
                       birkhoff_shift, canonical_rep, equivalent,
                       image_enumeration)
 from .energy import (BallWindow, BoxWindow, PERIOD, EnergyReport, WeightTable,
-                     ball_at_cell, ball_at_world, build_weights,
-                     rescale_field)
+                     ball_at_cell, build_weights, rescale_field)
 
 __all__ = [
     "KernelSpec", "PotentialSpec", "eval_kernel", "eval_potential",
@@ -22,7 +21,7 @@ __all__ = [
     "Direction", "Field", "StripDomain", "build_domain", "birkhoff_shift",
     "canonical_rep", "equivalent", "image_enumeration",
     "BallWindow", "BoxWindow", "PERIOD", "EnergyReport", "WeightTable",
-    "ball_at_cell", "ball_at_world", "build_weights", "rescale_field",
+    "ball_at_cell", "build_weights", "rescale_field",
 ]
 
 __version__ = "0.1.0"

@@ -99,6 +99,7 @@ class BarrierFn:
                                - (self.r - 1.75)) / 0.5) / 0.5
 
     def g_profile(self, t):
+        """Radial profile of the unscaled barrier (t = |x|)."""
         e = self.eta(t)
         return e * self.h_profile(t) + 1.0 - e
 
@@ -107,20 +108,12 @@ class BarrierFn:
         return (self.eta_d(t) * (self.h_profile(t) - 1.0)
                 + e * self.h_profile_d(t))
 
-    def v(self, t):
-        """Radial profile of the unscaled barrier (t = |x|)."""
-        return self.g_profile(t)
-
     # -- the scaled barrier -------------------------------------------------
 
     def w_radial(self, rho):
         rho = np.asarray(rho, dtype=float)
         return (2.0 - self.beta) * self.g_profile(self.r * rho / self.R) \
             + self.beta - 1.0
-
-    def w(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.w_radial(np.linalg.norm(x, axis=-1))
 
     def grad_w_radial(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -188,8 +181,8 @@ def _measure_c3(n, s, proto: BarrierFn, n_samples=160) -> float:
     denom_floor = 16.0 * r ** (-2.0 * s)
     worst = 0.0
     for rho in base:
-        lk = _lk_radial(proto.v, rho, s, n, 1e-6, rho + r)
-        ratio = abs(lk) / (float(proto.v(rho)) + denom_floor)
+        lk = _lk_radial(proto.g_profile, rho, s, n, 1e-6, rho + r)
+        ratio = abs(lk) / (float(proto.g_profile(rho)) + denom_floor)
         worst = max(worst, ratio)
     return 1.2 * worst
 

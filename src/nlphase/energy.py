@@ -58,7 +58,11 @@ R_CUT_FACTOR = 8.0            # default cutoff radius, in units of tau
 
 
 class ConfigurationError(ValueError):
-    pass
+    """A rejected configuration; ``tag`` names the violated condition."""
+
+    def __init__(self, message, tag="config"):
+        super().__init__(message)
+        self.tag = tag
 
 
 class WindowError(ValueError):
@@ -177,30 +181,18 @@ def _folded_pair_integral(n, s, d1, d2):
 
 
 def _unit_stencil(n: int, s: float, k_cells: int, rmax_cells: float) -> np.ndarray:
-    """Unit-cell weights on the offset grid, zero beyond rmax_cells."""
+    """Unit-cell weights on the offset grid (a single p row in 1D), zero
+    beyond rmax_cells and at the self pair, which never enters sums."""
     q = n + 2.0 * s
-    if n == 1:
-        dts = np.arange(-k_cells, k_cells + 1)
-        r = np.abs(dts).astype(float)
-        out = np.zeros((1, dts.size))
-        far = r > NEAR_EXACT_CELLS
-        out[0, far] = r[far] ** (-q) + (q * (q + 2 - n) / 12.0) * r[far] ** (-q - 2)
-        for j, dt in enumerate(dts):
-            if 0 < abs(dt) <= NEAR_EXACT_CELLS:
-                out[0, j] = unit_pair_integral(1, s, int(dt))
-        out[0, r > rmax_cells + 1e-12] = 0.0
-        out[0, k_cells] = 0.0  # self pair never enters sums
-        return out
-    dp = np.arange(-k_cells, k_cells + 1)
-    DP, DT = np.meshgrid(dp, dp, indexing="ij")
+    dt = np.arange(-k_cells, k_cells + 1)
+    DP, DT = np.meshgrid(dt if n == 2 else [0], dt, indexing="ij")
     R = np.hypot(DP, DT).astype(float)
     out = np.zeros_like(R)
     far = R > NEAR_EXACT_CELLS
     out[far] = R[far] ** (-q) + (q * (q + 2 - n) / 12.0) * R[far] ** (-q - 2)
     for i, j in zip(*np.nonzero((~far) & (R > 0))):
-        out[i, j] = unit_pair_integral(2, s, int(DP[i, j]), int(DT[i, j]))
+        out[i, j] = unit_pair_integral(n, s, int(DP[i, j]), int(DT[i, j]))
     out[R > rmax_cells + 1e-12] = 0.0
-    out[k_cells, k_cells] = 0.0
     return out
 
 
@@ -274,13 +266,6 @@ class PeriodWindow:
 PERIOD = PeriodWindow()
 
 
-def ball_at_world(domain: StripDomain, center_world, radius: float) -> BallWindow:
-    p, t = domain.frame_of_world(np.asarray(center_world, dtype=float))
-    if domain.dim == 1:
-        p = 0.5 * domain.h  # single-column center
-    return BallWindow((float(p), float(t)), float(radius))
-
-
 def ball_at_cell(domain: StripDomain, index: tuple, radius: float) -> BallWindow:
     p = (index[0] + 0.5) * domain.h
     t = domain.t_lo + (index[1] + 0.5) * domain.h
@@ -319,13 +304,18 @@ class EnergyReport:
 # weight table
 
 
+def check_r_cut(r_cut: float, domain: StripDomain) -> None:
+    """A cutoff radius spans at least four cells."""
+    if r_cut < 4.0 * domain.h:
+        raise ConfigurationError(
+            f"r_cut={r_cut} must be at least 4h={4 * domain.h}")
+
+
 class WeightTable:
     """Stencil-backed pair weights bound to a kernel and a strip domain."""
 
     def __init__(self, kernel, domain: StripDomain, r_cut: float):
-        if r_cut < 4.0 * domain.h:
-            raise ConfigurationError(
-                f"r_cut={r_cut} must be at least 4h={4 * domain.h}")
+        check_r_cut(r_cut, domain)
         if kernel.dim != domain.dim:
             raise ConfigurationError("kernel and domain dimension differ")
         self.kernel = kernel

@@ -84,16 +84,6 @@ class SolveResult:
     diagnostics: dict = dfield(default_factory=dict)
     trace: np.ndarray | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "F_value": self.F_value,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "converged": self.converged,
-            "diagnostics": {k: v for k, v in self.diagnostics.items()
-                            if np.isscalar(v) or v is None},
-        }
-
 
 # scipy L-BFGS-B exit messages, by prefix, and the stop reasons they mean
 _STOP_REASONS = (
@@ -109,6 +99,13 @@ def _stop_reason(message: str) -> str:
         if message.startswith(prefix):
             return reason
     raise RuntimeError(f"L-BFGS-B stopped: {message}")
+
+
+def check_strip_height(domain: StripDomain) -> None:
+    """A strip solve needs a strip at least one period tau high."""
+    if domain.M < domain.tau:
+        raise ConfigurationError(
+            f"strip height M={domain.M} must be at least tau={domain.tau}")
 
 
 def minimize_strip(kernel, potential, domain: StripDomain,
@@ -129,9 +126,7 @@ def minimize_strip(kernel, potential, domain: StripDomain,
     (iteration, F, projected-gradient norm, ||x_k - x_{k-1}||).
     """
     options = options or SolveOptions()
-    if domain.M < domain.tau:
-        raise ConfigurationError(
-            f"strip height M={domain.M} must be at least tau={domain.tau}")
+    check_strip_height(domain)
     if validate:
         rep = validate_hypotheses(kernel, potential, samples=128, planelike=True)
         if not rep.passed:

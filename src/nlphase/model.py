@@ -104,10 +104,6 @@ class KernelSpec:
         """Order n + 2s of the radial singularity."""
         return self.dim + 2.0 * self.s
 
-    def radial(self, r):
-        """Envelope profile |z|^-(n+2s) at distance r."""
-        return np.asarray(r, dtype=float) ** (-self.exponent)
-
     def modulation(self, x):
         """Spatial factor g with a(x, y) = 1 + (g(x) + g(y))/4.
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nlphase.cli import ConfigError, ExperimentConfig, fit_exponent, main
+from nlphase.cli import ExperimentConfig, fit_exponent, main
+from nlphase.energy import ConfigurationError
 
 
 def base_config(**adjust):
@@ -52,27 +53,31 @@ class TestFitExponent:
 
 class TestConfig:
     def test_unknown_keys_rejected(self):
-        raw = base_config()
-        raw["geometry"]["mesh"] = 1
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict(raw)
-        assert "mesh" in str(err.value)
+        for section, key in (("geometry", "mesh"), ("solver", "theta0"),
+                             ("tolerances", "decomposition_rel"),
+                             ("tolerances", "identity_rel"),
+                             ("tolerances", "gradient_rel")):
+            raw = base_config()
+            raw[section][key] = 1
+            with pytest.raises(ConfigurationError) as err:
+                ExperimentConfig.from_dict(raw)
+            assert key in str(err.value)
 
     def test_schema_version_required(self):
         raw = base_config()
         raw["schema_version"] = 2
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(raw)
 
     def test_regime_gate_names_tag(self):
         raw = base_config(kernel={"s": 0.6}, experiment={"kind": "gamma"})
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ConfigurationError) as err:
             ExperimentConfig.from_dict(raw)
         assert err.value.tag == "s<1/2"
 
     def test_epsilon_gate(self):
         raw = base_config(solver={"epsilon": 2.0})
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ConfigurationError) as err:
             ExperimentConfig.from_dict(raw)
         assert err.value.tag == "eps<=tau"
 
@@ -168,6 +173,37 @@ class TestPipelines:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: boom\nTraceback")
         assert "exploding_pipeline" in err
+
+    @pytest.mark.parametrize("command,geometry", [
+        ("validate", {"M": 4.0}),          # M and M_factor both given
+        ("planelike", {"r_cut_factor": 0.1}),
+        ("planelike", {"M_factor": 0.5}),
+        ("planelike", {"h": 0.3}),         # does not divide the period
+    ])
+    def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
+                                                  command, geometry):
+        raw = base_config(geometry=geometry)
+        if "h" in geometry:
+            del raw["geometry"]["cells_per_tau"]
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration rejected")
+        assert not (tmp_path / "out").exists()
+
+    def test_planelike_threads_same_bytes(self, tmp_path):
+        raw = base_config(experiment={"trials": 2, "tau_list": [1.0, 2.0],
+                                      "directions": [[0, 1], [1, 1]]})
+        path = write_config(tmp_path, raw)
+        for threads in ("1", "2"):
+            main(["planelike", "--config", path, "--threads", threads,
+                  "--out", str(tmp_path / threads)])
+        names = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(names) == 9       # the report, a field and a trace per job
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+        for name in names:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
     def test_strip_solve_below_unit_tau_rejected(self, tmp_path):
         raw = base_config(geometry={"tau": 0.5})

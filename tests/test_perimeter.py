@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from nlphase.energy import BallWindow, BoxWindow, PERIOD, build_weights
 from nlphase.geometry import SetMask, level_mask
@@ -86,30 +86,31 @@ class TestPerK:
         a_lo, a_hi = 3.0, lev        # E cap Omega in t
         b_lo, b_hi = lev, 5.0        # Omega minus E in t
 
-        def tent(v, width):
-            return np.maximum(width - np.abs(v), 0.0)
-
         def seg_overlap(z2, lo1, hi1, lo2, hi2):
             lo = np.maximum(lo1, lo2 - z2)
             hi = np.minimum(hi1, hi2 - z2)
             return np.maximum(hi - lo, 0.0)
 
         def integral(overlap_t, p_bounded=True):
-            # inner z1 slice is smooth for z2 != 0; split the outer z2
-            # integral at the seam where the slice blows up
-            def f(z1, z2):
-                r2 = z1 * z1 + z2 * z2
-                if r2 > rc * rc or r2 == 0.0:
-                    return 0.0
-                ov_p = tent(z1, pw) if p_bounded else pw
-                return r2 ** (-q / 2) * ov_p * overlap_t(z2)
-
+            # the inner z1 slice in closed form: with a = |z2| it runs over
+            # |z1| < c, where int_0^c (z1^2 + a^2)^(-q/2) dz1 is
+            # c a^(-q) 2F1(1/2, q/2; 3/2; -c^2/a^2) and the linear part of
+            # the tent (pw - |z1|)_+ integrates to an elementary term
             def slice_(z2):
-                v, _ = integrate.quad(f, -rc, rc, args=(z2,), limit=200,
-                                      points=[0.0], epsabs=1e-12,
-                                      epsrel=1e-10)
-                return v
+                a = abs(z2)
+                if a >= rc or a == 0.0:
+                    return 0.0
+                c = math.sqrt(rc * rc - a * a)
+                if p_bounded:
+                    c = min(pw, c)
+                v = 2.0 * pw * c * a ** (-q) * special.hyp2f1(
+                    0.5, q / 2, 1.5, -(c / a) ** 2)
+                if p_bounded:
+                    v -= 2.0 * ((c * c + a * a) ** (1 - q / 2)
+                                - a ** (2 - q)) / (2 - q)
+                return v * overlap_t(z2)
 
+            # the slice blows up at z2 = 0: split the outer integral there
             total = 0.0
             for lo, hi in ((-rc, 0.0), (0.0, rc)):
                 v, _ = integrate.quad(slice_, lo, hi, limit=200,

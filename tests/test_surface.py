@@ -22,21 +22,34 @@ DEMOS = sorted(p for p in (ROOT / "demos").glob("demo_*.py")
                if p.name != "demo_barrier.py")   # covered by test_barrier
 
 
-def _tracing():
+def _perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     for mod_name, fn_name, _ in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(mod_name), fn_name))
     for mod_name, cls_name, meth, _ in tracing.METHODS:
         cls = getattr(importlib.import_module(mod_name), cls_name)
         assert meth in cls.__dict__, f"{cls_name}.{meth}"
+
+
+def test_workloads_drive_the_config_api(tmp_path):
+    # MeasureWorkload reads ExperimentConfig's from_dict, domain, kernel_spec,
+    # potential_spec and r_cut; the CLI workloads pass --threads 1
+    workloads = _perfbench("workloads")
+    measure = workloads.MeasureWorkload(seed=5).prepare()
+    assert len(measure.cases) == len(workloads.STRIPS)
+    sweep = workloads.CliWorkload("sweep", 5, tmp_path / "cfg").prepare()
+    sweep.calls = [c for c in sweep.calls if c[0] == "perimeter_w11"]
+    (op_name, op), = sweep.ops(tmp_path / "pass")
+    failures, _, _ = sweep.check(tmp_path / "pass", {op_name: op()})
+    assert failures == {"perimeter_w11": []}
 
 
 def test_oracle_entry_queries_exist():
