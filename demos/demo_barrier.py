@@ -36,8 +36,7 @@ slide_bar = build_barrier(k75, R=18.0, delta=probe75.c3 * 1.05)
 potential = PotentialSpec(family="quartic", tau=1.0)
 domain = build_domain(1.0, Direction((0, 1), 1.0), M=36.0, h=0.5, buffer=4.0)
 weights = build_weights(k75, domain, 8.0)
-result = minimize_strip(k75, potential, domain, Constraints(0.9),
-                        weights=weights,
+result = minimize_strip(weights, potential, Constraints(0.9),
                         options=SolveOptions(max_iters=40000))
 u = result.field.values
 it = int(np.argmin(np.abs(u.mean(axis=0))))

@@ -22,8 +22,7 @@ potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True)
 domain = build_domain(tau, Direction((0, 1), tau), M=24.0, h=0.125,
                       buffer=4.0)
 weights = build_weights(kernel, domain, 8.0)
-result = minimize_strip(kernel, potential, domain, Constraints(0.9),
-                        weights=weights,
+result = minimize_strip(weights, potential, Constraints(0.9),
                         options=SolveOptions(max_iters=30000,
                                              epsilon=1.0 / 32.0))
 

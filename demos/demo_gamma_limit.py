@@ -1,6 +1,6 @@
 """Sharp-interface limit: scaled solves, threshold sets, limit surface."""
 
-from nlphase import Direction, build_domain
+from nlphase import Direction, build_domain, build_weights
 from nlphase.minimize import Constraints, SolveOptions
 from nlphase.model import KernelSpec, PotentialSpec
 from nlphase.perimeter import (gamma_sweep, minimal_surface_extract,
@@ -11,10 +11,11 @@ kernel = KernelSpec(dim=2, s=0.25, tau=tau, family="modulated")
 potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True)
 domain = build_domain(tau, Direction((0, 1), tau), M=8.0, h=tau / 6,
                       buffer=4.0 * tau)
+weights = build_weights(kernel, domain, 8.0 * tau)
 
-sweep = gamma_sweep(kernel, potential, domain, Constraints(0.9),
+sweep = gamma_sweep(weights, potential, Constraints(0.9),
                     [1.0, 0.5, 0.25, 0.125],
-                    options=SolveOptions(max_iters=40000), r_cut=8.0 * tau)
+                    options=SolveOptions(max_iters=40000))
 print("eps      E_eps        G(threshold)  gap        sym-diff")
 for rec in sweep["records"]:
     gap = abs(rec["E_eps"] - rec["G_threshold"])
@@ -28,7 +29,7 @@ print(f"\nlimit set: sup height / tau = {extract['m0_emp']:.3f}, "
       f"half-space inclusions {extract['inclusion_lower']}/"
       f"{extract['inclusion_upper']}, periodic {extract['periodic']}")
 
-flips = surface_local_min_check(sweep["weights"], extract["mask"],
+flips = surface_local_min_check(weights, extract["mask"],
                                 trials=30, seed=0)
 print(f"best {{1,2}}-cell flip improvement: {flips['max_improvement']:.2e} "
       f"(pass: {flips['passed']})")

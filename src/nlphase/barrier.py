@@ -126,13 +126,13 @@ class BarrierFn:
         return -1.0 + self.R ** (-2.0 * self.s) / self.C
 
 
-def _lk_radial(profile, rho, s, n, r_inner, r_outer, far_value=1.0,
-               absolute=False, n_panels=96, n_phi=96, order=8):
+def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False,
+               n_panels=96, n_phi=96, order=8):
     """L_K at radius rho for a radial profile, standard kernel.
 
     Antisymmetric +-z pairing over the half circle cancels the odd singular
-    part exactly; the region beyond r_outer, where the profile equals
-    ``far_value``, is added in closed form.  With ``absolute`` each
+    part exactly; the region beyond r_outer, where the profile equals 1,
+    is added in closed form.  With ``absolute`` each
     difference enters by its modulus, which gives the envelope integral
     int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite for s < 1/2) instead.
     """
@@ -143,7 +143,7 @@ def _lk_radial(profile, rho, s, n, r_inner, r_outer, far_value=1.0,
     rr = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xg[None, :]).ravel()
     ww = (0.5 * (b - a)[:, None] * np.broadcast_to(wg, (a.size, order))).ravel()
     w0 = float(profile(rho))
-    gap = abs(w0 - far_value) if absolute else w0 - far_value
+    gap = abs(w0 - 1.0) if absolute else w0 - 1.0
 
     def pair(w_plus, w_minus):
         if absolute:
@@ -187,8 +187,7 @@ def _measure_c3(n, s, proto: BarrierFn, n_samples=160) -> float:
     return 1.2 * worst
 
 
-def build_barrier(kernel, R: float, delta: float,
-                  _c3_iterations: int = 2) -> BarrierFn:
+def build_barrier(kernel, R: float, delta: float) -> BarrierFn:
     """Assemble the barrier at outer radius R with operator bound delta."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -210,7 +209,7 @@ def build_barrier(kernel, R: float, delta: float,
     # fixed point: c3 measured at the working radius r = r1 R / R0(c3)
     c3 = delta
     r = r1
-    for _ in range(max(1, _c3_iterations)):
+    for _ in range(2):
         proto = assemble(r)
         c3 = max(_measure_c3(n, s, proto), delta)
         R0 = (c3 / delta) ** (1.0 / (1.0 - nu_bar)) * r1

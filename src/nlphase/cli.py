@@ -132,6 +132,13 @@ class ExperimentConfig:
         if kind == "planelike" and tau < 1.0:
             raise ConfigurationError("planelike runs require tau >= 1",
                                      tag="xi=tau")
+        if kind == "barrier" and \
+                self.kernel.get("family", KernelSpec.family) != "standard":
+            raise ConfigurationError(
+                "barrier pipeline requires the standard kernel")
+        if kind == "scaling" and "radii" in self.experiment and \
+                len(self.experiment["radii"]) < 4:
+            raise ConfigurationError("scaling needs at least 4 radii")
         eps = self.solver.get("epsilon")
         if eps is not None and not 0.0 < float(eps) <= tau:
             raise ConfigurationError("epsilon must lie in (0, tau]",
@@ -264,14 +271,17 @@ def run_validate(cfg: ExperimentConfig, out: Path) -> tuple:
     return {"hypotheses": rep.as_dict(), "passed": rep.passed}, None
 
 
+def _weights(cfg, domain) -> energy_mod.WeightTable:
+    return energy_mod.build_weights(cfg.kernel_spec(domain.tau), domain,
+                                    cfg.r_cut(domain.tau))
+
+
 def _solve_one(cfg, domain):
-    tau = domain.tau
-    kernel, potential = cfg.kernel_spec(tau), cfg.potential_spec(tau)
-    weights = energy_mod.build_weights(kernel, domain, cfg.r_cut(tau))
-    result = min_mod.minimize_strip(kernel, potential, domain,
-                                    cfg.constraints(), cfg.solve_options(),
-                                    weights=weights, validate=False)
-    return kernel, potential, weights, result
+    weights = _weights(cfg, domain)
+    potential = cfg.potential_spec(domain.tau)
+    result = min_mod.minimize_strip(weights, potential, cfg.constraints(),
+                                    cfg.solve_options())
+    return potential, weights, result
 
 
 def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -280,7 +290,7 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
     threads = int(exp.get("_threads", 1))
 
     def work(domain):
-        _, potential, weights, result = _solve_one(cfg, domain)
+        potential, weights, result = _solve_one(cfg, domain)
         width = geom.interface_width(result.field, theta_band)
         band_t = domain.t_centers()[
             np.any(np.abs(result.field.values) < theta_band, axis=0)]
@@ -288,7 +298,6 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
                 else [0.0, 0.0])
         bk = min_mod.check_birkhoff(
             result.field, exp.get("levels", [-0.9, -0.5, 0.0, 0.5, 0.9]))
-        ud = min_mod.upper_distance(result.field, cfg.constraints().theta)
         ca = min_mod.check_class_A(
             weights, potential, result.field,
             trials=int(exp.get("trials", 12)),
@@ -301,7 +310,8 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
             "grad_norm": result.grad_norm, "converged": result.converged,
             "stop_reason": result.diagnostics["stop_reason"],
             "nfev": result.diagnostics["nfev"], "width": width, "band": band,
-            "M": domain.M, "M0_emp": width / domain.tau, "upper_distance": ud,
+            "M": domain.M, "M0_emp": width / domain.tau,
+            "upper_distance": result.diagnostics["upper_distance"],
             "birkhoff": bk["passed"], "birkhoff_worst": bk["worst_cells"],
             "classA_improvement": ca["max_improvement"],
             "classA_passed": ca["passed"],
@@ -347,10 +357,9 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
 
 def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
     radii = [float(r) for r in cfg.experiment.get("radii", [2, 3, 4, 6, 8])]
-    if len(radii) < 4:
-        raise ConfigurationError("scaling needs at least 4 radii")
     domain, = cfg.strip_domains()
-    kernel, potential, weights, result = _solve_one(cfg, domain)
+    potential, weights, result = _solve_one(cfg, domain)
+    kernel = weights.kernel
     eps = cfg.solve_options().epsilon
     s, n = kernel.s, kernel.dim
 
@@ -396,9 +405,6 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
 def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
     exp = cfg.experiment
     kernel = cfg.kernel_spec()
-    if kernel.family != "standard":
-        raise ConfigurationError(
-            "barrier pipeline requires the standard kernel")
     R = float(exp.get("barrier_R", 16.0))
     delta = float(exp.get("barrier_delta", 0.1))
     bar = barrier_mod.build_barrier(kernel, R, delta)
@@ -418,7 +424,7 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
     slide = None
     for domain in cfg.strip_domains():   # the slide test, when configured
         try:
-            _, potential, weights, result = _solve_one(cfg, domain)
+            potential, weights, result = _solve_one(cfg, domain)
             slide_R = min(R, (domain.t_hi - domain.t_lo) / 2.0 - 2 * domain.h)
             if slide_R < bar.R0:
                 raise barrier_mod.BarrierRangeError(
@@ -450,10 +456,10 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
     domain, = cfg.strip_domains()
     tau = domain.tau
     eps_list = [float(e) for e in exp.get("eps_list", [1.0, 0.5, 0.25, 0.125])]
-    sweep = per_mod.gamma_sweep(cfg.kernel_spec(tau), cfg.potential_spec(tau),
-                                domain, cfg.constraints(), eps_list,
-                                options=cfg.solve_options(),
-                                r_cut=cfg.r_cut(tau))
+    weights = _weights(cfg, domain)
+    sweep = per_mod.gamma_sweep(weights, cfg.potential_spec(tau),
+                                cfg.constraints(), eps_list,
+                                options=cfg.solve_options())
     _write_csv(out / "gamma_sweep.csv",
                "eps,E_eps,G_threshold,sym_diff,converged",
                [(r["eps"], r["E_eps"], r["G_threshold"], r["sym_diff"],
@@ -465,7 +471,7 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
         density_floor=float(exp.get("density_floor", 0.02)))
     extract["mask"].dump_csv(out / "limit_mask.csv")
     flips = per_mod.surface_local_min_check(
-        sweep["weights"], extract["mask"], trials=int(exp.get("trials", 20)),
+        weights, extract["mask"], trials=int(exp.get("trials", 20)),
         seed=cfg.seed,
         tol_rel=float(cfg.tolerances.get("flip_rel", 1e-10)))
     verdicts = [
@@ -491,8 +497,7 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
 def run_perimeter(cfg: ExperimentConfig, out: Path) -> tuple:
     domain, = cfg.strip_domains()
     tau = domain.tau
-    weights = energy_mod.build_weights(cfg.kernel_spec(tau), domain,
-                                       cfg.r_cut(tau))
+    weights = _weights(cfg, domain)
     level = float(cfg.experiment.get("reference_set_level", domain.M / 2.0))
     inside = np.tile(domain.t_centers() < level, (domain.n_p, 1))
     mask = geom.SetMask(domain, inside, True, False)

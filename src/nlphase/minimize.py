@@ -21,10 +21,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 from scipy import optimize as sopt
 
-from .energy import (R_CUT_FACTOR, BallWindow, ConfigurationError,
-                     WeightTable, build_weights)
+from .energy import BallWindow, ConfigurationError, WeightTable, build_weights
 from .lattice import Field, StripDomain, birkhoff_shift
-from .model import validate_hypotheses
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,16 @@ def check_strip_height(domain: StripDomain) -> None:
             f"strip height M={domain.M} must be at least tau={domain.tau}")
 
 
-def minimize_strip(kernel, potential, domain: StripDomain,
-                   constraints: Constraints, options: SolveOptions | None = None,
-                   weights: WeightTable | None = None, r_cut: float | None = None,
-                   seed_field: Field | None = None,
-                   validate: bool = True) -> SolveResult:
+def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
+                   options: SolveOptions | None = None,
+                   seed_field: Field | None = None) -> SolveResult:
     """L-BFGS-B on the per-period functional over the obstacle box:
     [theta, 1] below the strip, [-1, -theta] above it, [-1, 1] elsewhere.
+
+    The problem is the one ``weights`` discretizes: its kernel, strip
+    domain and cutoff.  The kernel and potential hypotheses are the
+    caller's to check with `nlphase.model.validate_hypotheses`; the command
+    line does so once per run.
 
     Accepted iterations never increase the objective.
     ``diagnostics["stop_reason"]`` is ``grad_tol`` (largest projected-gradient
@@ -126,16 +127,8 @@ def minimize_strip(kernel, potential, domain: StripDomain,
     (iteration, F, projected-gradient norm, ||x_k - x_{k-1}||).
     """
     options = options or SolveOptions()
+    domain = weights.domain
     check_strip_height(domain)
-    if validate:
-        rep = validate_hypotheses(kernel, potential, samples=128, planelike=True)
-        if not rep.passed:
-            raise ConfigurationError(
-                "hypothesis validation failed: " + ", ".join(rep.failing_tags()))
-    if weights is None:
-        weights = build_weights(
-            kernel, domain, R_CUT_FACTOR * domain.tau if r_cut is None else r_cut)
-
     u0 = (minimal_seed(domain, constraints) if seed_field is None
           else project(constraints, seed_field)).values
     lo = constraints.project_values(domain, np.full(domain.shape, -1.0)).ravel()
@@ -343,25 +336,27 @@ def check_class_A(weights: WeightTable, potential, field: Field,
     }
 
 
-def doubling_check(kernel, potential, result: SolveResult, m: int,
-                   options: SolveOptions | None = None,
-                   r_cut: float | None = None) -> dict:
-    """Re-solve on the m-fold fundamental domain from the tiled seed."""
+def doubling_check(weights: WeightTable, potential, result: SolveResult,
+                   m: int, options: SolveOptions | None = None) -> dict:
+    """Re-solve on the m-fold fundamental domain from the tiled seed.
+
+    ``weights`` is the table ``result`` was solved with; the m-fold table
+    is built from its kernel and cutoff.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     base = result.field
     d = base.domain
-    theta = result.diagnostics.get("theta", 0.9)
-    constraints = Constraints(theta)
+    constraints = Constraints(result.diagnostics["theta"])
     if m == 1:
         return {"m": 1, "l1_gap_per_period": 0.0, "F_gap": 0.0}
     dom2 = StripDomain(tau=d.tau, direction=d.direction, M=d.M, h=d.h,
                        buffer=d.buffer, periods=d.periods * m)
     tiled = Field(dom2, np.tile(base.values, (m, 1)),
                   base.far_below, base.far_above)
-    res2 = minimize_strip(kernel, potential, dom2, constraints,
-                          options=options, r_cut=r_cut, seed_field=tiled,
-                          validate=False)
+    res2 = minimize_strip(build_weights(weights.kernel, dom2, weights.r_cut),
+                          potential, constraints, options=options,
+                          seed_field=tiled)
     gap = float(np.abs(res2.field.values - tiled.values).sum()
                 * d.cell_volume / m)
     return {

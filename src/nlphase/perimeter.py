@@ -15,15 +15,12 @@ periodicity, and stability under small indicator flips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .energy import (PERIOD, R_CUT_FACTOR, PeriodWindow, WeightTable,
-                     build_weights)
+from .energy import PERIOD, PeriodWindow, WeightTable
 from .geometry import SetMask, level_mask, symmetric_difference_measure
-from .lattice import Field
 from .minimize import Constraints, SolveOptions, minimize_strip
 
 
@@ -111,34 +108,28 @@ def indicator_energy(weights: WeightTable, mask: SetMask, window,
     return rep.total
 
 
-def gamma_sweep(kernel, potential, domain, constraints: Constraints,
-                eps_list, options: SolveOptions | None = None,
-                weights: WeightTable | None = None,
-                r_cut: float | None = None) -> dict:
-    """Sharp-interface sweep: solve the scaled problem for each epsilon.
+def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,
+                eps_list, options: SolveOptions | None = None) -> dict:
+    """Sharp-interface sweep: solve the scaled problem that ``weights``
+    discretizes for each epsilon.
 
     Solutions continue from the previous epsilon; each record carries the
     per-period scaled energy, the perimeter of the thresholded set and the
     symmetric difference to the final threshold set.
     """
-    if kernel.s >= 0.5:
-        raise RegimeError(f"gamma sweep requires s < 1/2, got s={kernel.s}")
+    _require_subcritical(weights)   # every record thresholds to a K-perimeter
     eps_list = list(eps_list)
     if any(e1 <= e2 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if any(not 0.0 < e <= domain.tau for e in eps_list):
+    if any(not 0.0 < e <= weights.domain.tau for e in eps_list):
         raise ValueError("epsilon values must lie in (0, tau]")
-    if weights is None:
-        weights = build_weights(
-            kernel, domain, R_CUT_FACTOR * domain.tau if r_cut is None else r_cut)
     base = options or SolveOptions()
     records = []
     seed = None
     for eps in eps_list:
         opt = replace(base, epsilon=eps, record_trace=False)
-        res = minimize_strip(kernel, potential, domain, constraints,
-                             options=opt, weights=weights,
-                             seed_field=seed, validate=False)
+        res = minimize_strip(weights, potential, constraints, options=opt,
+                             seed_field=seed)
         seed = res.field
         mask = level_mask(res.field, 0.0, "above")
         e_eps = weights.period_value(res.field, potential, eps)
@@ -167,7 +158,6 @@ def gamma_sweep(kernel, potential, domain, constraints: Constraints,
         "liminf_gaps": gaps,
         "gap_trend_nonincreasing": trend_ok,
         "sym_diff_nonincreasing": sym_ok,
-        "weights": weights,
     }
 
 
@@ -184,7 +174,6 @@ def minimal_surface_extract(sweep: dict, m0_ref: float | None = None,
     if len(good) < 3:
         raise ValueError("need at least 3 converged sweep records")
     mask = records[-1]["mask"]
-    weights = sweep["weights"]
     d = mask.domain
     t = d.t_centers()
 

@@ -79,9 +79,8 @@ def _solve(s, tau, Mf, cpt, dirn=(0, 1), eps=None, r_cut=None,
     weights = build_weights(kernel, domain,
                             8.0 * tau if r_cut is None else r_cut)
     result = minimize_strip(
-        kernel, potential, domain, Constraints(theta), weights=weights,
-        options=SolveOptions(max_iters=max_iters, epsilon=eps),
-        validate=False)
+        weights, potential, Constraints(theta),
+        options=SolveOptions(max_iters=max_iters, epsilon=eps))
     return dict(kernel=kernel, potential=potential, domain=domain,
                 weights=weights, result=result, eps=eps)
 
@@ -151,14 +150,15 @@ def gamma_run():
     kernel = KernelSpec(dim=2, s=0.25, tau=1.0, family="modulated")
     potential = PotentialSpec(family="quartic", tau=1.0, Q_modulation=True)
     domain = _strip(0.25, 1.0, 8.0, 6)
-    sweep = gamma_sweep(kernel, potential, domain, Constraints(0.9),
+    weights = build_weights(kernel, domain, 8.0)
+    sweep = gamma_sweep(weights, potential, Constraints(0.9),
                         [1.0, 0.5, 0.25, 0.125],
-                        options=SolveOptions(max_iters=40000), r_cut=8.0)
+                        options=SolveOptions(max_iters=40000))
     m0_ref = interface_width(sweep["records"][0]["field"], 0.9) / domain.tau
     extract = minimal_surface_extract(sweep, m0_ref=m0_ref,
                                       density_radii=[2.0, 3.0],
                                       density_floor=TOL["density_floor"])
-    flips = surface_local_min_check(sweep["weights"], extract["mask"],
+    flips = surface_local_min_check(weights, extract["mask"],
                                     trials=30, seed=SEED, tol_rel=1e-10)
     return dict(sweep=sweep, extract=extract, flips=flips, m0_ref=m0_ref)
 

@@ -26,8 +26,7 @@ def strip_three_quarter():
     domain = build_domain(1.0, Direction((0, 1), 1.0), M=36.0, h=0.5,
                           buffer=4.0)
     weights = build_weights(kernel, domain, 8.0)
-    result = minimize_strip(kernel, potential, domain, Constraints(0.9),
-                            weights=weights,
+    result = minimize_strip(weights, potential, Constraints(0.9),
                             options=SolveOptions(max_iters=40000))
     probe = build_barrier(kernel, R=1e6, delta=1.0)
     bar = build_barrier(kernel, R=18.0, delta=probe.c3 * 1.05)

@@ -144,7 +144,7 @@ class TestPipelines:
 
     def test_planelike_validates_hypotheses_once(self, tmp_path,
                                                  monkeypatch):
-        from nlphase import cli, minimize
+        from nlphase import cli
         calls = []
         original = cli.validate_hypotheses
 
@@ -153,7 +153,6 @@ class TestPipelines:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cli, "validate_hypotheses", counting)
-        monkeypatch.setattr(minimize, "validate_hypotheses", counting)
         path = write_config(tmp_path, base_config(experiment={"trials": 2}))
         main(["planelike", "--config", path, "--out", str(tmp_path / "out")])
         assert (tmp_path / "out" / "report.json").exists()
@@ -174,16 +173,20 @@ class TestPipelines:
         assert err.startswith("runtime failure: boom\nTraceback")
         assert "exploding_pipeline" in err
 
-    @pytest.mark.parametrize("command,geometry", [
-        ("validate", {"M": 4.0}),          # M and M_factor both given
-        ("planelike", {"r_cut_factor": 0.1}),
-        ("planelike", {"M_factor": 0.5}),
-        ("planelike", {"h": 0.3}),         # does not divide the period
-    ])
+    @pytest.mark.parametrize("command,section,values", [
+        pytest.param(command, section, values, id=f"{command}-{section}{i}")
+        for i, (command, section, values) in enumerate([
+            ("validate", "geometry", {"M": 4.0}),   # M and M_factor both given
+            ("planelike", "geometry", {"r_cut_factor": 0.1}),
+            ("planelike", "geometry", {"M_factor": 0.5}),
+            ("planelike", "geometry", {"h": 0.3}),  # does not divide the period
+            ("barrier", "kernel", {"family": "modulated"}),
+            ("scaling", "experiment", {"radii": [2.0, 3.0, 4.0]}),
+        ])])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
-                                                  command, geometry):
-        raw = base_config(geometry=geometry)
-        if "h" in geometry:
+                                                  command, section, values):
+        raw = base_config(**{section: values})
+        if "h" in values:
             del raw["geometry"]["cells_per_tau"]
         path = write_config(tmp_path, raw)
         assert main([command, "--config", path,

@@ -328,6 +328,23 @@ class TestWindowEnergies:
         assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
         assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10)
 
+    @settings(max_examples=30, deadline=None)
+    @given(s=st.floats(0.05, 0.95),
+           direction=st.sampled_from([(0, 1), (1, 1), (1, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_period_value_reflection_symmetric(self, s, direction, seed):
+        # standard kernel, no Q: u(p, t) -> -u(p, M - t) swaps the two
+        # phases and the two far half-planes, and leaves F unchanged
+        d = Direction(direction, 1.0)
+        h = d.norm_p / (2 * d.p_sq)
+        dom = build_domain(1.0, d, M=12 * h, h=h, buffer=4 * h)
+        wt = build_weights(KernelSpec(dim=2, s=s, tau=1.0), dom, 4 * h)
+        pot = PotentialSpec(family="quartic")
+        u = np.random.default_rng(seed).uniform(-1, 1, dom.shape)
+        F = wt.period_value(Field(dom, u), pot)
+        assert wt.period_value(Field(dom, -u[:, ::-1]), pot) == \
+            pytest.approx(F, rel=1e-12)
+
     def test_period_two_paths_agree(self):
         _, dom, wt = axis_setup(family="modulated", M=4.0, h=0.25, B=2.0,
                                 r_cut=2.0)

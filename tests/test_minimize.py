@@ -18,7 +18,7 @@ def solved():
                           buffer=2.0)
     weights = build_weights(kernel, domain, 4.0)
     cons = Constraints(0.9)
-    res = minimize_strip(kernel, potential, domain, cons, weights=weights,
+    res = minimize_strip(weights, potential, cons,
                          options=SolveOptions(max_iters=20000))
     return kernel, potential, domain, weights, cons, res
 
@@ -98,14 +98,13 @@ class TestMinimizeStrip:
         t = domain.t_centers()
         ramp = np.clip(1.0 - 2.0 * t / domain.M, -1.0, 1.0)
         seed2 = Field(domain, np.tile(ramp, (domain.n_p, 1)))
-        res2 = minimize_strip(kernel, potential, domain, cons,
-                              weights=weights, seed_field=seed2,
+        res2 = minimize_strip(weights, potential, cons, seed_field=seed2,
                               options=SolveOptions(max_iters=20000))
         assert res2.F_value == pytest.approx(res.F_value, rel=1e-6)
 
     def test_iteration_cap_not_converged(self, solved):
         kernel, potential, domain, weights, cons, _ = solved
-        res = minimize_strip(kernel, potential, domain, cons, weights=weights,
+        res = minimize_strip(weights, potential, cons,
                              options=SolveOptions(max_iters=3))
         assert not res.converged
         assert res.diagnostics["stop_reason"] == "iteration_cap"
@@ -124,16 +123,9 @@ class TestMinimizeStrip:
         potential = PotentialSpec(family="quartic")
         domain = build_domain(2.0, Direction((0, 1), 2.0), M=1.0, h=0.25,
                               buffer=1.0)
+        weights = build_weights(kernel, domain, 2.0)
         with pytest.raises(ConfigurationError):
-            minimize_strip(kernel, potential, domain, Constraints(0.9))
-
-    def test_hypothesis_gate(self):
-        kernel = KernelSpec(dim=2, s=0.3, tau=0.5)  # tau < 1
-        potential = PotentialSpec(family="quartic")
-        domain = build_domain(0.5, Direction((0, 1), 0.5), M=2.0, h=0.25,
-                              buffer=1.0)
-        with pytest.raises(ConfigurationError):
-            minimize_strip(kernel, potential, domain, Constraints(0.9))
+            minimize_strip(weights, potential, Constraints(0.9))
 
 
 class TestBirkhoff:
@@ -208,12 +200,13 @@ class TestClassA:
 class TestDoubling:
     def test_identity_at_one(self, solved):
         kernel, potential, domain, weights, cons, res = solved
-        rep = doubling_check(kernel, potential, res, 1)
+        rep = doubling_check(weights, potential, res, 1)
         assert rep["l1_gap_per_period"] == 0.0
 
     def test_two_periods_consistent(self, solved):
         kernel, potential, domain, weights, cons, res = solved
-        rep = doubling_check(kernel, potential, res, 2,
-                             options=SolveOptions(max_iters=20000),
-                             r_cut=4.0)
+        # F_gap is this small only if the doubled table keeps the cutoff 4.0
+        rep = doubling_check(weights, potential, res, 2,
+                             options=SolveOptions(max_iters=20000))
         assert rep["l1_gap_per_period"] <= 1e-4
+        assert abs(rep["F_gap"]) <= 1e-8

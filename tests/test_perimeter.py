@@ -14,9 +14,10 @@ from nlphase.perimeter import (RegimeError, flip_gains, gamma_sweep,
                                per_K, surface_local_min_check)
 
 
-def setup(s=0.25, family="standard", M=4.0, h=0.25, B=2.0, r_cut=2.0):
+def setup(s=0.25, family="standard", M=4.0, h=0.25, B=2.0, r_cut=2.0,
+          direction=(0, 1)):
     kernel = KernelSpec(dim=2, s=s, tau=1.0, family=family)
-    domain = build_domain(1.0, Direction((0, 1), 1.0), M=M, h=h, buffer=B)
+    domain = build_domain(1.0, Direction(direction, 1.0), M=M, h=h, buffer=B)
     return kernel, domain, build_weights(kernel, domain, r_cut)
 
 
@@ -48,15 +49,22 @@ class TestPerK:
         assert all(p >= 0.0 for p in res.parts)
 
     @pytest.mark.parametrize("window", [
-        PERIOD, BoxWindow(0.0, 1.0, 1.0, 3.0)])
+        PERIOD, BoxWindow(0.0, 1.0, 1.0, 3.0), BallWindow((0.6, 2.0), 1.2)])
     def test_quarter_kinetic_identity_random_masks(self, window):
-        _, dom, wt = setup(family="modulated")
+        h11 = math.sqrt(2.0) / 4.0       # four cells across the (1,1) period
+        cases = [dict(family="modulated"), dict(family="standard"),
+                 dict(family="standard", direction=(1, 1), h=h11, M=12 * h11,
+                      B=6 * h11)]
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            mask = SetMask(dom, rng.random(dom.shape) < 0.5, True, False)
-            lhs = per_K(wt, mask, window).per_K
-            rhs = indicator_energy(wt, mask, window) / 4.0
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+        for case in cases:
+            _, dom, wt = setup(**case)
+            for _ in range(10):
+                far_below, far_above = rng.random(2) < 0.5
+                mask = SetMask(dom, rng.random(dom.shape) < 0.5, far_below,
+                               far_above)
+                lhs = per_K(wt, mask, window).per_K
+                rhs = indicator_energy(wt, mask, window) / 4.0
+                assert lhs == pytest.approx(rhs, rel=1e-10), case
 
     def test_supercritical_rejected(self):
         _, dom, wt = setup(s=0.6)
@@ -182,14 +190,15 @@ class TestFlipGains:
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    kernel = KernelSpec(dim=2, s=0.25, tau=1.0)
-    potential = PotentialSpec(family="quartic")
-    domain = build_domain(1.0, Direction((0, 1), 1.0), M=6.0, h=0.25,
-                          buffer=2.0)
-    return gamma_sweep(kernel, potential, domain, Constraints(0.9),
-                       [1.0, 0.5, 0.25, 0.125],
-                       options=SolveOptions(max_iters=20000), r_cut=4.0)
+def sweep_weights():
+    return setup(M=6.0, r_cut=4.0)[2]
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_weights):
+    return gamma_sweep(sweep_weights, PotentialSpec(family="quartic"),
+                       Constraints(0.9), [1.0, 0.5, 0.25, 0.125],
+                       options=SolveOptions(max_iters=20000))
 
 
 class TestGammaSweep:
@@ -210,16 +219,13 @@ class TestGammaSweep:
         assert sweep["sym_diff_nonincreasing"]
 
     def test_eps_list_validation(self):
-        kernel = KernelSpec(dim=2, s=0.25, tau=1.0)
         potential = PotentialSpec(family="quartic")
-        domain = build_domain(1.0, Direction((0, 1), 1.0), M=6.0, h=0.5,
-                              buffer=2.0)
+        *_, weights = setup(M=6.0, h=0.5)
         with pytest.raises(ValueError):
-            gamma_sweep(kernel, potential, domain, Constraints(0.9),
-                        [0.5, 1.0])
+            gamma_sweep(weights, potential, Constraints(0.9), [0.5, 1.0])
+        *_, weights = setup(s=0.6, M=6.0, h=0.5)
         with pytest.raises(RegimeError):
-            gamma_sweep(KernelSpec(dim=2, s=0.6, tau=1.0), potential, domain,
-                        Constraints(0.9), [1.0, 0.5])
+            gamma_sweep(weights, potential, Constraints(0.9), [1.0, 0.5])
 
 
 class TestLimitSurface:
@@ -236,13 +242,13 @@ class TestLimitSurface:
         with pytest.raises(ValueError):
             minimal_surface_extract(crippled)
 
-    def test_flip_stability_of_limit_mask(self, sweep):
+    def test_flip_stability_of_limit_mask(self, sweep, sweep_weights):
         out = minimal_surface_extract(sweep)
-        rep = surface_local_min_check(sweep["weights"], out["mask"],
+        rep = surface_local_min_check(sweep_weights, out["mask"],
                                       trials=12, seed=2)
         assert rep["passed"], rep["max_improvement"]
 
-    def test_island_detected(self, sweep):
+    def test_island_detected(self, sweep, sweep_weights):
         out = minimal_surface_extract(sweep)
         mask = out["mask"]
         dom = mask.domain
@@ -250,7 +256,7 @@ class TestLimitSurface:
         t = dom.t_centers()
         deep = int(np.argmax(t > t.max() - 1.0))
         bad.inside[1, deep] = True  # one-cell island in the minus phase
-        rep = surface_local_min_check(sweep["weights"], bad, trials=40,
+        rep = surface_local_min_check(sweep_weights, bad, trials=40,
                                       seed=3)
         assert not rep["passed"]
 

@@ -18,8 +18,7 @@ import pytest
 from nlphase.energy import WeightTable
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted(p for p in (ROOT / "demos").glob("demo_*.py")
-               if p.name != "demo_barrier.py")   # covered by test_barrier
+DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 
 def _perfbench(name):
