@@ -10,8 +10,7 @@ from .model import (KernelSpec, PotentialSpec, eval_kernel, eval_potential,
                     eval_potential_derivative, gamma_of, psi_s,
                     validate_hypotheses)
 from .lattice import (Direction, Field, StripDomain, build_domain,
-                      birkhoff_shift, canonical_rep, equivalent,
-                      image_enumeration)
+                      birkhoff_shift)
 from .energy import (BallWindow, BoxWindow, PERIOD, EnergyReport, WeightTable,
                      ball_at_cell, build_weights, rescale_field)
 
@@ -19,7 +18,6 @@ __all__ = [
     "KernelSpec", "PotentialSpec", "eval_kernel", "eval_potential",
     "eval_potential_derivative", "gamma_of", "psi_s", "validate_hypotheses",
     "Direction", "Field", "StripDomain", "build_domain", "birkhoff_shift",
-    "canonical_rep", "equivalent", "image_enumeration",
     "BallWindow", "BoxWindow", "PERIOD", "EnergyReport", "WeightTable",
     "ball_at_cell", "build_weights", "rescale_field",
 ]

@@ -44,7 +44,7 @@ from . import geometry as geom
 from . import minimize as min_mod
 from . import perimeter as per_mod
 from .energy import ConfigurationError
-from .lattice import Direction, StripDomain
+from .lattice import Direction, StripDomain, whole_number
 from .model import KernelSpec, PotentialSpec, validate_hypotheses
 
 
@@ -67,9 +67,16 @@ _SECTION_KEYS = {
 }
 _EXCLUSIVE_KEYS = (("M", "M_factor"), ("buffer", "buffer_factor"),
                    ("h", "cells_per_tau"), ("r_cut", "r_cut_factor"))
-# the solver keys read into SolveOptions, with their types
-_SOLVE_OPTIONS = {"max_iters": int, "grad_tol": float,
-                  "rel_decrease_tol": float, "epsilon": float}
+# keys that count something; a string or a fraction is rejected, not cast
+_WHOLE_KEYS = (("geometry", "cells_per_tau"), ("solver", "max_iters"),
+               ("experiment", "trials"))
+
+
+def _given(section: dict, cast, **params) -> dict:
+    """Keyword arguments ``param=cast(section[key])`` for the keys that a
+    config section gives; a key it leaves out takes the library default."""
+    return {param: cast(section[key]) for param, key in params.items()
+            if section.get(key) is not None}
 
 
 def _check_keys(section: dict, allowed: set, name: str):
@@ -101,7 +108,8 @@ class ExperimentConfig:
             _check_keys(raw.get(name, {}), allowed, name)
         cfg = cls(**{name: dict(raw.get(name, {})) for name in _SECTION_KEYS},
                   output=raw.get("output", cls.output),
-                  seed=int(raw.get("seed", cls.seed)))
+                  seed=whole_number(raw.get("seed", cls.seed), "seed",
+                                    ConfigurationError))
         cfg.validate_cross_fields()
         return cfg
 
@@ -116,12 +124,16 @@ class ExperimentConfig:
 
     @property
     def direction(self) -> tuple:
-        return tuple(int(v) for v in self.geometry.get("direction", (0, 1)))
+        return tuple(self.geometry.get("direction", (0, 1)))
 
     def validate_cross_fields(self):
         for a, b in _EXCLUSIVE_KEYS:
             if a in self.geometry and b in self.geometry:
                 raise ConfigurationError(f"give {a} or {b}, not both")
+        for section, key in _WHOLE_KEYS:
+            value = getattr(self, section).get(key)
+            if value is not None:
+                whole_number(value, f"{section}.{key}", ConfigurationError)
         kind = self.experiment.get("kind")
         tau = self.tau
         if kind in ("gamma", "perimeter") and \
@@ -210,9 +222,10 @@ class ExperimentConfig:
         return domains
 
     def solve_options(self) -> min_mod.SolveOptions:
-        return min_mod.SolveOptions(**{
-            k: cast(self.solver[k]) for k, cast in _SOLVE_OPTIONS.items()
-            if self.solver.get(k) is not None})
+        return min_mod.SolveOptions(
+            **_given(self.solver, int, max_iters="max_iters"),
+            **_given(self.solver, float, grad_tol="grad_tol",
+                     rel_decrease_tol="rel_decrease_tol", epsilon="epsilon"))
 
     def constraints(self) -> min_mod.Constraints:
         theta = self.solver.get("theta")
@@ -303,7 +316,7 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
             trials=int(exp.get("trials", 12)),
             radius_range=tuple(exp.get("radius_range", (None, None))),
             seed=cfg.seed, epsilon=cfg.solve_options().epsilon,
-            tol_rel=float(cfg.tolerances.get("classA_rel", 1e-8)))
+            **_given(cfg.tolerances, float, tol_rel="classA_rel"))
         return {
             "tau": domain.tau, "direction": list(domain.direction.p),
             "F_value": result.F_value, "iterations": result.iterations,
@@ -366,7 +379,8 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
     # interface-centered ball: cell where |u| is smallest
     u = result.field.values
     ip, it = np.unravel_index(int(np.argmin(np.abs(u))), u.shape)
-    center = ((ip + 0.5) * domain.h, domain.t_lo + (it + 0.5) * domain.h)
+    P, T = domain.frame_centers()
+    center = (P[ip, it], T[ip, it])
     rows = []
     for R in radii:
         rep = weights.window_report(result.field,
@@ -433,7 +447,7 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
             sbar = barrier_mod.build_barrier(kernel, slide_R, delta)
             # dip the barrier into the minus phase next to the interface
             it = int(np.argmin(np.abs(result.field.values.mean(axis=0))))
-            t_int = domain.t_lo + (it + 0.5) * domain.h
+            t_int = domain.t_centers()[it]
             t0 = min(max(t_int + 0.5 * slide_R,
                          domain.t_lo + slide_R + domain.h),
                      domain.t_hi - slide_R - domain.h)
@@ -468,12 +482,12 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
                                   cfg.constraints().theta) / tau
     extract = per_mod.minimal_surface_extract(
         sweep, m0_ref=m0_ref,
-        density_floor=float(exp.get("density_floor", 0.02)))
+        **_given(exp, float, density_floor="density_floor"))
     extract["mask"].dump_csv(out / "limit_mask.csv")
     flips = per_mod.surface_local_min_check(
-        weights, extract["mask"], trials=int(exp.get("trials", 20)),
-        seed=cfg.seed,
-        tol_rel=float(cfg.tolerances.get("flip_rel", 1e-10)))
+        weights, extract["mask"], seed=cfg.seed,
+        **_given(exp, int, trials="trials"),
+        **_given(cfg.tolerances, float, tol_rel="flip_rel"))
     verdicts = [
         _verdict("Gamma-recovery", sweep["recovery_identity_gap"],
                  sweep["recovery_identity_gap"] <= 1e-10),

@@ -267,9 +267,9 @@ PERIOD = PeriodWindow()
 
 
 def ball_at_cell(domain: StripDomain, index: tuple, radius: float) -> BallWindow:
-    p = (index[0] + 0.5) * domain.h
-    t = domain.t_lo + (index[1] + 0.5) * domain.h
-    return BallWindow((p, t), float(radius))
+    ip, it = index
+    P, T = domain.rect_centers((ip, ip + 1, it, it + 1))
+    return BallWindow((float(P[0, 0]), float(T[0, 0])), float(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +326,10 @@ class WeightTable:
         self.stencil = (h ** (n - 2.0 * s)) * _unit_stencil(
             n, s, self.k_cells, self.r_cut / h)
         K = self.k_cells
-        self._g_ext = self._g_rows(np.arange(domain.n_p),
-                                   np.arange(-K, domain.n_t + K))
+        # the slab with k_cells far rows on each side: the cells that
+        # `interaction_sum` reads
+        self.slab_rect = (0, domain.n_p, -K, domain.n_t + K)
+        self._g_ext = self._g_rect(self.slab_rect)
         self._g_slab = self._g_ext[:, K:K + domain.n_t]
         # tail weights of the contiguous row range [lo, lo + size), grown
         # on demand: (lo, T_plus, T_minus)
@@ -354,7 +356,7 @@ class WeightTable:
     def _tail_rows(self, it0: int, it1: int) -> tuple:
         """(T_plus, T_minus) computed for the rows it0 .. it1 - 1."""
         d = self.domain
-        tc = d.t_lo + (np.arange(it0, it1) + 0.5) * d.h
+        tc = d.rect_centers((0, 1, it0, it1))[1][0]
         tail = _halfplane_tail_2d if d.dim == 2 else _halfplane_tail_1d
         amp = self.kernel.Lam * d.cell_volume
         return (amp * tail(self.kernel.s, tc - d.t_lo, self.r_cut),
@@ -383,8 +385,9 @@ class WeightTable:
         if max(abs(dp_cells), abs(dt_cells)) > self.k_cells:
             raise ConfigurationError("offset beyond r_cut")
         ip, it = index
-        gi = self._g_rows(ip, it)[0, 0]
-        gj = self._g_rows(ip + dp_cells, it + dt_cells)[0, 0]
+        gi = self._g_rect((ip, ip + 1, it, it + 1))[0, 0]
+        gj = self._g_rect((ip + dp_cells, ip + dp_cells + 1,
+                           it + dt_cells, it + dt_cells + 1))[0, 0]
         if (dp_cells, dt_cells) == (0, 0):
             a = (d.h ** (d.dim - 2.0 * self.kernel.s)
                  * unit_pair_integral(d.dim, self.kernel.s, 0, 0))
@@ -411,17 +414,16 @@ class WeightTable:
 
     # -- heterogeneity ------------------------------------------------------
 
-    def _g_rows(self, ip, it) -> np.ndarray:
-        """Modulation g at cells (ip, it); ip wraps, it may leave the slab."""
-        ip = np.atleast_1d(ip)
-        it = np.atleast_1d(it)
+    def _g_rect(self, rect) -> np.ndarray:
+        """Modulation g over a cell-index rectangle, evaluated on the
+        fundamental columns (so periodic images agree bitwise)."""
+        ip0, ip1, it0, it1 = rect
         if self.kernel.family == "standard":
-            return np.zeros((ip.size, it.size))
+            return np.zeros((ip1 - ip0, it1 - it0))
         d = self.domain
-        p = (np.mod(ip, d.n_p) + 0.5) * d.h
-        t = d.t_lo + (it + 0.5) * d.h
-        P, T = np.meshgrid(p, t, indexing="ij")
-        return self.kernel.modulation(d.world_of_frame(P, T))
+        P, T = d.rect_centers((0, d.n_p, it0, it1))
+        g = self.kernel.modulation(d.world_of_frame(P, T))
+        return g[np.mod(np.arange(ip0, ip1), d.n_p)]
 
     # -- spectral helpers -----------------------------------------------------
 
@@ -464,12 +466,9 @@ class WeightTable:
         pc = self._folded()
         if "rs" in pc:
             return pc
-        d = self.domain
-        K = self.k_cells
-        below = np.zeros((d.n_p, d.n_t + 2 * K))
-        below[:, :K] = 1.0
-        above = np.zeros_like(below)
-        above[:, K + d.n_t:] = 1.0
+        d, zero = self.domain, np.zeros(self.domain.shape)
+        below = d.unroll(zero, 1.0, 0.0, self.slab_rect)
+        above = d.unroll(zero, 0.0, 1.0, self.slab_rect)
         pc["rs"] = self.interaction_sum(np.ones_like(below), 1.0, 1.0)
         pc["far"] = (self.interaction_sum(below, 1.0, 0.0),
                      self.interaction_sum(above, 0.0, 1.0))
@@ -489,9 +488,10 @@ class WeightTable:
                         far_above: float) -> np.ndarray:
         """sum_j w_ij U_j over every world cell j, for each slab cell i.
 
-        ``U`` holds the slab values with ``k_cells`` far rows on each side
-        (`Field.extended_rows`); the far half-planes beyond the cutoff enter
-        through the tail weights with the values ``far_below``/``far_above``.
+        ``U`` holds the values over ``slab_rect``, the slab with ``k_cells``
+        far rows on each side (`StripDomain.unroll`); the far half-planes
+        beyond the cutoff enter through the tail weights with the values
+        ``far_below``/``far_above``.
         """
         tp, tm = self._folded()["tails"]
         return self._weighted_sum(U) + tp * far_below + tm * far_above
@@ -521,10 +521,10 @@ class WeightTable:
         beyond-cutoff tail.
         """
         d = self.domain
-        U = field.extended_rows(self.k_cells)
-        pc = self._period_data()
         u = field.values
         fb, fa = field.far_below, field.far_above
+        U = d.unroll(u, fb, fa, self.slab_rect)
+        pc = self._period_data()
         # sum over slab cells i and all world cells j of w_ij (u_i - u_j)^2:
         # twice the slab pairs plus once the far-field pairs
         full = float(np.sum(u * u * pc["rs"]
@@ -551,8 +551,9 @@ class WeightTable:
         """Gradient of the per-period functional in the cell values."""
         d = self.domain
         u = field.values
-        grad = self._kinetic_gradient(u, field.extended_rows(self.k_cells),
-                                      field.far_below, field.far_above)
+        fb, fa = field.far_below, field.far_above
+        grad = self._kinetic_gradient(
+            u, d.unroll(u, fb, fa, self.slab_rect), fb, fa)
         if potential is not None:
             x = d.world_centers()
             grad = grad + (potential.q(x) * potential.profile_derivative(u)
@@ -571,7 +572,7 @@ class WeightTable:
         """
         d, K = self.domain, self.k_cells
         zero = Field(d, np.zeros(d.shape), far_below, far_above)
-        U = zero.extended_rows(K)
+        U = d.unroll(zero.values, far_below, far_above, self.slab_rect)
         g0 = self._kinetic_gradient(zero.values, U, far_below, far_above)
         c = self.period_report(zero).total
         qv = (potential.q(d.world_centers()) * d.cell_volume
@@ -589,7 +590,8 @@ class WeightTable:
 
     def apply_lk(self, field: Field, index=None):
         """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included)."""
-        U = field.extended_rows(self.k_cells)
+        U = self.domain.unroll(field.values, field.far_below,
+                               field.far_above, self.slab_rect)
         lk = ((field.values * self.row_sums()
                - self.interaction_sum(U, field.far_below, field.far_above))
               / self.domain.cell_volume)
@@ -612,8 +614,7 @@ class WeightTable:
         if isinstance(window, PeriodWindow):
             return self.period_report(field, potential, epsilon)
         d = self.domain
-        rect = self._rect_for(window)
-        V, G, P, T = self.materialize(field, rect)
+        rect, V, G, P, T = self.window_cells(field, window)
         if transform is not None:
             V = transform(V, P, T)
         chi = window.contains(P, T).astype(float)
@@ -643,39 +644,19 @@ class WeightTable:
                             None if epsilon is None else float(epsilon),
                             self.r_cut, d.h, tail)
 
-    def _rect_for(self, window) -> tuple:
+    def window_cells(self, field: Field, window) -> tuple:
+        """(rect, values, g, P, T) over the cell-index rectangle that covers
+        a box or ball window grown by the stencil radius: a single copy of
+        the plane, not folded by the periodicity."""
         d = self.domain
-        K = self.k_cells
-        p_lo, p_hi, t_lo, t_hi = window.bounds()
+        p_lo, p_hi, t_lo, t_hi = bounds = window.bounds()
         if t_hi <= t_lo or (d.dim == 2 and p_hi <= p_lo):
             raise WindowError("empty window")
         if t_hi <= d.t_lo or t_lo >= d.t_hi:
             raise WindowError("window lies outside the simulated region")
-        it0 = int(math.floor((t_lo - d.t_lo) / d.h)) - K
-        it1 = int(math.ceil((t_hi - d.t_lo) / d.h)) + K
-        if d.dim == 1:
-            return 0, 1, it0, it1
-        ip0 = int(math.floor(p_lo / d.h)) - K
-        ip1 = int(math.ceil(p_hi / d.h)) + K
-        return ip0, ip1, it0, it1
-
-    def materialize(self, field: Field, rect) -> tuple:
-        """(values, g, P, T) grids over an absolute cell-index rectangle."""
-        d = self.domain
-        ip0, ip1, it0, it1 = rect
-        ips = np.arange(ip0, ip1)
-        its = np.arange(it0, it1)
-        cols = np.mod(ips, d.n_p)
-        V = np.empty((ips.size, its.size))
-        inside = (its >= 0) & (its < d.n_t)
-        V[:, ~inside] = np.where(its[~inside] < 0, field.far_below,
-                                 field.far_above)[None, :]
-        V[:, inside] = field.values[np.ix_(cols, its[inside])]
-        G = self._g_rows(ips, its)
-        p = (ips + 0.5) * d.h
-        t = d.t_lo + (its + 0.5) * d.h
-        P, T = np.meshgrid(p, t, indexing="ij")
-        return V, G, P, T
+        rect = d.cover(bounds, self.k_cells)
+        V = d.unroll(field.values, field.far_below, field.far_above, rect)
+        return (rect, V, self._g_rect(rect), *d.rect_centers(rect))
 
     def _fft_shape(self, grid_shape) -> tuple:
         """Transform shape for a rectangle: lags up to K on n cells stay
@@ -739,4 +720,4 @@ def rescale_field(field: Field, epsilon: float) -> Field:
     dom = StripDomain(tau=d.tau * epsilon, direction=direction,
                       M=d.M * epsilon, h=d.h * epsilon,
                       buffer=d.buffer * epsilon)
-    return Field(dom, field.values.copy())
+    return Field(dom, field.values.copy(), field.far_below, field.far_above)

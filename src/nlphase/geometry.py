@@ -9,12 +9,12 @@ far-field membership flags along it, so balls may reach past the buffers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
+from .energy import BallWindow
 from .lattice import Field, GeometryError, StripDomain
 
 
@@ -52,20 +52,6 @@ class SetMask:
                      1.0 if self.far_below else -1.0,
                      1.0 if self.far_above else -1.0)
 
-    def unrolled(self, rect) -> np.ndarray:
-        """Mask values over an absolute cell-index rectangle."""
-        d = self.domain
-        ip0, ip1, it0, it1 = rect
-        ips = np.arange(ip0, ip1)
-        its = np.arange(it0, it1)
-        cols = np.mod(ips, d.n_p)
-        out = np.empty((ips.size, its.size), dtype=bool)
-        inside_rows = (its >= 0) & (its < d.n_t)
-        out[:, ~inside_rows] = np.where(its[~inside_rows] < 0,
-                                        self.far_below, self.far_above)[None, :]
-        out[:, inside_rows] = self.inside[np.ix_(cols, its[inside_rows])]
-        return out
-
     def dump_csv(self, path) -> None:
         d = self.domain
         xy = d.world_centers().reshape(-1, d.dim)
@@ -94,33 +80,14 @@ def level_mask(field: Field, eta: float, mode: str = "above") -> SetMask:
     raise GeometryError(f"unknown mode {mode!r}")
 
 
-def _rect_cover(domain: StripDomain, center, radius: float) -> tuple:
-    p0, t0 = center
-    h = domain.h
-    it0 = int(math.floor((t0 - radius - domain.t_lo) / h)) - 1
-    it1 = int(math.ceil((t0 + radius - domain.t_lo) / h)) + 1
-    if domain.dim == 1:
-        return (0, 1, it0, it1)
-    ip0 = int(math.floor((p0 - radius) / h)) - 1
-    ip1 = int(math.ceil((p0 + radius) / h)) + 1
-    return (ip0, ip1, it0, it1)
-
-
-def _rect_grids(domain: StripDomain, rect):
-    ips = np.arange(rect[0], rect[1])
-    its = np.arange(rect[2], rect[3])
-    p = (ips + 0.5) * domain.h
-    t = domain.t_lo + (its + 0.5) * domain.h
-    return np.meshgrid(p, t, indexing="ij")
-
-
 def ball_count(mask: SetMask, center, radius: float) -> int:
     """Number of mask cells with center inside the ball (periodic images
     and far-field cells included)."""
-    rect = _rect_cover(mask.domain, center, radius)
-    P, T = _rect_grids(mask.domain, rect)
-    inball = (P - center[0]) ** 2 + (T - center[1]) ** 2 < radius ** 2
-    return int(np.count_nonzero(mask.unrolled(rect) & inball))
+    d = mask.domain
+    ball = BallWindow(center, radius)
+    rect = d.cover(ball.bounds(), 1)
+    grid = d.unroll(mask.inside, mask.far_below, mask.far_above, rect)
+    return int(np.count_nonzero(grid & ball.contains(*d.rect_centers(rect))))
 
 
 def density_profile(mask: SetMask, center, radii, xi: float | None = None) -> list:
@@ -158,7 +125,9 @@ def interface_profile(field: Field, theta: float, center, radii,
 def boundary_cells(mask: SetMask, rect) -> np.ndarray:
     """Discrete boundary on a rectangle: cells with an axis neighbor in the
     other phase (both sides of the seam)."""
-    grid = mask.unrolled((rect[0] - 1, rect[1] + 1, rect[2] - 1, rect[3] + 1))
+    ip0, ip1, it0, it1 = rect
+    grid = mask.domain.unroll(mask.inside, mask.far_below, mask.far_above,
+                              (ip0 - 1, ip1 + 1, it0 - 1, it1 + 1))
     core = grid[1:-1, 1:-1]
     differs = np.zeros_like(core)
     for ax, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
@@ -180,16 +149,9 @@ def _subcubes(mask: SetMask, cube, k: int) -> tuple:
     if r / k < d.h:
         raise GeometryError(
             f"subcube side {r / k} must be at least one cell h={d.h}")
-    h = d.h
-    it0 = int(math.floor((corner[1] - d.t_lo) / h))
-    it1 = int(math.ceil((corner[1] + r - d.t_lo) / h))
-    ip0 = int(math.floor(corner[0] / h))
-    ip1 = int(math.ceil((corner[0] + r) / h))
-    if d.dim == 1:
-        ip0, ip1 = 0, 1
-    rect = (ip0, ip1, it0, it1)
-    grid = mask.unrolled(rect)
-    P, T = _rect_grids(d, rect)
+    rect = d.cover((corner[0], corner[0] + r, corner[1], corner[1] + r))
+    grid = d.unroll(mask.inside, mask.far_below, mask.far_above, rect)
+    P, T = d.rect_centers(rect)
     inx = (P >= corner[0]) & (P < corner[0] + r) if d.dim == 2 else np.ones_like(P, bool)
     incube = inx & (T >= corner[1]) & (T < corner[1] + r)
     sub_p = np.clip(((P - corner[0]) / (r / k)).astype(int), 0, k - 1)
@@ -254,14 +216,14 @@ def boundary_cube_family(mask: SetMask, cube, k: int) -> list:
 def clean_ball_search(field: Field, theta: float, center, R: float) -> dict:
     """Largest phase-pure inscribed balls inside B_R for both phases."""
     d = field.domain
-    rect = _rect_cover(d, center, R)
-    P, T = _rect_grids(d, rect)
+    rect = d.cover(BallWindow(center, R).bounds(), 1)
+    P, T = d.rect_centers(rect)
     dist_to_edge = R - np.hypot(P - center[0], T - center[1])
     inball = dist_to_edge > 0.0
     out = {}
     for tag, mode in (("plus", "above"), ("minus", "below")):
         mask = level_mask(field, theta if tag == "plus" else -theta, mode)
-        grid = mask.unrolled(rect)
+        grid = d.unroll(mask.inside, mask.far_below, mask.far_above, rect)
         if not np.any(grid & inball):
             out[tag] = {"radius": 0.0, "center": None}
             continue

@@ -13,7 +13,8 @@ Cells are axis-aligned squares of side h in the frame.  The fundamental
 domain covers one period L = |z| across the strip and the interval
 [-B, M+B] along it; every other point of the plane is either a periodic
 image of a fundamental cell (shift by a multiple of L in p) or lies in one
-of the two far-field half-planes.
+of the two far-field half-planes; `StripDomain.unroll` applies that rule to
+any rectangle of cells.
 
 Dimension one is supported as the degenerate case with a single column and
 a trivial equivalence relation.
@@ -26,12 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FAR_PLUS = "farfield_plus"    # t < -B, state +1
-FAR_MINUS = "farfield_minus"  # t > M+B, state -1
-
-
 class GeometryError(ValueError):
     pass
+
+
+def whole_number(value, what: str, error=None) -> int:
+    """``value`` as an int; a string or a number that is not whole raises
+    ``error`` (default `GeometryError`) naming ``what``."""
+    if isinstance(value, (str, bytes)) or not float(value).is_integer():
+        raise (error or GeometryError)(
+            f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _gcd_all(values) -> int:
@@ -49,7 +55,7 @@ class Direction:
     tau: float = 1.0
 
     def __post_init__(self):
-        p = tuple(int(v) for v in self.p)
+        p = tuple(whole_number(v, "direction component") for v in self.p)
         if all(v == 0 for v in p):
             raise GeometryError("direction must be nonzero")
         if _gcd_all(p) != 1:
@@ -150,15 +156,49 @@ class StripDomain:
     def t_hi(self) -> float:
         return self.M + self.buffer
 
-    def p_centers(self) -> np.ndarray:
-        return (np.arange(self.n_p) + 0.5) * self.h
-
     def t_centers(self) -> np.ndarray:
-        return self.t_lo + (np.arange(self.n_t) + 0.5) * self.h
+        return self.rect_centers((0, 1, 0, self.n_t))[1][0]
 
     def frame_centers(self) -> tuple:
         """Meshgrid (P, T) of cell-center frame coordinates, shape (n_p, n_t)."""
-        return np.meshgrid(self.p_centers(), self.t_centers(), indexing="ij")
+        return self.rect_centers((0, self.n_p, 0, self.n_t))
+
+    # -- the cell grid beyond the fundamental domain ---------------------------
+    # An absolute cell index (ip, it) names a cell of the plane: ip wraps
+    # with the period and rows it < 0 or it >= n_t lie in the far
+    # half-planes.  A rectangle (ip0, ip1, it0, it1) is half-open.
+
+    def cover(self, bounds, pad: int = 0) -> tuple:
+        """Cell-index rectangle of the cells meeting the frame box
+        (p_lo, p_hi, t_lo, t_hi), grown by ``pad`` cells on every side; the
+        single column in 1D."""
+        p_lo, p_hi, t_lo, t_hi = bounds
+        h = self.h
+        it0 = math.floor((t_lo - self.t_lo) / h) - pad
+        it1 = math.ceil((t_hi - self.t_lo) / h) + pad
+        if self.dim == 1:
+            return 0, 1, it0, it1
+        return math.floor(p_lo / h) - pad, math.ceil(p_hi / h) + pad, it0, it1
+
+    def rect_centers(self, rect) -> tuple:
+        """Meshgrid (P, T) of the frame centers of a cell-index rectangle."""
+        ip0, ip1, it0, it1 = rect
+        p = (np.arange(ip0, ip1) + 0.5) * self.h
+        t = self.t_lo + (np.arange(it0, it1) + 0.5) * self.h
+        return np.meshgrid(p, t, indexing="ij")
+
+    def unroll(self, values, far_below, far_above, rect) -> np.ndarray:
+        """Slab ``values`` (float or bool) over a cell-index rectangle:
+        columns wrap with the period, rows past the slab take the far
+        values."""
+        ip0, ip1, it0, it1 = rect
+        its = np.arange(it0, it1)
+        cols = np.mod(np.arange(ip0, ip1), self.n_p)
+        inside = (its >= 0) & (its < self.n_t)
+        out = np.empty((cols.size, its.size), dtype=values.dtype)
+        out[:, ~inside] = np.where(its[~inside] < 0, far_below, far_above)
+        out[:, inside] = values[np.ix_(cols, its[inside])]
+        return out
 
     def world_centers(self) -> np.ndarray:
         """Cell centers in world coordinates, shape (n_p, n_t, dim)."""
@@ -175,14 +215,6 @@ class StripDomain:
             return np.asarray(t, dtype=float)[..., None] * F[0, 0]
         return (np.asarray(p, dtype=float)[..., None] * F[:, 0]
                 + np.asarray(t, dtype=float)[..., None] * F[:, 1])
-
-    def frame_of_world(self, x) -> tuple:
-        x = np.asarray(x, dtype=float)
-        F = self.direction.frame()
-        if self.dim == 1:
-            t = x[..., 0] * F[0, 0]
-            return np.zeros_like(t), t
-        return x @ F[:, 0], x @ F[:, 1]
 
     def lattice_shift_cells(self, k) -> tuple:
         """Frame shift, in whole cells, induced by the lattice vector tau*k.
@@ -261,15 +293,6 @@ class Field:
         return Field(self.domain, self.values.copy(),
                      self.far_below, self.far_above)
 
-    def extended_rows(self, pad: int) -> np.ndarray:
-        """Values with ``pad`` far-field rows appended on both t-sides."""
-        d = self.domain
-        out = np.empty((d.n_p, d.n_t + 2 * pad))
-        out[:, :pad] = self.far_below
-        out[:, pad:pad + d.n_t] = self.values
-        out[:, pad + d.n_t:] = self.far_above
-        return out
-
     def dump_csv(self, path) -> None:
         d = self.domain
         xy = self.domain.world_centers().reshape(-1, d.dim)
@@ -285,32 +308,6 @@ class Field:
                     f.write(f"{row[0]:.17g},{row[1]:.17g},{val:.17g}\n")
 
 
-def canonical_rep(domain: StripDomain, x):
-    """Fundamental cell index of a world point, or a far-field tag."""
-    p, t = domain.frame_of_world(x)
-    p = float(p)
-    t = float(t)
-    if t < domain.t_lo:
-        return FAR_PLUS
-    if t >= domain.t_hi:
-        return FAR_MINUS
-    it = int(np.floor((t - domain.t_lo) / domain.h))
-    it = min(it, domain.n_t - 1)
-    ip = int(np.floor(p / domain.h)) % domain.n_p
-    return (ip, it)
-
-
-def equivalent(domain: StripDomain, x, y, tol: float = 1e-9) -> bool:
-    """Whether x ~ y: x - y in tau*Z^n and orthogonal to omega."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    k = (x - y) / domain.tau
-    ki = np.round(k)
-    if np.any(np.abs(k - ki) > tol):
-        return False
-    return abs(float(np.dot(domain.direction.omega, ki * domain.tau))) <= tol
-
-
 def birkhoff_shift(field: Field, k) -> Field:
     """Field x -> u(x - tau*k) re-expressed on the fundamental domain."""
     d = field.domain
@@ -319,49 +316,6 @@ def birkhoff_shift(field: Field, k) -> Field:
         raise GeometryError("k must be an integer lattice vector")
     dp, dt = d.lattice_shift_cells(k)
     # u_new[ip, it] = u_old[ip - dp (mod n_p), it - dt], far values outside
-    vals = np.roll(field.values, dp, axis=0)
-    out = np.empty_like(vals)
-    if dt == 0:
-        out[:] = vals
-    elif dt > 0:
-        out[:, dt:] = vals[:, :-dt] if dt < d.n_t else field.far_below
-        out[:, :min(dt, d.n_t)] = field.far_below
-    else:
-        m = -dt
-        out[:, :-m] = vals[:, m:] if m < d.n_t else field.far_above
-        out[:, max(d.n_t - m, 0):] = field.far_above
+    out = d.unroll(field.values, field.far_below, field.far_above,
+                   (-dp, d.n_p - dp, -dt, d.n_t - dt))
     return Field(d, out, field.far_below, field.far_above)
-
-
-def image_enumeration(domain: StripDomain, index: tuple, r_cut: float) -> list:
-    """Periodic images and far-field patches within r_cut of cell ``index``.
-
-    Returns records (target, displacement) where displacement is the exact
-    frame-coordinate offset from the center of ``index`` and target is
-    ("cell", (jp, jt), m) for the periodic image of a fundamental cell under
-    m generator shifts or ("far", tag) for a far-field patch cell.
-    """
-    if r_cut <= 0:
-        raise GeometryError("r_cut must be positive")
-    d = domain
-    ip, it = index
-    K = int(np.floor(r_cut / d.h + 1e-12))
-    out = []
-    dps = range(-K, K + 1) if d.dim == 2 else (0,)
-    for dpc in dps:
-        for dtc in range(-K, K + 1):
-            if dpc == 0 and dtc == 0:
-                continue
-            disp = (dpc * d.h, dtc * d.h)
-            if math.hypot(*disp) > r_cut + 1e-12:
-                continue
-            jt = it + dtc
-            if jt < 0:
-                out.append((("far", FAR_PLUS), disp))
-            elif jt >= d.n_t:
-                out.append((("far", FAR_MINUS), disp))
-            else:
-                jp_raw = ip + dpc
-                m = jp_raw // d.n_p
-                out.append((("cell", (jp_raw % d.n_p, jt), m), disp))
-    return out

@@ -7,10 +7,12 @@ box bounds, so the deterministic surrogate for the minimal minimizer is
 scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995)
 started from the pointwise-smallest admissible state and driven by the
 fused value-and-gradient oracle `WeightTable.objective`.  Its quality is
-certified a posteriori by the Birkhoff monotonicity of level sets, by
+certified a posteriori by the Birkhoff monotonicity of level sets and by
 frozen-boundary ball re-solves (local minimality in the plane, not just per
-period), by multi-start agreement and by the period-doubling consistency
-check.
+period); the ``planelike`` pipeline reports both, with the upper distance.
+The period-doubling consistency check `doubling_check` is a library check
+that no pipeline runs, as is multi-start agreement (a second solve from
+another seed field).
 """
 
 from __future__ import annotations
@@ -245,8 +247,7 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     """
     d = weights.domain
     ball = BallWindow(tuple(center), float(radius))
-    rect = weights._rect_for(ball)
-    V, G, P, T = weights.materialize(field, rect)
+    rect, V, G, P, T = weights.window_cells(field, ball)
     inball = ball.contains(P, T)
     idx = np.nonzero(inball)
     nb = idx[0].size
@@ -258,8 +259,9 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
                                   gi[:, None], gi[None, :])
 
     # frozen couplings from the full-field interaction sums (periodic classes)
-    conv_tot = weights.interaction_sum(field.extended_rows(weights.k_cells),
-                                       field.far_below, field.far_above)
+    fb, fa = field.far_below, field.far_above
+    conv_tot = weights.interaction_sum(
+        d.unroll(field.values, fb, fa, weights.slab_rect), fb, fa)
     rs = weights.row_sums()
     cell_cols = np.mod(idx[0] + rect[0], d.n_p)
     cell_rows = idx[1] + rect[2]

@@ -53,12 +53,10 @@ def _require_subcritical(weights: WeightTable):
 def per_K(weights: WeightTable, mask: SetMask, window) -> PerimeterResult:
     """Three-part K-perimeter of a mask inside a window."""
     _require_subcritical(weights)
-    d = weights.domain
     if isinstance(window, PeriodWindow):
         return _per_K_period(weights, mask)
-    rect = weights._rect_for(window)
-    chiE = mask.unrolled(rect)
-    _, G, P, T = weights.materialize(mask.indicator_field(), rect)
+    rect, V, G, P, T = weights.window_cells(mask.indicator_field(), window)
+    chiE = V > 0.0
     chiW = window.contains(P, T)
     X1 = (chiE & chiW).astype(float)
     Y1 = (chiW & ~chiE).astype(float)
@@ -192,15 +190,15 @@ def minimal_surface_extract(sweep: dict, m0_ref: float | None = None,
         periodic = bool(dt == 0 and np.array_equal(shifted, mask.inside))
 
     from .geometry import ball_count, boundary_cells
-    rect = (0, d.n_p, 0, d.n_t)
-    bnd = boundary_cells(mask, rect)
+    bnd = boundary_cells(mask, (0, d.n_p, 0, d.n_t))
+    P, T = d.frame_centers()
     density_rows = []
     dens_ok = True
     if density_radii is None:
         density_radii = [3.0 * d.tau, 5.0 * d.tau]
     cells = list(zip(*np.nonzero(bnd)))
     for (ip, it) in cells[:: max(1, len(cells) // 8)]:
-        center = ((ip + 0.5) * d.h, d.t_lo + (it + 0.5) * d.h)
+        center = (P[ip, it], T[ip, it])
         for R in density_radii:
             vol = R ** d.dim
             in_d = ball_count(mask, center, R) * d.cell_volume / vol
@@ -235,8 +233,9 @@ def flip_gains(weights: WeightTable, mask: SetMask) -> tuple:
     ind = mask.indicator_field()
     m = ind.values
     g = weights._g_slab
-    single = m * weights.interaction_sum(ind.extended_rows(weights.k_cells),
-                                         ind.far_below, ind.far_above)
+    U = weights.domain.unroll(m, ind.far_below, ind.far_above,
+                              weights.slab_rect)
+    single = m * weights.interaction_sum(U, ind.far_below, ind.far_above)
     pair_t = (single[:, :-1] + single[:, 1:] - 2.0 * m[:, :-1] * m[:, 1:]
               * weights.offset_weights(0, 1, g[:, :-1], g[:, 1:]))
     if weights.domain.dim == 1:

@@ -81,6 +81,15 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
         assert err.value.tag == "eps<=tau"
 
+    def test_whole_number_floats_accepted(self):
+        raw = base_config(geometry={"cells_per_tau": 6.0, "direction": [0.0, 1]},
+                          solver={"max_iters": 8000.0},
+                          experiment={"trials": 2.0}, seed=7.0)
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.seed == 7 and isinstance(cfg.seed, int)
+        assert cfg.solve_options().max_iters == 8000
+        assert cfg.domain().n_p == 6 and cfg.domain().direction.p == (0, 1)
+
     def test_domain_snaps_to_grid(self):
         cfg = ExperimentConfig.from_dict(base_config())
         dom = cfg.domain()
@@ -182,11 +191,18 @@ class TestPipelines:
             ("planelike", "geometry", {"h": 0.3}),  # does not divide the period
             ("barrier", "kernel", {"family": "modulated"}),
             ("scaling", "experiment", {"radii": [2.0, 3.0, 4.0]}),
+            # counts and lattice components must be whole numbers
+            ("planelike", "geometry", {"direction": [1.5, 1]}),
+            ("planelike", "geometry", {"cells_per_tau": 6.7}),
+            ("validate", "geometry", {"cells_per_tau": "6"}),
+            ("planelike", "solver", {"max_iters": 12.9}),
+            ("planelike", "experiment", {"trials": 2.9}),
+            ("validate", "seed", 7.9),
         ])])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
                                                   command, section, values):
         raw = base_config(**{section: values})
-        if "h" in values:
+        if isinstance(values, dict) and "h" in values:
             del raw["geometry"]["cells_per_tau"]
         path = write_config(tmp_path, raw)
         assert main([command, "--config", path,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from nlphase import energy
@@ -32,6 +32,24 @@ def oracle_unit_weight(s, d1, d2):
     val, _ = integrate.dblquad(f, d1 - 1, d1 + 1, d2 - 1, d2 + 1,
                                epsabs=1e-11, epsrel=1e-9)
     return val
+
+
+def strip_setup(dim, family, s, tau=1.0):
+    """A small strip in 1D or 2D at r_cut 4 tau, with the modulated
+    potential."""
+    kernel = KernelSpec(dim=dim, s=s, tau=tau, family=family)
+    direction = Direction((0, 1) if dim == 2 else (1,), tau)
+    dom = build_domain(tau, direction, M=2.0 * tau, h=0.25 * tau,
+                       buffer=tau)
+    potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True)
+    return build_weights(kernel, dom, 4.0 * tau), potential
+
+
+def random_field(dom, seed, far=None) -> Field:
+    rng = np.random.default_rng(seed)
+    if far is None:
+        far = rng.uniform(-1.0, 1.0, 2)
+    return Field(dom, rng.uniform(-1.0, 1.0, dom.shape), *far)
 
 
 def axis_setup(s=0.25, family="standard", M=4.0, h=0.25, B=2.0, tau=1.0,
@@ -345,6 +363,36 @@ class TestWindowEnergies:
         assert wt.period_value(Field(dom, -u[:, ::-1]), pot) == \
             pytest.approx(F, rel=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["standard", "modulated"]),
+           s=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1),
+           p0=st.floats(0.0, 1.0), t0=st.floats(0.0, 2.0),
+           radius=st.floats(0.3, 1.5))
+    def test_sign_flip_symmetric(self, family, s, seed, p0, t0, radius):
+        # u -> -u with both far values negated: the kinetic form sees only
+        # differences and the double well is even
+        wt, pot = strip_setup(2, family, s)
+        fld = random_field(wt.domain, seed)
+        neg = Field(wt.domain, -fld.values, -fld.far_below, -fld.far_above)
+        for window in (PERIOD, BallWindow((p0, t0), radius)):
+            a = wt.window_report(fld, window, pot).as_dict()
+            b = wt.window_report(neg, window, pot).as_dict()
+            for key in ("kinetic_in", "kinetic_cross", "potential", "total",
+                        "tail_estimate"):
+                assert b[key] == pytest.approx(a[key], rel=1e-12), key
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["standard", "modulated"]),
+           s=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 32 - 1),
+           p0=st.floats(0.0, 1.0), t0=st.floats(-1.0, 3.0),
+           radius=st.floats(0.3, 1.5))
+    def test_kinetic_parts_nonnegative(self, family, s, seed, p0, t0, radius):
+        wt, _ = strip_setup(2, family, s)
+        fld = random_field(wt.domain, seed)
+        for window in (PERIOD, BallWindow((p0, t0), radius)):
+            rep = wt.window_report(fld, window)
+            assert rep.kinetic_in >= 0.0 and rep.kinetic_cross >= 0.0
+
     def test_period_two_paths_agree(self):
         _, dom, wt = axis_setup(family="modulated", M=4.0, h=0.25, B=2.0,
                                 r_cut=2.0)
@@ -589,6 +637,38 @@ class TestRescale:
         fld = Field.full(dom, 0.0)
         with pytest.raises(ValueError):
             rescale_field(fld, 1.5)
+
+    def test_far_values_kept(self):
+        _, dom, _ = axis_setup()
+        out = rescale_field(Field.full(dom, 0.3, matching_far=True), 0.5)
+        assert (out.far_below, out.far_above) == (0.3, 0.3)
+
+    # The scaled cutoff 4 eps stays >= 1: below 1 the far limit of the
+    # half-plane tail quadrature is floored at 1.0 rather than scaled, which
+    # moves kinetic_cross by ~1e-10 (and is the more accurate choice).
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    @settings(max_examples=10, deadline=None)
+    @given(s=st.floats(0.05, 0.95), eps=st.floats(0.25, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1),
+           far=st.one_of(st.just((1.0, -1.0)),
+                         st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+    @example(s=0.3, eps=0.5, seed=0, far=(1.0, -1.0))
+    @example(s=0.7, eps=0.25, seed=1, far=(0.3, 0.3))
+    def test_period_report_scales(self, dim, family, s, eps, seed, far):
+        # F_eps(u(./eps)) = eps^(n - 2s) F(u) part by part, on the table and
+        # potential built at tau = eps
+        wt, pot = strip_setup(dim, family, s)
+        fld = random_field(wt.domain, seed, far)
+        wt_eps, pot_eps = strip_setup(dim, family, s, tau=eps)
+        scaled = rescale_field(fld, eps)
+        assert scaled.domain == wt_eps.domain
+        a = wt.period_report(fld, pot).as_dict()
+        b = wt_eps.period_report(scaled, pot_eps, eps).as_dict()
+        for key in ("kinetic_in", "kinetic_cross", "potential", "total",
+                    "tail_estimate"):
+            assert b[key] == pytest.approx(eps ** (dim - 2 * s) * a[key],
+                                           rel=1e-12), key
 
 
 class TestOneDimensional:

@@ -149,9 +149,9 @@ class TestGridBoundary:
 
     def test_family_disjoint_and_centered(self):
         dom = axis_domain(M=4.0, h=0.125, B=2.0)
-        t = dom.t_centers()
-        wig = 1.9 + 0.3 * np.sin(2 * math.pi * dom.p_centers() / 1.0)
-        mask = SetMask(dom, t[None, :] < wig[:, None], True, False)
+        P, T = dom.frame_centers()
+        wig = 1.9 + 0.3 * np.sin(2 * math.pi * P / 1.0)
+        mask = SetMask(dom, T < wig, True, False)
         k = 8
         fam = boundary_cube_family(mask, ((0.0, 0.5), 2.0), k)
         count, _ = grid_boundary_count(mask, ((0.0, 0.5), 2.0), k)

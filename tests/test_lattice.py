@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nlphase.lattice import (FAR_MINUS, FAR_PLUS, Direction, Field,
-                             GeometryError, StripDomain, birkhoff_shift,
-                             build_domain, canonical_rep, equivalent,
-                             image_enumeration)
+from nlphase.lattice import (Direction, Field, GeometryError, birkhoff_shift,
+                             build_domain)
 
 
 def axis_domain(M=4.0, h=0.25, B=2.0, tau=1.0):
@@ -26,6 +25,12 @@ class TestDirection:
             Direction((2, 4), 1.0)
         with pytest.raises(GeometryError):
             Direction((0, 0), 1.0)
+
+    def test_non_whole_components_rejected(self):
+        for p in ((0.7, 1), (1.5, 1), ("0", 1)):
+            with pytest.raises(GeometryError, match="whole number"):
+                Direction(p, 1.0)
+        assert Direction((0.0, 1.0), 1.0).p == (0, 1)
 
     def test_orthogonal_generator(self):
         d = Direction((1, 2), 1.5)
@@ -65,62 +70,9 @@ class TestBuildDomain:
         dom = diag_domain()
         xy = dom.world_centers()
         P, T = dom.frame_centers()
-        p2, t2 = dom.frame_of_world(xy)
-        assert np.allclose(p2, P) and np.allclose(t2, T)
-
-
-class TestCanonicalRep:
-    def test_generator_shift_same_cell(self):
-        dom = axis_domain()
-        rng = np.random.default_rng(0)
-        z = dom.direction.generator()
-        for _ in range(200):
-            x = rng.uniform(-3, 3, 2)
-            x[1] = rng.uniform(-1.5, 5.5)
-            assert canonical_rep(dom, x) == canonical_rep(dom, x + z)
-
-    def test_farfield_tags(self):
-        dom = axis_domain(M=4.0, h=0.25, B=2.0)
-        assert canonical_rep(dom, np.array([0.3, 4.0 + 2.0 + 1.0])) == FAR_MINUS
-        assert canonical_rep(dom, np.array([0.3, -3.5])) == FAR_PLUS
-
-    def test_idempotent(self):
-        dom = diag_domain()
-        rng = np.random.default_rng(1)
-        centers = dom.world_centers()
-        for _ in range(100):
-            x = rng.uniform(-2, 2, 2)
-            rep = canonical_rep(dom, x)
-            if isinstance(rep, str):
-                continue
-            assert canonical_rep(dom, centers[rep]) == rep
-
-    def test_non_orthogonal_shift_moves(self):
-        dom = axis_domain()
-        x = np.array([0.3, 1.3])
-        # tau*e2 is parallel to omega here: moves the cell along the strip
-        assert canonical_rep(dom, x) != canonical_rep(dom, x + [0.0, 1.0])
-
-
-class TestEquivalent:
-    def test_reflexive_and_generator(self):
-        dom = diag_domain()
-        x = np.array([0.37, -0.21])
-        z = dom.direction.generator()
-        assert equivalent(dom, x, x)
-        assert equivalent(dom, x, x + z)
-        assert equivalent(dom, x, x - 3 * z)
-
-    def test_parallel_shift_not_equivalent(self):
-        dom = build_domain(1.0, Direction((1, 0), 1.0), M=2.0, h=0.25,
-                           buffer=1.0)
-        x = np.array([0.2, 0.4])
-        assert not equivalent(dom, x, x + np.array([1.0, 0.0]))
-
-    def test_non_lattice_not_equivalent(self):
-        dom = axis_domain()
-        x = np.zeros(2)
-        assert not equivalent(dom, x, x + np.array([0.5, 0.0]))
+        F = dom.direction.frame()
+        assert np.allclose(xy @ F[:, 0], P) and np.allclose(xy @ F[:, 1], T)
+        assert np.array_equal(dom.world_of_frame(P, T), xy)
 
 
 class TestBirkhoffShift:
@@ -180,43 +132,67 @@ class TestBirkhoffShift:
             birkhoff_shift(f, (1, 0))
 
 
-class TestImageEnumeration:
-    def test_small_cut_matches_direct_scan(self):
-        dom = axis_domain(M=2.0, h=0.5, B=1.0)
-        recs = image_enumeration(dom, (1, 3), 0.5)
-        # offsets with |d| <= 0.5 at h=0.5: the four axis neighbors
-        assert len(recs) == 4
+def grid_domain(dim):
+    """4 x 12 cells of side 1/4 in 2D, the single column in 1D."""
+    if dim == 1:
+        return build_domain(1.0, Direction((1,), 1.0), M=2.0, h=0.25,
+                            buffer=0.5)
+    return axis_domain(M=2.0, h=0.25, B=0.5)
 
-    def test_volume_growth(self):
-        dom = axis_domain(M=4.0, h=0.25, B=2.0)
-        n2 = len(image_enumeration(dom, (2, 16), 2.0))
-        n4 = len(image_enumeration(dom, (2, 16), 4.0))
-        assert abs(n4 / n2 - 4.0) < 1.0  # ~2^n within 25%
 
-    def test_displacement_bound(self):
-        dom = axis_domain()
-        r = 1.3
-        for target, disp in image_enumeration(dom, (0, 8), r):
-            assert math.hypot(*disp) <= r + dom.h * math.sqrt(2) + 1e-12
+class TestCellGrid:
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), boolean=st.booleans(),
+           ip0=st.integers(-9, 5), width=st.integers(1, 14),
+           it0=st.integers(-6, 14), height=st.integers(1, 24),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(dim=2, boolean=False, ip0=-5, width=14, it0=-4, height=20, seed=0)
+    @example(dim=2, boolean=True, ip0=-5, width=14, it0=-4, height=20, seed=0)
+    @example(dim=1, boolean=False, ip0=0, width=1, it0=-4, height=20, seed=0)
+    def test_unroll_matches_cell_loop(self, dim, boolean, ip0, width, it0,
+                                      height, seed):
+        # rectangles may reach past both far sides and span several periods
+        dom = grid_domain(dim)
+        rng = np.random.default_rng(seed)
+        if boolean:
+            values = rng.random(dom.shape) < 0.5
+            fb, fa = (bool(v) for v in rng.random(2) < 0.5)
+        else:
+            values = rng.uniform(-1.0, 1.0, dom.shape)
+            fb, fa = (float(v) for v in rng.uniform(-1.0, 1.0, 2))
+        ip1, it1 = ip0 + width, it0 + height
+        want = np.array([[fb if it < 0 else fa if it >= dom.n_t
+                          else values[ip % dom.n_p, it]
+                          for it in range(it0, it1)]
+                         for ip in range(ip0, ip1)])
+        got = dom.unroll(values, fb, fa, (ip0, ip1, it0, it1))
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, want)
 
-    def test_symmetry(self):
-        dom = axis_domain(M=2.0, h=0.5, B=1.0)
-        r = 1.2
-        table = {}
-        for ip in range(dom.n_p):
-            for it in range(dom.n_t):
-                for target, disp in image_enumeration(dom, (ip, it), r):
-                    if target[0] == "cell":
-                        table[((ip, it), target[1], target[2], disp)] = True
-        for ((i, j, m, disp)) in list(table):
-            back = (j, i, -m, (-disp[0], -disp[1]))
-            assert back in table
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), p_lo=st.integers(-40, 40),
+           t_lo=st.integers(-40, 80), width=st.integers(1, 40),
+           height=st.integers(1, 40), pad=st.integers(0, 3))
+    def test_cover_matches_cell_loop(self, dim, p_lo, t_lo, width, height,
+                                     pad):
+        # box edges on an h/8 grid, so every comparison below is exact
+        dom = grid_domain(dim)
+        h, e = dom.h, dom.h / 8
+        p0, t0 = p_lo * e, dom.t_lo + t_lo * e
+        p1, t1 = p0 + width * e, t0 + height * e
+        ips = [ip for ip in range(-40, 40) if ip * h < p1 and (ip + 1) * h > p0]
+        its = [it for it in range(-40, 60)
+               if dom.t_lo + it * h < t1 and dom.t_lo + (it + 1) * h > t0]
+        cols = (min(ips) - pad, max(ips) + 1 + pad) if dim == 2 else (0, 1)
+        want = (*cols, min(its) - pad, max(its) + 1 + pad)
+        assert dom.cover((p0, p1, t0, t1), pad) == want
 
-    def test_farfield_patches_present(self):
-        dom = axis_domain(M=2.0, h=0.5, B=0.5)
-        recs = image_enumeration(dom, (0, 0), 1.1)
-        tags = {t[1] for t, _ in recs if t[0] == "far"}
-        assert FAR_PLUS in tags
+    def test_rect_centers_of_fundamental_rect(self):
+        dom = diag_domain()
+        P, T = dom.rect_centers((0, dom.n_p, 0, dom.n_t))
+        P2, T2 = dom.rect_centers((dom.n_p, 2 * dom.n_p, -1, dom.n_t - 1))
+        assert np.array_equal(T[0], dom.t_centers())
+        assert np.allclose(P2, P + dom.L) and np.allclose(T2, T - dom.h)
 
 
 class TestField:
@@ -238,5 +214,6 @@ class TestField:
     def test_extended_rows(self):
         dom = axis_domain(M=1.0, h=0.5, B=0.5)
         f = Field.full(dom, 0.0)
-        ext = f.extended_rows(2)
+        ext = dom.unroll(f.values, f.far_below, f.far_above,
+                         (0, dom.n_p, -2, dom.n_t + 2))
         assert np.all(ext[:, :2] == 1.0) and np.all(ext[:, -2:] == -1.0)
