@@ -44,7 +44,7 @@ from . import geometry as geom
 from . import minimize as min_mod
 from . import perimeter as per_mod
 from .energy import ConfigurationError
-from .lattice import Direction, StripDomain, whole_number
+from .lattice import Direction, StripDomain, whole_number, write_csv
 from .model import KernelSpec, PotentialSpec, validate_hypotheses
 
 
@@ -134,6 +134,10 @@ class ExperimentConfig:
             value = getattr(self, section).get(key)
             if value is not None:
                 whole_number(value, f"{section}.{key}", ConfigurationError)
+        # the gcd is checked where a pipeline builds a domain
+        for p in [self.direction, *(self.experiment.get("directions") or [])]:
+            for v in p:
+                whole_number(v, "direction component", ConfigurationError)
         kind = self.experiment.get("kind")
         tau = self.tau
         if kind in ("gamma", "perimeter") and \
@@ -261,14 +265,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(
-                v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
-
-
 def _verdict(tag: str, value, passed: bool, note: str = "") -> dict:
     return {"tag": tag, "value": value, "passed": bool(passed), "note": note}
 
@@ -344,8 +340,8 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
         row.pop("field").dump_csv(out / f"field_{name}.csv")
         trace = row.pop("trace")
         if trace is not None:
-            _write_csv(out / f"trace_{name}.csv", "iter,F,grad_norm,step",
-                       trace)
+            write_csv(out / f"trace_{name}.csv", "iter,F,grad_norm,step",
+                      trace)
         inside = row["band"][0] >= 0.0 and row["band"][1] <= row["M"]
         verdicts += [
             _verdict("tauPLcond", row["width"], inside,
@@ -388,14 +384,14 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
                                     potential, eps)
         rows.append((R, rep.total, rep.kinetic_in, rep.kinetic_cross,
                      rep.potential, rep.tail_estimate, "enest"))
-    _write_csv(out / "scaling.csv",
-               "R,total,kinetic_in,kinetic_cross,potential,tail,tag", rows)
+    write_csv(out / "scaling.csv",
+              "R,total,kinetic_in,kinetic_cross,potential,tail,tag", rows)
     plus = geom.level_mask(result.field, 0.5, "above")
-    _write_csv(out / "density_profile.csv", "R,value,tag",
-               geom.density_profile(plus, center, radii, xi=kernel.xi))
-    _write_csv(out / "interface_profile.csv", "R,value,tag",
-               geom.interface_profile(result.field, 0.9, center, radii,
-                                      xi=kernel.xi))
+    write_csv(out / "density_profile.csv", "R,value,tag",
+              geom.density_profile(plus, center, radii, xi=kernel.xi))
+    write_csv(out / "interface_profile.csv", "R,value,tag",
+              geom.interface_profile(result.field, 0.9, center, radii,
+                                     xi=kernel.xi))
 
     fitted = None
     if s == 0.5:
@@ -424,8 +420,8 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
     bar = barrier_mod.build_barrier(kernel, R, delta)
     ver = barrier_mod.verify_barrier(kernel, bar, n_samples=200, seed=cfg.seed)
     rho = np.linspace(0.0, 1.2 * R, 512)
-    _write_csv(out / "barrier_profile.csv", "radius,w,grad_w",
-               zip(rho, bar.w_radial(rho), bar.grad_w_radial(rho)))
+    write_csv(out / "barrier_profile.csv", "radius,w,grad_w",
+              zip(rho, bar.w_radial(rho), bar.grad_w_radial(rho)))
 
     verdicts = [
         _verdict("LKwbar", ver["worst_LKw_ratio"],
@@ -474,10 +470,10 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
     sweep = per_mod.gamma_sweep(weights, cfg.potential_spec(tau),
                                 cfg.constraints(), eps_list,
                                 options=cfg.solve_options())
-    _write_csv(out / "gamma_sweep.csv",
-               "eps,E_eps,G_threshold,sym_diff,converged",
-               [(r["eps"], r["E_eps"], r["G_threshold"], r["sym_diff"],
-                 int(r["converged"])) for r in sweep["records"]])
+    write_csv(out / "gamma_sweep.csv",
+              "eps,E_eps,G_threshold,sym_diff,converged",
+              [(r["eps"], r["E_eps"], r["G_threshold"], r["sym_diff"],
+                int(r["converged"])) for r in sweep["records"]])
     m0_ref = geom.interface_width(sweep["records"][0]["field"],
                                   cfg.constraints().theta) / tau
     extract = per_mod.minimal_surface_extract(

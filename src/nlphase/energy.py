@@ -30,14 +30,18 @@ primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
 
 * `offset_weights` -- pair weights for arrays of offsets and modulation
   values (entry queries, ball blocks, two-cell flips);
-* `interaction_sum` -- sum_j w_ij u_j over the periodic slab plus tails
-  times far values (per-period energy, gradient, L_K, flip gains, frozen
-  ball couplings, row sums and far-plane weights);
+* `interaction_sum` -- sum_j w_ij u_j over every world cell, from the
+  slab values and the two far values: the periodic slab sum plus the far
+  values times `far_weights` (per-period energy, gradient, L_K, flip
+  gains, frozen ball couplings, row sums);
 * `rect_form` -- the bilinear form B(X, Y) = sum_ij w_ij X_i Y_j on a
   materialized rectangle (window energies, windowed K-perimeters).
 
 Both sums evaluate through FFTs, so the cutoff radius can be taken
-comparable to the simulated region at negligible cost.
+comparable to the simulated region at negligible cost.  The far weights
+(Fb, Fa) and the row sums are attributes built once with the table; the
+per-period value, its parts, its gradient, L_K and the solver oracle share
+one kinetic pass (`WeightTable._kinetic`).
 """
 
 from __future__ import annotations
@@ -312,7 +316,15 @@ def check_r_cut(r_cut: float, domain: StripDomain) -> None:
 
 
 class WeightTable:
-    """Stencil-backed pair weights bound to a kernel and a strip domain."""
+    """Stencil-backed pair weights bound to a kernel and a strip domain.
+
+    The per-period data are built once: the stencil spectrum on the period
+    grid (p circular; t linear on n_t + 2K points, alias-free for the slab
+    with K far rows on each side), the tail weights of the slab rows,
+    ``far_weights`` = (Fb, Fa), the per-cell total weight to the far
+    half-plane below and above the slab (far rows within the cutoff plus
+    tails), and ``row_sums``, the per-cell total weight.
+    """
 
     def __init__(self, kernel, domain: StripDomain, r_cut: float):
         check_r_cut(r_cut, domain)
@@ -322,19 +334,27 @@ class WeightTable:
         self.domain = domain
         self.r_cut = float(r_cut)
         n, s, h = domain.dim, kernel.s, domain.h
-        self.k_cells = int(math.floor(self.r_cut / h + 1e-12))
+        K = self.k_cells = int(math.floor(self.r_cut / h + 1e-12))
         self.stencil = (h ** (n - 2.0 * s)) * _unit_stencil(
-            n, s, self.k_cells, self.r_cut / h)
-        K = self.k_cells
-        # the slab with k_cells far rows on each side: the cells that
-        # `interaction_sum` reads
-        self.slab_rect = (0, domain.n_p, -K, domain.n_t + K)
-        self._g_ext = self._g_rect(self.slab_rect)
-        self._g_slab = self._g_ext[:, K:K + domain.n_t]
+            n, s, K, self.r_cut / h)
         # tail weights of the contiguous row range [lo, lo + size), grown
         # on demand: (lo, T_plus, T_minus)
         self._tails = (0, np.empty(0), np.empty(0))
-        self._period_cache: dict | None = None
+        self._fft_size = (domain.n_p, sfft.next_fast_len(domain.n_t + 2 * K))
+        self._spectrum = np.conj(sfft.rfftn(self._embed(self._fft_size)))
+        ext = (0, domain.n_p, -K, domain.n_t + K)
+        g_ext = self._g_rect(ext)
+        self._g_slab = g_ext[:, K:K + domain.n_t]
+        zero = np.zeros(domain.shape)
+        far_rows = np.stack([domain.unroll(zero, 1.0, 0.0, ext),
+                             domain.unroll(zero, 0.0, 1.0, ext)])
+        near_b, near_a = self._weighted_sum(far_rows, g_ext)[
+            ..., K:K + domain.n_t]
+        self._slab_tails = tp, tm = self._tails_for(np.arange(domain.n_t))
+        self.far_weights = (near_b + tp, near_a + tm)
+        # the interaction sum of the constant state 1, so that
+        # row_sums * u - interaction_sum(u, u, u) vanishes bitwise at u = +-1
+        self.row_sums = self.interaction_sum(np.ones(domain.shape), 1.0, 1.0)
 
     # -- tails -----------------------------------------------------------
 
@@ -397,21 +417,6 @@ class WeightTable:
             raise ConfigurationError("offset beyond r_cut")
         return w
 
-    def pair_weight(self, i: tuple, j: tuple, m: int = 0) -> float:
-        """Weight between fundamental cell i and the m-th image of cell j."""
-        dpc = (j[0] + m * self.domain.n_p) - i[0]
-        dtc = j[1] - i[1]
-        return self.offset_weight(i, dpc, dtc)
-
-    def row_sums(self) -> np.ndarray:
-        """Per-cell total interaction weight, tails included."""
-        return self._period_data()["rs"]
-
-    def far_weights(self) -> tuple:
-        """Per-cell total weight to the far half-plane below the slab and to
-        the one above it: the far rows within the cutoff plus the tails."""
-        return self._period_data()["far"]
-
     # -- heterogeneity ------------------------------------------------------
 
     def _g_rect(self, rect) -> np.ndarray:
@@ -438,74 +443,57 @@ class WeightTable:
         np.add.at(A, (rows, offs[None, :] % shape[1]), self.stencil)
         return A
 
-    def _folded(self) -> dict:
-        if self._period_cache is not None:
-            return self._period_cache
-        d = self.domain
-        K = self.k_cells
-        nt_fft = sfft.next_fast_len(d.n_t + 4 * K + 1)
-        S = self._embed((d.n_p, nt_fft))
-        self._period_cache = {
-            "FS_conj": np.conj(sfft.rfftn(S, axes=(0, 1))),
-            "nt_fft": nt_fft,
-            "tails": self._tails_for(np.arange(d.n_t)),
-        }
-        return self._period_cache
+    def _weighted_sum(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """sum_j w_ij X_j for each cell i of the rows ``X`` (p periodic,
+        rows beyond them zero); ``G`` is the modulation on those rows."""
+        def corr(Y):
+            FY = sfft.rfftn(Y, s=self._fft_size, axes=(-2, -1))
+            return sfft.irfftn(FY * self._spectrum, s=self._fft_size,
+                               axes=(-2, -1))[..., :X.shape[-1]]
 
-    def _corr_periodic(self, X: np.ndarray) -> np.ndarray:
-        """sum_Delta S(Delta) X[i + Delta]; p circular, t linear."""
-        pc = self._folded()
-        FX = sfft.rfftn(X, s=(self.domain.n_p, pc["nt_fft"]), axes=(0, 1))
-        out = sfft.irfftn(FX * pc["FS_conj"],
-                          s=(self.domain.n_p, pc["nt_fft"]), axes=(0, 1))
-        return out[:, :X.shape[1]]
-
-    def _period_data(self) -> dict:
-        """Per-slab-cell row sums (rs) and weights to the two far
-        half-planes (far), tails included."""
-        pc = self._folded()
-        if "rs" in pc:
-            return pc
-        d, zero = self.domain, np.zeros(self.domain.shape)
-        below = d.unroll(zero, 1.0, 0.0, self.slab_rect)
-        above = d.unroll(zero, 0.0, 1.0, self.slab_rect)
-        pc["rs"] = self.interaction_sum(np.ones_like(below), 1.0, 1.0)
-        pc["far"] = (self.interaction_sum(below, 1.0, 0.0),
-                     self.interaction_sum(above, 0.0, 1.0))
-        return pc
-
-    def _weighted_sum(self, U: np.ndarray) -> np.ndarray:
-        """sum_j w_ij U_j over the extended rows ``U``, for each slab cell i."""
-        K = self.k_cells
-        slab = slice(K, K + self.domain.n_t)
-        conv = self._corr_periodic(U)[:, slab]
         if self.kernel.family == "standard":
-            return conv
-        conv_g = self._corr_periodic(self._g_ext * U)[:, slab]
-        return (1.0 + 0.25 * self._g_slab) * conv + 0.25 * conv_g
+            return corr(X)
+        conv, conv_g = corr(np.stack([X, G * X]))
+        return (1.0 + 0.25 * G) * conv + 0.25 * conv_g
 
-    def interaction_sum(self, U: np.ndarray, far_below: float,
+    def interaction_sum(self, u: np.ndarray, far_below: float,
                         far_above: float) -> np.ndarray:
-        """sum_j w_ij U_j over every world cell j, for each slab cell i.
+        """sum_j w_ij u_j over every world cell j, for each slab cell i.
 
-        ``U`` holds the values over ``slab_rect``, the slab with ``k_cells``
-        far rows on each side (`StripDomain.unroll`); the far half-planes
-        beyond the cutoff enter through the tail weights with the values
+        ``u`` holds the slab values; the far half-planes, within the cutoff
+        and beyond it, enter through `far_weights` with the values
         ``far_below``/``far_above``.
         """
-        tp, tm = self._folded()["tails"]
-        return self._weighted_sum(U) + tp * far_below + tm * far_above
+        Fb, Fa = self.far_weights
+        return (self._weighted_sum(u, self._g_slab)
+                + far_below * Fb + far_above * Fa)
 
     # -- per-period functional, gradient, operator ----------------------------
 
     def _pscale(self, epsilon) -> float:
         return 1.0 if epsilon is None else float(epsilon) ** (-2.0 * self.kernel.s)
 
-    def potential_sum(self, field: Field, potential, epsilon=None) -> float:
+    def _potential_weights(self, potential, epsilon) -> np.ndarray:
+        """Per-cell factor Q(x) h^n eps^(-2s) of the potential profile."""
         d = self.domain
-        x = d.world_centers()
-        return float(np.sum(potential.q(x) * potential.profile(field.values))) \
-            * d.cell_volume * self._pscale(epsilon)
+        return (potential.q(d.world_centers()) * d.cell_volume
+                * self._pscale(epsilon))
+
+    def _kinetic(self, u, far_below, far_above) -> tuple:
+        """Gradient and value of the kinetic part of the per-period
+        functional at slab values ``u``.
+
+        With S = interaction_sum(u) the gradient is 2 (row_sums u - S); the
+        form is quadratic in u with the far values fixed, so its value is
+        sum [u grad / 2 - f_b (u - f_b) Fb - f_a (u - f_a) Fa].
+        """
+        grad = 2.0 * (u * self.row_sums
+                      - self.interaction_sum(u, far_below, far_above))
+        Fb, Fa = self.far_weights
+        value = float(np.sum(0.5 * u * grad
+                             - far_below * (u - far_below) * Fb
+                             - far_above * (u - far_above) * Fa))
+        return grad, value
 
     def period_value(self, field: Field, potential, epsilon=None) -> float:
         return self.period_report(field, potential, epsilon).total
@@ -520,81 +508,48 @@ class WeightTable:
         slab and ``kinetic_cross`` the far-field pairs plus the analytic
         beyond-cutoff tail.
         """
-        d = self.domain
-        u = field.values
-        fb, fa = field.far_below, field.far_above
-        U = d.unroll(u, fb, fa, self.slab_rect)
-        pc = self._period_data()
-        # sum over slab cells i and all world cells j of w_ij (u_i - u_j)^2:
-        # twice the slab pairs plus once the far-field pairs
-        full = float(np.sum(u * u * pc["rs"]
-                            - 2.0 * u * self.interaction_sum(U, fb, fa)
-                            + self.interaction_sum(U * U, fb * fb, fa * fa)))
-        far_b, far_a = pc["far"]
-        tp, tm = pc["tails"]
-        kin_cross = float(np.sum((u - fb) ** 2 * far_b + (u - fa) ** 2 * far_a))
+        u, fb, fa = field.values, field.far_below, field.far_above
+        _, kin = self._kinetic(u, fb, fa)
+        Fb, Fa = self.far_weights
+        tp, tm = self._slab_tails
+        kin_cross = float(np.sum((u - fb) ** 2 * Fb + (u - fa) ** 2 * Fa))
         tail = float(np.sum((u - fb) ** 2 * tp + (u - fa) ** 2 * tm))
-        kin_in = 0.5 * (full - kin_cross)
-        pot = 0.0 if potential is None else self.potential_sum(field, potential,
-                                                               epsilon)
-        total = kin_in + kin_cross + pot
-        return EnergyReport(kin_in, kin_cross, pot, total,
+        pot = 0.0 if potential is None else float(np.sum(
+            self._potential_weights(potential, epsilon) * potential.profile(u)))
+        return EnergyReport(kin - kin_cross, kin_cross, pot, kin + pot,
                             None if epsilon is None else float(epsilon),
-                            self.r_cut, d.h, tail)
-
-    def _kinetic_gradient(self, u, U, far_below, far_above) -> np.ndarray:
-        """Kinetic gradient at slab values ``u``; ``U`` is u with far rows."""
-        return 2.0 * (u * self.row_sums()
-                      - self.interaction_sum(U, far_below, far_above))
+                            self.r_cut, self.domain.h, tail)
 
     def gradient(self, field: Field, potential, epsilon=None) -> np.ndarray:
         """Gradient of the per-period functional in the cell values."""
-        d = self.domain
         u = field.values
-        fb, fa = field.far_below, field.far_above
-        grad = self._kinetic_gradient(
-            u, d.unroll(u, fb, fa, self.slab_rect), fb, fa)
+        grad, _ = self._kinetic(u, field.far_below, field.far_above)
         if potential is not None:
-            x = d.world_centers()
-            grad = grad + (potential.q(x) * potential.profile_derivative(u)
-                           * d.cell_volume * self._pscale(epsilon))
+            grad = grad + (self._potential_weights(potential, epsilon)
+                           * potential.profile_derivative(u))
         return grad
 
     def objective(self, far_below: float, far_above: float, potential,
                   epsilon=None):
         """Fused oracle ``fun(x) -> (value, gradient)`` of the per-period
-        functional on the flat slab values, with the far rows fixed.
-
-        With the far rows fixed the kinetic part is a quadratic form
-        (1/2) u.Au - b.u + c, so its value follows from its gradient,
-        E_kin = (1/2) u.(grad E_kin(u) + grad E_kin(0)) + E_kin(0), and one
-        call costs one spectral correlation (two for the modulated kernel).
-        """
-        d, K = self.domain, self.k_cells
-        zero = Field(d, np.zeros(d.shape), far_below, far_above)
-        U = d.unroll(zero.values, far_below, far_above, self.slab_rect)
-        g0 = self._kinetic_gradient(zero.values, U, far_below, far_above)
-        c = self.period_report(zero).total
-        qv = (potential.q(d.world_centers()) * d.cell_volume
-              * self._pscale(epsilon))
+        functional on the flat slab values, with the far rows fixed; the
+        value is `period_report`'s total and the gradient `gradient`'s."""
+        shape = self.domain.shape
+        qv = self._potential_weights(potential, epsilon)
 
         def fun(x):
-            u = x.reshape(d.shape)
-            U[:, K:K + d.n_t] = u
-            gk = self._kinetic_gradient(u, U, far_below, far_above)
-            value = (0.5 * float(np.sum(u * (gk + g0))) + c
-                     + float(np.sum(qv * potential.profile(u))))
-            return value, (gk + qv * potential.profile_derivative(u)).ravel()
+            u = x.reshape(shape)
+            grad, kin = self._kinetic(u, far_below, far_above)
+            value = kin + float(np.sum(qv * potential.profile(u)))
+            return value, (grad + qv * potential.profile_derivative(u)).ravel()
 
         return fun
 
     def apply_lk(self, field: Field, index=None):
-        """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included)."""
-        U = self.domain.unroll(field.values, field.far_below,
-                               field.far_above, self.slab_rect)
-        lk = ((field.values * self.row_sums()
-               - self.interaction_sum(U, field.far_below, field.far_above))
-              / self.domain.cell_volume)
+        """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included),
+        half the kinetic gradient per cell volume."""
+        grad, _ = self._kinetic(field.values, field.far_below, field.far_above)
+        lk = grad / (2.0 * self.domain.cell_volume)
         if index is None:
             return lk
         return float(lk[index])

@@ -53,14 +53,7 @@ class SetMask:
                      1.0 if self.far_above else -1.0)
 
     def dump_csv(self, path) -> None:
-        d = self.domain
-        xy = d.world_centers().reshape(-1, d.dim)
-        flags = self.inside.reshape(-1).astype(int)
-        with open(path, "w") as f:
-            f.write(("x1,inside\n" if d.dim == 1 else "x1,x2,inside\n"))
-            for row, flag in zip(xy, flags):
-                coords = ",".join(f"{c:.17g}" for c in row)
-                f.write(f"{coords},{flag}\n")
+        self.domain.dump_csv(path, "inside", self.inside.astype(int))
 
 
 def level_mask(field: Field, eta: float, mode: str = "above") -> SetMask:

@@ -40,6 +40,16 @@ def whole_number(value, what: str, error=None) -> int:
     return int(value)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """``header``, then one line per row: strings as they are, numbers
+    with 17 significant digits."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(
+                v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
+
+
 def _gcd_all(values) -> int:
     g = 0
     for v in values:
@@ -216,6 +226,14 @@ class StripDomain:
         return (np.asarray(p, dtype=float)[..., None] * F[:, 0]
                 + np.asarray(t, dtype=float)[..., None] * F[:, 1])
 
+    def dump_csv(self, path, column: str, values) -> None:
+        """One CSV line per cell: its world center, then its entry of
+        ``values`` under the header ``column``."""
+        header = ",".join([f"x{k + 1}" for k in range(self.dim)] + [column])
+        xy = self.world_centers().reshape(-1, self.dim)
+        write_csv(path, header,
+                  ([*row, v] for row, v in zip(xy, np.reshape(values, -1))))
+
     def lattice_shift_cells(self, k) -> tuple:
         """Frame shift, in whole cells, induced by the lattice vector tau*k.
 
@@ -294,18 +312,7 @@ class Field:
                      self.far_below, self.far_above)
 
     def dump_csv(self, path) -> None:
-        d = self.domain
-        xy = self.domain.world_centers().reshape(-1, d.dim)
-        u = self.values.reshape(-1)
-        with open(path, "w") as f:
-            if d.dim == 1:
-                f.write("x1,u\n")
-                for row, val in zip(xy, u):
-                    f.write(f"{row[0]:.17g},{val:.17g}\n")
-            else:
-                f.write("x1,x2,u\n")
-                for row, val in zip(xy, u):
-                    f.write(f"{row[0]:.17g},{row[1]:.17g},{val:.17g}\n")
+        self.domain.dump_csv(path, "u", self.values)
 
 
 def birkhoff_shift(field: Field, k) -> Field:

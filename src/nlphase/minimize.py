@@ -260,9 +260,8 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
 
     # frozen couplings from the full-field interaction sums (periodic classes)
     fb, fa = field.far_below, field.far_above
-    conv_tot = weights.interaction_sum(
-        d.unroll(field.values, fb, fa, weights.slab_rect), fb, fa)
-    rs = weights.row_sums()
+    conv_tot = weights.interaction_sum(field.values, fb, fa)
+    rs = weights.row_sums
     cell_cols = np.mod(idx[0] + rect[0], d.n_p)
     cell_rows = idx[1] + rect[2]
     inside_slab = (cell_rows >= 0) & (cell_rows < d.n_t)

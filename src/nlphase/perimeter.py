@@ -86,7 +86,7 @@ def _per_K_period(weights: WeightTable, mask: SetMask) -> PerimeterResult:
     rep = weights.period_report(ind)
     part1 = rep.kinetic_in / 4.0
     # split the far cross term into the E-side and complement-side parts
-    Fb, Fa = weights.far_weights()
+    Fb, Fa = weights.far_weights
     chiE = mask.inside
     part2 = float(np.sum(np.where(chiE, (0.0 if mask.far_below else 1.0) * Fb
                                   + (0.0 if mask.far_above else 1.0) * Fa, 0.0)))
@@ -233,9 +233,7 @@ def flip_gains(weights: WeightTable, mask: SetMask) -> tuple:
     ind = mask.indicator_field()
     m = ind.values
     g = weights._g_slab
-    U = weights.domain.unroll(m, ind.far_below, ind.far_above,
-                              weights.slab_rect)
-    single = m * weights.interaction_sum(U, ind.far_below, ind.far_above)
+    single = m * weights.interaction_sum(m, ind.far_below, ind.far_above)
     pair_t = (single[:, :-1] + single[:, 1:] - 2.0 * m[:, :-1] * m[:, 1:]
               * weights.offset_weights(0, 1, g[:, :-1], g[:, 1:]))
     if weights.domain.dim == 1:

@@ -89,6 +89,9 @@ class TestConfig:
         assert cfg.seed == 7 and isinstance(cfg.seed, int)
         assert cfg.solve_options().max_iters == 8000
         assert cfg.domain().n_p == 6 and cfg.domain().direction.p == (0, 1)
+        # whole components with a common factor are a domain error, not a
+        # config error
+        ExperimentConfig.from_dict(base_config(geometry={"direction": [2, 4]}))
 
     def test_domain_snaps_to_grid(self):
         cfg = ExperimentConfig.from_dict(base_config())
@@ -198,6 +201,8 @@ class TestPipelines:
             ("planelike", "solver", {"max_iters": 12.9}),
             ("planelike", "experiment", {"trials": 2.9}),
             ("validate", "seed", 7.9),
+            ("validate", "geometry", {"direction": [1.5, 1]}),
+            ("validate", "experiment", {"directions": [[0, 1], [1, 0.5]]}),
         ])])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
                                                   command, section, values):

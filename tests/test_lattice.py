@@ -141,7 +141,7 @@ def grid_domain(dim):
 
 
 class TestCellGrid:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(dim=st.sampled_from([1, 2]), boolean=st.booleans(),
            ip0=st.integers(-9, 5), width=st.integers(1, 14),
            it0=st.integers(-6, 14), height=st.integers(1, 24),
@@ -169,7 +169,7 @@ class TestCellGrid:
         assert got.dtype == values.dtype
         assert np.array_equal(got, want)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(dim=st.sampled_from([1, 2]), p_lo=st.integers(-40, 40),
            t_lo=st.integers(-40, 80), width=st.integers(1, 40),
            height=st.integers(1, 40), pad=st.integers(0, 3))
