@@ -18,12 +18,14 @@ operator constant c3 so that |L_K w| <= delta (1 + w) holds on B_R with
 
 The operator constant c3 is measured, not proved: it is the sampled
 supremum of |L v| / (v + 16 r^(-2s)) times a 1.2 safety factor, clamped
-from below by delta.  The two-sided envelope constant C is likewise
+from below by delta; it depends on (n, s, r) alone, and each measurement
+is cached by those.  The two-sided envelope constant C is likewise
 assembled from measured admissible values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +37,12 @@ from .lattice import Field
 
 class BarrierRangeError(ValueError):
     """Requested outer radius below the assembled threshold."""
+
+
+# _lk_radial: Gauss-Legendre on geometric radial panels, midpoint in angle
+_N_PANELS, _N_PHI = 96, 96
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_COS_PHI = np.cos((np.arange(_N_PHI) + 0.5) * (math.pi / _N_PHI))
 
 
 def _smoothstep(x):
@@ -73,23 +81,6 @@ class BarrierFn:
         return 2.0 * self.s * (self.r - np.asarray(t, dtype=float)) \
             ** (-2.0 * self.s - 1.0)
 
-    def h_profile(self, t):
-        t = np.asarray(t, dtype=float)
-        r = self.r
-        mid = (t >= 0.5 * r) & (t < r - 1.0)
-        out = np.where(t >= r - 1.0, 1.0, 0.0)
-        tm = np.where(mid, t, 0.5 * r)
-        hm = self.gamma_r * (self.ell(tm) - self.ell(0.5 * r)
-                             - self.ell_d(0.5 * r) * (tm - 0.5 * r))
-        return np.where(mid, hm, out)
-
-    def h_profile_d(self, t):
-        t = np.asarray(t, dtype=float)
-        mid = (t >= 0.5 * self.r) & (t < self.r - 1.0)
-        tm = np.where(mid, t, 0.5 * self.r)
-        return np.where(mid, self.gamma_r * (self.ell_d(tm)
-                                             - self.ell_d(0.5 * self.r)), 0.0)
-
     def eta(self, t):
         return 1.0 - _smoothstep((np.asarray(t, dtype=float)
                                   - (self.r - 1.75)) / 0.5)
@@ -98,15 +89,34 @@ class BarrierFn:
         return -_smoothstep_d((np.asarray(t, dtype=float)
                                - (self.r - 1.75)) / 0.5) / 0.5
 
+    def _h_mid(self, t):
+        half = 0.5 * self.r
+        return self.gamma_r * (self.ell(t) - self.ell(half)
+                               - self.ell_d(half) * (t - half))
+
+    def _on_band(self, t, above, chain):
+        """chain(t, eta(t)) on the band [r/2, r - 9/8), which holds every t
+        where g varies (up to r - 5/4); 0 below it, ``above`` beyond.  The
+        band stops short of r - 1, so h on it is its middle formula _h_mid
+        (r >= r1 > 8 puts r/2 far below r - 7/4)."""
+        t = np.asarray(t, dtype=float)
+        half = 0.5 * self.r
+        band = ~((t < half) | (t >= self.r - 1.125))   # NaN stays in the chain
+        out = np.where(t >= half, above, 0.0)
+        if band.any():
+            tb = t if t.ndim == 0 else t[band]   # 0-d keeps the scalar power
+            out[band] = chain(tb, self.eta(tb))
+        return out[()]
+
     def g_profile(self, t):
-        """Radial profile of the unscaled barrier (t = |x|)."""
-        e = self.eta(t)
-        return e * self.h_profile(t) + 1.0 - e
+        """Radial profile g = eta h + 1 - eta of the unscaled barrier."""
+        return self._on_band(t, 1.0,
+                             lambda t, e: e * self._h_mid(t) + 1.0 - e)
 
     def g_profile_d(self, t):
-        e = self.eta(t)
-        return (self.eta_d(t) * (self.h_profile(t) - 1.0)
-                + e * self.h_profile_d(t))
+        return self._on_band(t, 0.0, lambda t, e: (
+            self.eta_d(t) * (self._h_mid(t) - 1.0)
+            + e * (self.gamma_r * (self.ell_d(t) - self.ell_d(0.5 * self.r)))))
 
     # -- the scaled barrier -------------------------------------------------
 
@@ -126,8 +136,7 @@ class BarrierFn:
         return -1.0 + self.R ** (-2.0 * self.s) / self.C
 
 
-def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False,
-               n_panels=96, n_phi=96, order=8):
+def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False):
     """L_K at radius rho for a radial profile, standard kernel.
 
     Antisymmetric +-z pairing over the half circle cancels the odd singular
@@ -137,11 +146,10 @@ def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False,
     int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite for s < 1/2) instead.
     """
     rho = float(rho)
-    edges = np.geomspace(r_inner, r_outer, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    edges = np.geomspace(r_inner, r_outer, _N_PANELS + 1)
     a, b = edges[:-1], edges[1:]
-    rr = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * xg[None, :]).ravel()
-    ww = (0.5 * (b - a)[:, None] * np.broadcast_to(wg, (a.size, order))).ravel()
+    rr = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GAUSS_X).ravel()
+    ww = (0.5 * (b - a)[:, None] * _GAUSS_W).ravel()
     w0 = float(profile(rho))
     gap = abs(w0 - 1.0) if absolute else w0 - 1.0
 
@@ -151,14 +159,11 @@ def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False,
         return 2.0 * w0 - w_plus - w_minus
 
     if n == 2:
-        phi = (np.arange(n_phi) + 0.5) * (math.pi / n_phi)
-        cs = np.cos(phi)
-        rplus = np.sqrt(rho * rho + rr[:, None] ** 2
-                        + 2.0 * rho * rr[:, None] * cs[None, :])
-        rminus = np.sqrt(rho * rho + rr[:, None] ** 2
-                         - 2.0 * rho * rr[:, None] * cs[None, :])
-        ang = pair(profile(rplus), profile(rminus)).sum(axis=1) \
-            * (math.pi / n_phi)
+        sq = rho * rho + rr[:, None] ** 2
+        cross = 2.0 * rho * rr[:, None] * _COS_PHI[None, :]
+        ang = pair(profile(np.sqrt(sq + cross)),
+                   profile(np.sqrt(sq - cross))).sum(axis=1) \
+            * (math.pi / _N_PHI)
         val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * ang))
         tail = gap * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s)
     else:
@@ -169,9 +174,21 @@ def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False,
     return val + tail
 
 
-def _measure_c3(n, s, proto: BarrierFn, n_samples=160) -> float:
+def _assemble(n, s, r, R=math.nan, delta=math.nan, nu_bar=math.nan):
+    """Barrier at working radius r; build_barrier sets R0, c3 and C."""
+    ell = lambda t: (r - t) ** (-2.0 * s)
+    ell_d = lambda t: 2.0 * s * (r - t) ** (-2.0 * s - 1.0)
+    gamma_r = 1.0 / (ell(r - 1.0) - ell(r / 2.0)
+                     - ell_d(r / 2.0) * (r / 2.0 - 1.0))
+    return BarrierFn(n=n, s=s, R=R, delta=delta, r1=2.0 ** (3.0 / s),
+                     R0=math.nan, r=r, beta=32.0 * r ** (-2.0 * s),
+                     gamma_r=gamma_r, c3=math.nan, nu_bar=nu_bar, C=math.nan)
+
+
+@functools.lru_cache(maxsize=64)
+def _measure_c3(n, s, r, n_samples=160) -> float:
     """Sampled sup of |L v| / (v + 16 r^(-2s)) over B_r, with 1.2 safety."""
-    r = proto.r
+    proto = _assemble(n, s, r)
     # dense radial samples concentrated near the profile features
     base = np.concatenate([
         np.linspace(0.0, r, n_samples // 2),
@@ -189,38 +206,26 @@ def _measure_c3(n, s, proto: BarrierFn, n_samples=160) -> float:
 
 def build_barrier(kernel, R: float, delta: float) -> BarrierFn:
     """Assemble the barrier at outer radius R with operator bound delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    for name, value in (("R", R), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive: {value}")
     n, s = kernel.dim, kernel.s
     if n not in (1, 2):
         raise ValueError("barriers are built in dimensions 1 and 2 only")
     nu_bar = 1.0 - 2.0 * s if s < 0.5 else kernel.nu
     r1 = 2.0 ** (3.0 / s)
 
-    def assemble(r):
-        ell = lambda t: (r - t) ** (-2.0 * s)
-        ell_d = lambda t: 2.0 * s * (r - t) ** (-2.0 * s - 1.0)
-        gamma_r = 1.0 / (ell(r - 1.0) - ell(r / 2.0)
-                         - ell_d(r / 2.0) * (r / 2.0 - 1.0))
-        return BarrierFn(n=n, s=s, R=R, delta=delta, r1=r1, R0=float("nan"),
-                         r=r, beta=32.0 * r ** (-2.0 * s), gamma_r=gamma_r,
-                         c3=float("nan"), nu_bar=nu_bar, C=float("nan"))
-
     # fixed point: c3 measured at the working radius r = r1 R / R0(c3)
-    c3 = delta
     r = r1
     for _ in range(2):
-        proto = assemble(r)
-        c3 = max(_measure_c3(n, s, proto), delta)
+        c3 = max(_measure_c3(n, s, r), delta)
         R0 = (c3 / delta) ** (1.0 / (1.0 - nu_bar)) * r1
         r = r1 * max(R, R0) / R0
-
-    R0 = (c3 / delta) ** (1.0 / (1.0 - nu_bar)) * r1
     if R < R0:
         raise BarrierRangeError(
             f"outer radius R={R} is below the assembled threshold "
             f"C(delta)={R0}; increase R or delta")
-    bar = assemble(r1 * R / R0)
+    bar = _assemble(n, s, r1 * R / R0, R, delta, nu_bar)
     bar.R0 = R0
     bar.c3 = c3
     if not 1.0 < bar.gamma_r <= 2.0:

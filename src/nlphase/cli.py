@@ -138,6 +138,11 @@ class ExperimentConfig:
         for p in [self.direction, *(self.experiment.get("directions") or [])]:
             for v in p:
                 whole_number(v, "direction component", ConfigurationError)
+        for key in ("barrier_R", "barrier_delta"):
+            value = float(self.experiment.get(key, 1.0))   # absent: unused
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"experiment.{key} must be finite and positive: {value}")
         kind = self.experiment.get("kind")
         tau = self.tau
         if kind in ("gamma", "perimeter") and \

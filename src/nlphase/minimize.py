@@ -235,9 +235,12 @@ def upper_distance(field: Field, theta: float) -> float:
     return float(d.M - t[cols].max())
 
 
+_BALL_MAXITER = 400   # L-BFGS-B iterations of one ball re-solve
+
+
 def ball_improvement(weights: WeightTable, potential, field: Field,
                      center, radius: float, epsilon=None,
-                     maxiter: int = 400) -> float:
+                     maxiter: int = _BALL_MAXITER) -> float:
     """Energy gained by re-solving inside a frozen-boundary ball.
 
     The constraint obstacles are dropped inside the ball (only the box
@@ -245,6 +248,15 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     the ball itself, stays frozen at the current state.  Nonnegative by
     construction; a value at solver scale certifies local minimality.
     """
+    conv_tot = weights.interaction_sum(field.values, field.far_below,
+                                       field.far_above)
+    return _ball_resolve(weights, potential, field, conv_tot, center, radius,
+                         epsilon, maxiter)
+
+
+def _ball_resolve(weights: WeightTable, potential, field: Field, conv_tot,
+                  center, radius: float, epsilon, maxiter: int) -> float:
+    """`ball_improvement` given the field's interaction sums ``conv_tot``."""
     d = weights.domain
     ball = BallWindow(tuple(center), float(radius))
     rect, V, G, P, T = weights.window_cells(field, ball)
@@ -259,8 +271,6 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
                                   gi[:, None], gi[None, :])
 
     # frozen couplings from the full-field interaction sums (periodic classes)
-    fb, fa = field.far_below, field.far_above
-    conv_tot = weights.interaction_sum(field.values, fb, fa)
     rs = weights.row_sums
     cell_cols = np.mod(idx[0] + rect[0], d.n_p)
     cell_rows = idx[1] + rect[2]
@@ -313,6 +323,8 @@ def check_class_A(weights: WeightTable, potential, field: Field,
     r_lo = radius_range[0] or 2.0 * d.h
     r_hi = radius_range[1] or 2.0 * d.tau
     F_ref = abs(weights.period_value(field, potential, epsilon))
+    conv_tot = weights.interaction_sum(field.values, field.far_below,
+                                       field.far_above)
     rows = []
     worst = 0.0
     for _ in range(trials):
@@ -325,7 +337,8 @@ def check_class_A(weights: WeightTable, potential, field: Field,
             continue
         t0 = rng.uniform(t_min, t_max)
         p0 = rng.uniform(0.0, d.n_p * d.h)
-        gain = ball_improvement(weights, potential, field, (p0, t0), r, epsilon)
+        gain = _ball_resolve(weights, potential, field, conv_tot, (p0, t0),
+                             r, epsilon, _BALL_MAXITER)
         rows.append({"center": (p0, t0), "radius": r, "improvement": gain})
         worst = max(worst, gain)
     return {

@@ -2,13 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nlphase.barrier import (BarrierRangeError, barrier_slide_test,
-                             build_barrier, verify_barrier)
+from nlphase import barrier as barrier_mod
+from nlphase.barrier import (BarrierRangeError, _assemble, _measure_c3,
+                             barrier_slide_test, build_barrier, verify_barrier)
 from nlphase.energy import build_weights
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase.minimize import Constraints, SolveOptions, minimize_strip
 from nlphase.model import KernelSpec, PotentialSpec
+
+
+def _chain(bar, t):
+    """g and g' with the profile chain evaluated at every t: the reference
+    for the band evaluation of g_profile and g_profile_d."""
+    t = np.asarray(t, dtype=float)
+    r = bar.r
+    mid = (t >= 0.5 * r) & (t < r - 1.0)
+    tm = np.where(mid, t, 0.5 * r)
+    h = np.where(mid, bar.gamma_r * (bar.ell(tm) - bar.ell(0.5 * r)
+                                     - bar.ell_d(0.5 * r) * (tm - 0.5 * r)),
+                 np.where(t >= r - 1.0, 1.0, 0.0))
+    h_d = np.where(mid, bar.gamma_r * (bar.ell_d(tm) - bar.ell_d(0.5 * r)),
+                   0.0)
+    e = bar.eta(t)
+    return e * h + 1.0 - e, bar.eta_d(t) * (h - 1.0) + e * h_d
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +110,62 @@ class TestConstruction:
         kernel = KernelSpec(dim=2, s=0.75)
         probe = build_barrier(kernel, R=1e6, delta=1.0)
         assert 1.0 < probe.gamma_r <= 2.0
+
+    @pytest.mark.parametrize("R,delta,name", [
+        (math.nan, 0.1, "R"), (-5.0, 0.1, "R"), (math.inf, 0.1, "R"),
+        (1e9, math.nan, "delta"), (1e9, math.inf, "delta"),
+        (1e9, 0.0, "delta")])
+    def test_bad_radius_or_bound_rejected_before_quadrature(
+            self, monkeypatch, R, delta, name):
+        def no_quadrature(*args):
+            raise AssertionError("c3 measured for a rejected input")
+
+        monkeypatch.setattr(barrier_mod, "_measure_c3", no_quadrature)
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+            build_barrier(KernelSpec(dim=2, s=0.25), R=R, delta=delta)
+        assert not isinstance(err.value, BarrierRangeError)
+
+    def test_c3_measured_once_per_radius(self, barrier_quarter):
+        # the first fixed-point iterate r = r1 is shared by probe and build
+        kernel, bar = barrier_quarter
+        _measure_c3.cache_clear()
+        build_barrier(kernel, R=1e9, delta=0.1)
+        again = build_barrier(kernel, R=bar.R, delta=0.1)
+        info = _measure_c3.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
+        assert again == bar
+
+
+class TestProfileBand:
+    @settings(max_examples=40)
+    @given(s=st.one_of(st.floats(0.16, 0.49), st.floats(0.51, 0.95)),
+           u=st.floats(0.0, 1.0), ulps=st.integers(1, 6))
+    @example(s=0.25, u=0.0, ulps=3)
+    @example(s=0.75, u=1.0, ulps=3)
+    def test_band_matches_full_chain(self, s, u, ulps):
+        # g and g' bitwise; r from r1 = 2^(3/s) up to 1e6; grids straddle
+        # every knot of the chain, and the band edge r - 9/8, by a few ulps
+        r1 = 2.0 ** (3.0 / s)
+        r = r1 * (1e6 / r1) ** u
+        bar = _assemble(2, s, r)
+        knots = np.array([0.5 * r, r - 1.75, r - 1.25, r - 1.125, r - 1.0])
+        steps = np.arange(-ulps, ulps + 1)
+        near = (knots[:, None]
+                + steps[None, :] * np.spacing(knots)[:, None]).ravel()
+        t = np.concatenate([np.linspace(0.0, 1.1 * r, 513),
+                            r - np.geomspace(1e-3, 2.5, 257), near,
+                            [-1.0, math.inf, -math.inf]])
+        for got, want in zip((bar.g_profile(t), bar.g_profile_d(t)),
+                             _chain(bar, t)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for p in near:          # 0-d inputs take the scalar power
+            for got, want in zip((bar.g_profile(p), bar.g_profile_d(p)),
+                                 _chain(bar, p)):
+                assert type(got) is type(want) is np.float64
+                assert got.tobytes() == want.tobytes()
+        assert np.isnan(bar.g_profile(math.nan))
+        assert np.isnan(bar.g_profile(np.array([math.nan]))).all()
 
 
 class TestVerification:

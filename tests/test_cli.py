@@ -203,6 +203,12 @@ class TestPipelines:
             ("validate", "seed", 7.9),
             ("validate", "geometry", {"direction": [1.5, 1]}),
             ("validate", "experiment", {"directions": [[0, 1], [1, 0.5]]}),
+            # barrier radius and bound: finite and positive
+            ("barrier", "experiment", {"barrier_R": math.nan}),
+            ("barrier", "experiment", {"barrier_R": -5.0}),
+            ("barrier", "experiment", {"barrier_delta": math.nan}),
+            ("barrier", "experiment", {"barrier_delta": math.inf}),
+            ("barrier", "experiment", {"barrier_delta": 0.0}),
         ])])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
                                                   command, section, values):
