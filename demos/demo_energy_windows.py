@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nlphase import (Direction, Field, PERIOD, ball_at_cell, build_domain,
+from nlphase import (BallWindow, Direction, Field, PERIOD, build_domain,
                      build_weights)
 from nlphase.model import KernelSpec, PotentialSpec
 
@@ -20,7 +20,8 @@ print("per-period energy:")
 for key, val in period.as_dict().items():
     print(f"  {key:>14}: {val}")
 
-ball = ball_at_cell(domain, (0, domain.n_t // 2), 2.0)
+P, T = domain.rect_centers((0, 1, domain.n_t // 2, domain.n_t // 2 + 1))
+ball = BallWindow((float(P[0, 0]), float(T[0, 0])), 2.0)
 rep = weights.window_report(field, ball, potential)
 print(f"\nball window (R=2): total {rep.total:.6f} = "
       f"{rep.kinetic_in:.6f} + {rep.kinetic_cross:.6f} + {rep.potential:.6f}")

@@ -300,7 +300,7 @@ def _solve_one(cfg, domain):
 
 def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
     exp = cfg.experiment
-    theta_band = 0.9
+    theta_band = cfg.constraints().theta
     threads = int(exp.get("_threads", 1))
 
     def work(domain):

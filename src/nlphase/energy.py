@@ -23,7 +23,9 @@ with weights assembled from a translation-structured stencil:
 
 Interactions beyond the cutoff radius with the two constant far-field
 half-planes are bounded with the Lambda-envelope (exact for the standard
-kernel) and carried as flagged tail estimates.
+kernel) and carried as flagged tail estimates; the envelope's half-plane
+integral is in closed form (`scipy.special.hyp2f1` for rows within the
+cutoff of the half-plane's edge), exact to rounding.
 
 Every kinetic and perimeter quantity goes through three `WeightTable`
 primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
@@ -52,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.special import gamma as _gamma_fn
+from scipy.special import gamma as _gamma_fn, hyp2f1 as _hyp2f1
 
 from .lattice import Direction, Field, StripDomain
 
@@ -78,13 +80,11 @@ class WindowError(ValueError):
 
 
 def _gauss_panels(edges, order=16):
-    """Gauss-Legendre nodes and weights on the panels along the last axis."""
+    """Gauss-Legendre nodes and weights on the panels between ``edges``."""
     x, w = np.polynomial.legendre.leggauss(order)
-    a, b = edges[..., :-1, None], edges[..., 1:, None]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * x
-    weights = 0.5 * (b - a) * w
-    flat = edges.shape[:-1] + (-1,)
-    return nodes.reshape(flat), weights.reshape(flat)
+    a, b = edges[:-1, None], edges[1:, None]
+    return ((0.5 * (a + b) + 0.5 * (b - a) * x).ravel(),
+            (0.5 * (b - a) * w).ravel())
 
 
 def _angular_tent(rr, d1, d2, n_phi):
@@ -205,24 +205,28 @@ def _unit_stencil(n: int, s: float, k_cells: int, rmax_cells: float) -> np.ndarr
 
 
 def _halfplane_tail_2d(s, d, r_cut):
-    """int over {z_t > d, |z| > r_cut} of |z|^(-2-2s) dz, for each d."""
+    """int over {z_t > d, |z| > r_cut} of |z|^(-2-2s) dz, for each d, in
+    closed form: in polar coordinates the angle at radius r > |d| is
+    pi - 2 arcsin(d/r), and for |d| < r_cut its radial integral is a
+    hypergeometric function of (d/r_cut)^2; a half-plane beyond -r_cut is
+    the whole annulus less the mirrored half-plane."""
     d = np.asarray(d, dtype=float)
     c = math.sqrt(math.pi) * _gamma_fn(s + 0.5) / (2.0 * s * _gamma_fn(s + 1.0))
-    out = c * np.maximum(d, r_cut) ** (-2.0 * s)
-    near = d < r_cut
-    if near.any():
-        dn = d[near]
-        z_far = 100.0 * np.maximum(np.abs(dn), max(r_cut, 1.0))
-        rr, rw = _gauss_panels(np.geomspace(r_cut, z_far, 200, axis=-1))
-        theta = math.pi - 2.0 * np.arcsin(np.clip(dn[:, None] / rr, -1.0, 1.0))
-        out[near] = (np.sum(rw * rr ** (-1.0 - 2.0 * s) * theta, axis=-1)
-                     + math.pi * z_far ** (-2.0 * s) / (2.0 * s)
-                     - 2.0 * dn * z_far ** (-1.0 - 2.0 * s) / (1.0 + 2.0 * s))
-    return out
+    inner = r_cut ** (-2.0 * s) / s
+    far = c * np.maximum(np.abs(d), r_cut) ** (-2.0 * s)
+    a = np.where(np.abs(d) < r_cut, d / r_cut, 0.0)
+    near = inner * (0.5 * math.pi - np.arcsin(a)
+                    + a * _hyp2f1(0.5, s + 0.5, s + 1.5, a * a) / (2.0 * s + 1.0))
+    return np.where(d >= r_cut, far,
+                    np.where(d <= -r_cut, math.pi * inner - far, near))
 
 
 def _halfplane_tail_1d(s, d, r_cut):
-    return np.maximum(d, r_cut) ** (-2.0 * s) / (2.0 * s)
+    """int over {z > d, |z| > r_cut} of |z|^(-1-2s) dz, for each d."""
+    d = np.asarray(d, dtype=float)
+    inner = r_cut ** (-2.0 * s)
+    outer = np.maximum(np.abs(d), r_cut) ** (-2.0 * s)
+    return np.where(d <= -r_cut, 2.0 * inner - outer, outer) / (2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +272,6 @@ class PeriodWindow:
 
 
 PERIOD = PeriodWindow()
-
-
-def ball_at_cell(domain: StripDomain, index: tuple, radius: float) -> BallWindow:
-    ip, it = index
-    P, T = domain.rect_centers((ip, ip + 1, it, it + 1))
-    return BallWindow((float(P[0, 0]), float(T[0, 0])), float(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +335,6 @@ class WeightTable:
         K = self.k_cells = int(math.floor(self.r_cut / h + 1e-12))
         self.stencil = (h ** (n - 2.0 * s)) * _unit_stencil(
             n, s, K, self.r_cut / h)
-        # tail weights of the contiguous row range [lo, lo + size), grown
-        # on demand: (lo, T_plus, T_minus)
-        self._tails = (0, np.empty(0), np.empty(0))
         self._fft_size = (domain.n_p, sfft.next_fast_len(domain.n_t + 2 * K))
         self._spectrum = np.conj(sfft.rfftn(self._embed(self._fft_size)))
         ext = (0, domain.n_p, -K, domain.n_t + K)
@@ -360,23 +355,8 @@ class WeightTable:
 
     def _tails_for(self, its) -> tuple:
         """(T_plus, T_minus) for the rows with absolute indices ``its``."""
-        its = np.asarray(its)
-        lo, tp, tm = self._tails
-        hi = lo + tp.size
-        new_lo, new_hi = min(lo, int(its.min())), max(hi, int(its.max()) + 1)
-        if (new_lo, new_hi) != (lo, hi):
-            below = self._tail_rows(new_lo, lo)
-            above = self._tail_rows(hi, new_hi)
-            tp = np.concatenate([below[0], tp, above[0]])
-            tm = np.concatenate([below[1], tm, above[1]])
-            lo = new_lo
-            self._tails = (lo, tp, tm)
-        return tp[its - lo], tm[its - lo]
-
-    def _tail_rows(self, it0: int, it1: int) -> tuple:
-        """(T_plus, T_minus) computed for the rows it0 .. it1 - 1."""
         d = self.domain
-        tc = d.rect_centers((0, 1, it0, it1))[1][0]
+        tc = d.t_lo + (np.asarray(its) + 0.5) * d.h
         tail = _halfplane_tail_2d if d.dim == 2 else _halfplane_tail_1d
         amp = self.kernel.Lam * d.cell_volume
         return (amp * tail(self.kernel.s, tc - d.t_lo, self.r_cut),

@@ -92,12 +92,6 @@ class Direction:
     def p_sq(self) -> int:
         return sum(v * v for v in self.p)
 
-    def generator(self) -> np.ndarray:
-        """Orthogonal lattice generator z = tau*(-p2, p1) (dimension two)."""
-        if self.dim != 2:
-            raise GeometryError("orthogonal generator defined for dim 2 only")
-        return self.tau * np.array([-self.p[1], self.p[0]], dtype=float)
-
     def frame(self) -> np.ndarray:
         """Columns are the frame axes (e_p..., e_t) in world coordinates."""
         if self.dim == 1:
@@ -149,10 +143,6 @@ class StripDomain:
     @property
     def shape(self) -> tuple:
         return (self.n_p, self.n_t)
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_p * self.n_t
 
     @property
     def cell_volume(self) -> float:

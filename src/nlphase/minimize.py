@@ -37,32 +37,16 @@ class Constraints:
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0,1), got {self.theta}")
 
-    def masks(self, domain: StripDomain) -> tuple:
+    def bounds(self, domain: StripDomain) -> tuple:
+        """The obstacle box (lo, hi) per cell: [theta, 1] on rows t <= 0,
+        [-1, -theta] on rows t >= M and [-1, 1] elsewhere; ``lo`` is the
+        pointwise-smallest admissible state."""
         t = domain.t_centers()
-        lower = t <= 0.0
-        upper = t >= domain.M
-        return lower, upper
-
-    def project_values(self, domain: StripDomain, values: np.ndarray) -> np.ndarray:
-        lower, upper = self.masks(domain)
-        out = np.clip(values, -1.0, 1.0)
-        out[:, lower] = np.maximum(out[:, lower], self.theta)
-        out[:, upper] = np.minimum(out[:, upper], -self.theta)
-        return out
-
-
-def project(constraints: Constraints, field: Field) -> Field:
-    return Field(field.domain,
-                 constraints.project_values(field.domain, field.values.copy()),
-                 field.far_below, field.far_above)
-
-
-def minimal_seed(domain: StripDomain, constraints: Constraints) -> Field:
-    """Pointwise-smallest admissible state: theta below the strip, -1 above."""
-    lower, _ = constraints.masks(domain)
-    vals = np.full(domain.shape, -1.0)
-    vals[:, lower] = constraints.theta
-    return Field(domain, vals)
+        lo = np.full(domain.shape, -1.0)
+        hi = np.ones(domain.shape)
+        lo[:, t <= 0.0] = self.theta
+        hi[:, t >= domain.M] = -self.theta
+        return lo, hi
 
 
 @dataclass
@@ -111,8 +95,10 @@ def check_strip_height(domain: StripDomain) -> None:
 def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
                    options: SolveOptions | None = None,
                    seed_field: Field | None = None) -> SolveResult:
-    """L-BFGS-B on the per-period functional over the obstacle box:
-    [theta, 1] below the strip, [-1, -theta] above it, [-1, 1] elsewhere.
+    """L-BFGS-B on the per-period functional over the obstacle box
+    `Constraints.bounds`, started from its lower corner (the minimal seed)
+    or from ``seed_field`` clipped into the box; the far values are the
+    planelike +1 below and -1 above.
 
     The problem is the one ``weights`` discretizes: its kernel, strip
     domain and cutoff.  The kernel and potential hypotheses are the
@@ -131,13 +117,11 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
     options = options or SolveOptions()
     domain = weights.domain
     check_strip_height(domain)
-    u0 = (minimal_seed(domain, constraints) if seed_field is None
-          else project(constraints, seed_field)).values
-    lo = constraints.project_values(domain, np.full(domain.shape, -1.0)).ravel()
-    hi = constraints.project_values(domain, np.ones(domain.shape)).ravel()
+    lo, hi = constraints.bounds(domain)
+    u0 = lo if seed_field is None else np.clip(seed_field.values, lo, hi)
+    lo, hi = lo.ravel(), hi.ravel()
     eps = options.epsilon
-    far = Field(domain, u0)
-    oracle = weights.objective(far.far_below, far.far_above, potential, eps)
+    oracle = weights.objective(1.0, -1.0, potential, eps)
     last = {}
 
     def fun(x):
@@ -235,12 +219,9 @@ def upper_distance(field: Field, theta: float) -> float:
     return float(d.M - t[cols].max())
 
 
-_BALL_MAXITER = 400   # L-BFGS-B iterations of one ball re-solve
-
-
 def ball_improvement(weights: WeightTable, potential, field: Field,
                      center, radius: float, epsilon=None,
-                     maxiter: int = _BALL_MAXITER) -> float:
+                     maxiter: int = 400) -> float:
     """Energy gained by re-solving inside a frozen-boundary ball.
 
     The constraint obstacles are dropped inside the ball (only the box
@@ -248,15 +229,6 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     the ball itself, stays frozen at the current state.  Nonnegative by
     construction; a value at solver scale certifies local minimality.
     """
-    conv_tot = weights.interaction_sum(field.values, field.far_below,
-                                       field.far_above)
-    return _ball_resolve(weights, potential, field, conv_tot, center, radius,
-                         epsilon, maxiter)
-
-
-def _ball_resolve(weights: WeightTable, potential, field: Field, conv_tot,
-                  center, radius: float, epsilon, maxiter: int) -> float:
-    """`ball_improvement` given the field's interaction sums ``conv_tot``."""
     d = weights.domain
     ball = BallWindow(tuple(center), float(radius))
     rect, V, G, P, T = weights.window_cells(field, ball)
@@ -278,7 +250,8 @@ def _ball_resolve(weights: WeightTable, potential, field: Field, conv_tot,
     if not inside_slab.all():
         raise ConfigurationError("perturbation ball must stay inside the slab")
     R_tot = rs[cell_cols, cell_rows]
-    C_tot = conv_tot[cell_cols, cell_rows]
+    C_tot = weights.interaction_sum(field.values, field.far_below,
+                                    field.far_above)[cell_cols, cell_rows]
     u_ball = V[idx]
     R_ball = W_bb.sum(axis=1)
     C_ball = W_bb @ u_ball
@@ -323,8 +296,6 @@ def check_class_A(weights: WeightTable, potential, field: Field,
     r_lo = radius_range[0] or 2.0 * d.h
     r_hi = radius_range[1] or 2.0 * d.tau
     F_ref = abs(weights.period_value(field, potential, epsilon))
-    conv_tot = weights.interaction_sum(field.values, field.far_below,
-                                       field.far_above)
     rows = []
     worst = 0.0
     for _ in range(trials):
@@ -337,8 +308,8 @@ def check_class_A(weights: WeightTable, potential, field: Field,
             continue
         t0 = rng.uniform(t_min, t_max)
         p0 = rng.uniform(0.0, d.n_p * d.h)
-        gain = _ball_resolve(weights, potential, field, conv_tot, (p0, t0),
-                             r, epsilon, _BALL_MAXITER)
+        gain = ball_improvement(weights, potential, field, (p0, t0), r,
+                                epsilon)
         rows.append({"center": (p0, t0), "radius": r, "improvement": gain})
         worst = max(worst, gain)
     return {

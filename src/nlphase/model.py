@@ -257,7 +257,6 @@ class HypothesisCheck:
     passed: bool
     worst: float
     detail: str = ""
-    witness: tuple | None = None
 
 
 @dataclass
@@ -298,8 +297,8 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
                         seed: int = 0, planelike: bool = False) -> ValidationReport:
     """Check the kernel/potential structure hypotheses on random samples.
 
-    Failures are recorded in the report rather than raised, with the worst
-    violating sample attached.  ``kernel`` and ``potential`` only need to
+    Failures are recorded in the report rather than raised, each with its
+    worst violation.  ``kernel`` and ``potential`` only need to
     provide the evaluation surface of `KernelSpec`/`PotentialSpec`, so test
     doubles can be injected.
     """
@@ -319,10 +318,9 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
     kxy = eval_kernel(kernel, x, y)
     kyx = eval_kernel(kernel, y, x)
     dev = np.abs(kxy - kyx)
-    i = int(np.argmax(dev))
     rep.checks.append(HypothesisCheck(
-        "K1", bool(np.all(dev == 0.0)), float(dev[i]),
-        "symmetry K(x,y)=K(y,x)", (tuple(x[i]), tuple(y[i]))))
+        "K1", bool(np.all(dev == 0.0)), float(dev.max()),
+        "symmetry K(x,y)=K(y,x)"))
 
     d = np.linalg.norm(x - y, axis=-1)
     env = kxy * d ** kernel.exponent
@@ -345,19 +343,16 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
             f"odd-part bound with nu={kernel.nu}, Gamma={kernel.gamma_reg}"))
 
     shift_dev = 0.0
-    witness = None
     for axis in range(n):
         k = np.zeros(n)
         k[axis] = tau
         dv = np.abs(eval_kernel(kernel, x + k, y + k) - kxy)
         j = int(np.argmax(dv))
-        ref = np.maximum(np.abs(kxy), 1e-300)
-        rel = float(dv[j] / ref[j])
-        if rel > shift_dev:
-            shift_dev, witness = rel, (tuple(x[j]), tuple(y[j]))
+        shift_dev = max(shift_dev,
+                        float(dv[j] / max(abs(float(kxy[j])), 1e-300)))
     rep.checks.append(HypothesisCheck(
         "K4", shift_dev <= 1e-12, shift_dev,
-        "tau-lattice shift invariance", witness))
+        "tau-lattice shift invariance"))
 
     # potential side
     xs = _sample_points(rng, samples, n, scale)

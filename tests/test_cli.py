@@ -154,6 +154,23 @@ class TestPipelines:
         field_csv = (tmp_path / "out" / "field_tau1_w01.csv").read_text()
         assert field_csv.splitlines()[0] == "x1,x2,u"
 
+    def test_planelike_band_read_at_solver_theta(self, tmp_path):
+        # the band and width are read at the obstacle level theta, so the
+        # {|u| < 0.5} band of a 16-tau strip lies inside [0, M]
+        raw = base_config(
+            kernel={"family": "modulated"},
+            potential={"Q_modulation": True},
+            geometry={"M_factor": 16.0, "r_cut_factor": 8.0,
+                      "buffer_factor": 4.0},
+            solver={"theta": 0.5}, experiment={"trials": 2})
+        path = write_config(tmp_path, raw)
+        main(["planelike", "--config", path, "--out", str(tmp_path / "out")])
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        row = rep["rows"][0]
+        assert 0.0 <= row["band"][0] <= row["band"][1] <= row["M"]
+        verdicts = {v["tag"]: v["passed"] for v in rep["verdicts"]}
+        assert verdicts["tauPLcond"] and verdicts["disttau"]
+
     def test_planelike_validates_hypotheses_once(self, tmp_path,
                                                  monkeypatch):
         from nlphase import cli

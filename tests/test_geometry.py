@@ -26,12 +26,12 @@ class TestLevelMask:
         dom = axis_domain()
         mask = level_mask(Field.full(dom, 1.0, matching_far=True), 0.0)
         assert mask.inside.all() and mask.far_below and mask.far_above
-        assert mask.measure == pytest.approx(dom.n_cells * dom.cell_volume)
+        assert mask.measure == pytest.approx(dom.n_p * dom.n_t * dom.cell_volume)
 
     def test_step_half(self):
         dom = axis_domain()
         mask = level_mask(step_field(dom), 0.0)
-        frac = mask.measure / (dom.n_cells * dom.cell_volume)
+        frac = mask.measure / (dom.n_p * dom.n_t * dom.cell_volume)
         assert abs(frac - 0.5) <= 1.0 / dom.n_t
 
     def test_band_of_sharp_step_is_empty(self):
@@ -44,7 +44,7 @@ class TestLevelMask:
         rng = np.random.default_rng(0)
         f = Field(dom, rng.uniform(-1, 1, dom.shape))
         mask = level_mask(f, 0.2)
-        total = dom.n_cells * dom.cell_volume
+        total = dom.n_p * dom.n_t * dom.cell_volume
         assert mask.measure + mask.complement().measure == pytest.approx(total)
 
     def test_strict_inequalities(self):
@@ -209,7 +209,7 @@ class TestWidthAndSymDiff:
         dom = axis_domain()
         m1 = level_mask(step_field(dom), 0.0)
         assert symmetric_difference_measure(m1, m1) == 0.0
-        total = dom.n_cells * dom.cell_volume
+        total = dom.n_p * dom.n_t * dom.cell_volume
         assert symmetric_difference_measure(
             m1, m1.complement()) == pytest.approx(total)
 

@@ -5,8 +5,7 @@ from nlphase.energy import ConfigurationError, PERIOD, build_weights
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase.minimize import (Constraints, SolveOptions, ball_improvement,
                               check_birkhoff, check_class_A, doubling_check,
-                              minimal_seed, minimize_strip, project,
-                              upper_distance)
+                              minimize_strip, upper_distance)
 from nlphase.model import KernelSpec, PotentialSpec
 
 
@@ -27,49 +26,57 @@ class TestProject:
     def setup_method(self):
         self.domain = build_domain(1.0, Direction((0, 1), 1.0), M=2.0, h=0.25,
                                    buffer=1.0)
-        self.cons = Constraints(0.9)
+        self.lo, self.hi = Constraints(0.9).bounds(self.domain)
+
+    def project(self, values):
+        return np.clip(values, self.lo, self.hi)
 
     def test_admissible_unchanged(self):
-        seed = minimal_seed(self.domain, self.cons)
-        assert np.array_equal(project(self.cons, seed).values, seed.values)
+        assert np.array_equal(self.project(self.lo), self.lo)
 
     def test_zero_field_clamps(self):
-        out = project(self.cons, Field.full(self.domain, 0.0))
+        out = self.project(np.zeros(self.domain.shape))
         t = self.domain.t_centers()
-        assert np.all(out.values[:, t <= 0.0] == 0.9)
-        assert np.all(out.values[:, t >= self.domain.M] == -0.9)
+        assert np.all(out[:, t <= 0.0] == 0.9)
+        assert np.all(out[:, t >= self.domain.M] == -0.9)
         mid = (t > 0) & (t < self.domain.M)
-        assert np.all(out.values[:, mid] == 0.0)
+        assert np.all(out[:, mid] == 0.0)
 
     def test_minus_one_clamps_lower_only(self):
-        out = project(self.cons, Field.full(self.domain, -1.0))
+        out = self.project(np.full(self.domain.shape, -1.0))
         t = self.domain.t_centers()
-        assert np.all(out.values[:, t <= 0.0] == 0.9)
-        assert np.all(out.values[:, t > 0.0] == -1.0)
+        assert np.all(out[:, t <= 0.0] == 0.9)
+        assert np.all(out[:, t > 0.0] == -1.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        f = Field(self.domain, rng.uniform(-1, 1, self.domain.shape))
-        once = project(self.cons, f)
-        twice = project(self.cons, once)
-        assert np.array_equal(once.values, twice.values)
+        once = self.project(rng.uniform(-1, 1, self.domain.shape))
+        assert np.array_equal(self.project(once), once)
 
 
 class TestMinimalSeed:
     def test_pointwise_smallest_admissible(self):
         domain = build_domain(1.0, Direction((0, 1), 1.0), M=2.0, h=0.25,
                               buffer=1.0)
-        cons = Constraints(0.7)
-        seed = minimal_seed(domain, cons)
+        lo, hi = Constraints(0.7).bounds(domain)
+        assert np.all(lo <= hi)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            v = project(cons, Field(domain, rng.uniform(-1, 1, domain.shape)))
-            assert np.all(v.values >= seed.values - 1e-15)
+            v = np.clip(rng.uniform(-1, 1, domain.shape), lo, hi)
+            assert np.all(v >= lo - 1e-15)
 
     def test_seed_energy_finite(self, solved):
         kernel, potential, domain, weights, cons, _ = solved
-        F = weights.period_value(minimal_seed(domain, cons), potential)
+        lo, _ = cons.bounds(domain)
+        F = weights.period_value(Field(domain, lo), potential)
         assert np.isfinite(F)
+
+    def test_cold_start_is_minimal_seed(self, solved):
+        kernel, potential, domain, weights, cons, res = solved
+        lo, _ = cons.bounds(domain)
+        warm = minimize_strip(weights, potential, cons, seed_field=Field(
+            domain, lo), options=SolveOptions(max_iters=20000))
+        assert np.array_equal(warm.field.values, res.field.values)
 
 
 class TestMinimizeStrip:
@@ -115,7 +122,8 @@ class TestMinimizeStrip:
 
     def test_admissibility_of_result(self, solved):
         _, _, domain, _, cons, res = solved
-        again = cons.project_values(domain, res.field.values.copy())
+        lo, hi = cons.bounds(domain)
+        again = np.clip(res.field.values, lo, hi)
         assert np.array_equal(again, res.field.values)
 
     def test_small_M_guard(self):
