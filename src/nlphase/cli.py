@@ -5,8 +5,10 @@ are rejected, cross-field constraints are validated against named
 hypothesis tags, and all randomized checks draw from one recorded 64-bit
 seed, so reruns with the same configuration are bit-identical.
 
-`ExperimentConfig` resolves the file once: kernel, potential and solver
-defaults are those of the spec classes, and `strip_domains` checks every
+`ExperimentConfig` resolves the file once: kernel, potential, solver and
+certificate defaults are those of the classes and functions that use them,
+the geometry is given in units of tau (``M_factor``, ``cells_per_tau``,
+``buffer_factor``, ``r_cut_factor``), and `strip_domains` checks every
 domain a pipeline solves on before any output exists.  A ``run_*`` pipeline
 returns report entries and verdicts; `run_pipeline` writes ``report.json``.
 
@@ -14,7 +16,8 @@ Pipelines
 ---------
 ``planelike``  constrained strip solve + certificates; emits the measured
                width constant M0_emp = width / tau.
-``scaling``    energy-in-balls radius sweep and log-log exponent fit.
+``scaling``    energy-in-balls radius sweep centred at the interface height,
+               log-log exponent fit, density and theta-band profiles.
 ``barrier``    barrier assembly, operator/envelope verification, slide test.
 ``gamma``      sharp-interface epsilon sweep, limit-set extraction, flip
                stability.
@@ -44,7 +47,8 @@ from . import geometry as geom
 from . import minimize as min_mod
 from . import perimeter as per_mod
 from .energy import ConfigurationError
-from .lattice import Direction, StripDomain, whole_number, write_csv
+from .lattice import (BUFFER_FACTOR, Direction, StripDomain, whole_number,
+                      write_csv)
 from .model import KernelSpec, PotentialSpec, validate_hypotheses
 
 
@@ -55,21 +59,24 @@ SCHEMA_VERSION = 1
 _SECTION_KEYS = {
     "kernel": {f.name for f in fields(KernelSpec)} - {"tau", "xi"},
     "potential": {f.name for f in fields(PotentialSpec)} - {"tau"},
-    "geometry": {"tau", "direction", "M", "M_factor", "h", "cells_per_tau",
-                 "buffer", "buffer_factor", "r_cut", "r_cut_factor"},
+    "geometry": {"tau", "direction", "M_factor", "cells_per_tau",
+                 "buffer_factor", "r_cut_factor"},
     "solver": {"theta", "max_iters", "grad_tol", "rel_decrease_tol",
                "epsilon"},
     "experiment": {"kind", "radii", "tau_list", "eps_list", "directions",
-                   "levels", "trials", "radius_range", "barrier_R",
-                   "barrier_delta", "reference_set_level", "density_floor",
+                   "trials", "barrier_R", "barrier_delta", "density_floor",
                    "m0_spread"},
     "tolerances": {"classA_rel", "flip_rel"},
 }
-_EXCLUSIVE_KEYS = (("M", "M_factor"), ("buffer", "buffer_factor"),
-                   ("h", "cells_per_tau"), ("r_cut", "r_cut_factor"))
 # keys that count something; a string or a fraction is rejected, not cast
 _WHOLE_KEYS = (("geometry", "cells_per_tau"), ("solver", "max_iters"),
                ("experiment", "trials"))
+# numbers a strip or a barrier is built from: finite and positive, except
+# the buffer, which may also be 0 (a whole cells_per_tau is then >= 1)
+_POSITIVE_KEYS = (("geometry", "tau"), ("geometry", "M_factor"),
+                  ("geometry", "cells_per_tau"), ("geometry", "buffer_factor"),
+                  ("geometry", "r_cut_factor"), ("experiment", "barrier_R"),
+                  ("experiment", "barrier_delta"))
 
 
 def _given(section: dict, cast, **params) -> dict:
@@ -127,9 +134,6 @@ class ExperimentConfig:
         return tuple(self.geometry.get("direction", (0, 1)))
 
     def validate_cross_fields(self):
-        for a, b in _EXCLUSIVE_KEYS:
-            if a in self.geometry and b in self.geometry:
-                raise ConfigurationError(f"give {a} or {b}, not both")
         for section, key in _WHOLE_KEYS:
             value = getattr(self, section).get(key)
             if value is not None:
@@ -138,11 +142,14 @@ class ExperimentConfig:
         for p in [self.direction, *(self.experiment.get("directions") or [])]:
             for v in p:
                 whole_number(v, "direction component", ConfigurationError)
-        for key in ("barrier_R", "barrier_delta"):
-            value = float(self.experiment.get(key, 1.0))   # absent: unused
-            if not (math.isfinite(value) and value > 0.0):
+        for section, key in _POSITIVE_KEYS:
+            value = float(getattr(self, section).get(key, 1.0))  # absent: ok
+            zero_ok = key == "buffer_factor"
+            if not (math.isfinite(value)
+                    and (value >= 0.0 if zero_ok else value > 0.0)):
                 raise ConfigurationError(
-                    f"experiment.{key} must be finite and positive: {value}")
+                    f"{section}.{key} must be finite and "
+                    f"{'nonnegative' if zero_ok else 'positive'}: {value}")
         kind = self.experiment.get("kind")
         tau = self.tau
         if kind in ("gamma", "perimeter") and \
@@ -150,9 +157,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"experiment {kind!r} requires the strongly nonlocal regime",
                 tag="s<1/2")
-        if kind == "planelike" and tau < 1.0:
-            raise ConfigurationError("planelike runs require tau >= 1",
-                                     tag="xi=tau")
         if kind == "barrier" and \
                 self.kernel.get("family", KernelSpec.family) != "standard":
             raise ConfigurationError(
@@ -180,25 +184,16 @@ class ExperimentConfig:
         g = self.geometry
         tau = self.tau if tau is None else tau
         d = Direction(direction or self.direction, tau)
-        M = float(g["M"]) if "M" in g else float(g.get("M_factor", 12.0)) * tau
-        B = (float(g["buffer"]) if "buffer" in g
-             else float(g.get("buffer_factor", 4.0)) * tau)
-        if "h" in g:
-            h = float(g["h"])
-        else:
-            cpt = int(g.get("cells_per_tau", 8))
-            h = (tau * d.norm_p / (cpt * d.p_sq) if d.dim == 2
-                 else tau / cpt)
+        cpt = int(g.get("cells_per_tau", 8))
+        h = tau * d.norm_p / (cpt * d.p_sq) if d.dim == 2 else tau / cpt
         # snap the strip extents onto the cell grid
-        M = round(M / h) * h
-        B = round(B / h) * h
+        M = round(float(g.get("M_factor", 12.0)) * tau / h) * h
+        B = round(float(g.get("buffer_factor", BUFFER_FACTOR)) * tau / h) * h
         return StripDomain(tau=tau, direction=d, M=M, h=h, buffer=B)
 
     def r_cut(self, tau=None) -> float:
-        g = self.geometry
-        if "r_cut" in g:
-            return float(g["r_cut"])
-        return (float(g.get("r_cut_factor", energy_mod.R_CUT_FACTOR))
+        return (float(self.geometry.get("r_cut_factor",
+                                        energy_mod.R_CUT_FACTOR))
                 * (self.tau if tau is None else tau))
 
     def strip_domains(self) -> list:
@@ -206,15 +201,13 @@ class ExperimentConfig:
         checked against the cell grid and the cutoff; a strip that is solved
         on must be at least tau high and, except in the gamma sweep, have
         xi = tau >= 1."""
-        exp, g = self.experiment, self.geometry
+        exp = self.experiment
         kind = exp.get("kind")
         if kind == "planelike":
             jobs = [(float(tau), d)
                     for d in exp.get("directions", [self.direction])
                     for tau in exp.get("tau_list", [self.tau])]
-        elif kind in ("scaling", "gamma", "perimeter") or (
-                kind == "barrier"
-                and (exp.get("tau_list") or g.get("M") or g.get("M_factor"))):
+        elif kind in ("scaling", "barrier", "gamma", "perimeter"):
             jobs = [(self.tau, self.direction)]
         else:
             return []
@@ -237,9 +230,7 @@ class ExperimentConfig:
                      rel_decrease_tol="rel_decrease_tol", epsilon="epsilon"))
 
     def constraints(self) -> min_mod.Constraints:
-        theta = self.solver.get("theta")
-        return (min_mod.Constraints() if theta is None
-                else min_mod.Constraints(float(theta)))
+        return min_mod.Constraints(**_given(self.solver, float, theta="theta"))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +301,11 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
             np.any(np.abs(result.field.values) < theta_band, axis=0)]
         band = ([float(band_t.min()), float(band_t.max())] if band_t.size
                 else [0.0, 0.0])
-        bk = min_mod.check_birkhoff(
-            result.field, exp.get("levels", [-0.9, -0.5, 0.0, 0.5, 0.9]))
+        bk = min_mod.check_birkhoff(result.field)
         ca = min_mod.check_class_A(
-            weights, potential, result.field,
-            trials=int(exp.get("trials", 12)),
-            radius_range=tuple(exp.get("radius_range", (None, None))),
-            seed=cfg.seed, epsilon=cfg.solve_options().epsilon,
+            weights, potential, result.field, seed=cfg.seed,
+            epsilon=cfg.solve_options().epsilon,
+            **_given(exp, int, trials="trials"),
             **_given(cfg.tolerances, float, tol_rel="classA_rel"))
         return {
             "tau": domain.tau, "direction": list(domain.direction.p),
@@ -376,12 +365,7 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
     kernel = weights.kernel
     eps = cfg.solve_options().epsilon
     s, n = kernel.s, kernel.dim
-
-    # interface-centered ball: cell where |u| is smallest
-    u = result.field.values
-    ip, it = np.unravel_index(int(np.argmin(np.abs(u))), u.shape)
-    P, T = domain.frame_centers()
-    center = (P[ip, it], T[ip, it])
+    center = (0.5 * domain.n_p * domain.h, geom.interface_height(result.field))
     rows = []
     for R in radii:
         rep = weights.window_report(result.field,
@@ -395,8 +379,8 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
     write_csv(out / "density_profile.csv", "R,value,tag",
               geom.density_profile(plus, center, radii, xi=kernel.xi))
     write_csv(out / "interface_profile.csv", "R,value,tag",
-              geom.interface_profile(result.field, 0.9, center, radii,
-                                     xi=kernel.xi))
+              geom.interface_profile(result.field, cfg.constraints().theta,
+                                     center, radii, xi=kernel.xi))
 
     fitted = None
     if s == 0.5:
@@ -436,34 +420,31 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
         _verdict("wbarest-upper", ver["worst_upper_C"],
                  ver["worst_upper_C"] <= 1.0 + 1e-9),
     ]
-    slide = None
-    for domain in cfg.strip_domains():   # the slide test, when configured
-        try:
-            potential, weights, result = _solve_one(cfg, domain)
-            slide_R = min(R, (domain.t_hi - domain.t_lo) / 2.0 - 2 * domain.h)
-            if slide_R < bar.R0:
-                raise barrier_mod.BarrierRangeError(
-                    f"slide ball radius {slide_R} below assembled threshold "
-                    f"{bar.R0}")
-            sbar = barrier_mod.build_barrier(kernel, slide_R, delta)
-            # dip the barrier into the minus phase next to the interface
-            it = int(np.argmin(np.abs(result.field.values.mean(axis=0))))
-            t_int = domain.t_centers()[it]
-            t0 = min(max(t_int + 0.5 * slide_R,
-                         domain.t_lo + slide_R + domain.h),
-                     domain.t_hi - slide_R - domain.h)
-            center = (0.5 * domain.n_p * domain.h, t0)
-            slide = barrier_mod.barrier_slide_test(
-                weights, potential, result.field, sbar, center,
-                cfg.solve_options().epsilon)
-            verdicts.append(_verdict("barrier-slide", slide["relative_defect"],
-                                     slide["relative_defect"] >= -1e-8))
-        except barrier_mod.BarrierRangeError as err:
-            slide = {"skipped": str(err)}
     constants = {k: getattr(bar, k) for k in (
         "r1", "R0", "r", "beta", "gamma_r", "c3", "C", "nu_bar")}
-    return {"constants": constants, "verification": ver,
-            "slide": slide}, verdicts
+    entries = {"constants": constants, "verification": ver}
+
+    domain, = cfg.strip_domains()
+    slide_R = min(R, (domain.t_hi - domain.t_lo) / 2.0 - 2 * domain.h)
+    try:
+        if slide_R < bar.R0:
+            raise barrier_mod.BarrierRangeError(
+                f"slide ball radius {slide_R} below assembled threshold "
+                f"{bar.R0}")
+        sbar = barrier_mod.build_barrier(kernel, slide_R, delta)
+    except barrier_mod.BarrierRangeError as err:
+        return {**entries, "slide": {"skipped": str(err)}}, verdicts
+    potential, weights, result = _solve_one(cfg, domain)
+    # dip the barrier into the minus phase next to the interface
+    t0 = min(max(geom.interface_height(result.field) + 0.5 * slide_R,
+                 domain.t_lo + slide_R + domain.h),
+             domain.t_hi - slide_R - domain.h)
+    slide = barrier_mod.barrier_slide_test(
+        weights, potential, result.field, sbar,
+        (0.5 * domain.n_p * domain.h, t0), cfg.solve_options().epsilon)
+    verdicts.append(_verdict("barrier-slide", slide["relative_defect"],
+                             slide["relative_defect"] >= -1e-8))
+    return {**entries, "slide": slide}, verdicts
 
 
 def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -513,7 +494,7 @@ def run_perimeter(cfg: ExperimentConfig, out: Path) -> tuple:
     domain, = cfg.strip_domains()
     tau = domain.tau
     weights = _weights(cfg, domain)
-    level = float(cfg.experiment.get("reference_set_level", domain.M / 2.0))
+    level = domain.M / 2.0
     inside = np.tile(domain.t_centers() < level, (domain.n_p, 1))
     mask = geom.SetMask(domain, inside, True, False)
 

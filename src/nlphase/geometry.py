@@ -2,9 +2,10 @@
 
 Everything here is read-only measurement: level-set masks, ball densities,
 interface measure profiles, cubic-grid boundary counting, clean-ball
-search, interface width, and symmetric differences.  Masks extend beyond
-the fundamental domain by periodicity across the strip and by their
-far-field membership flags along it, so balls may reach past the buffers.
+search, interface width and height, and symmetric differences.  Masks
+extend beyond the fundamental domain by periodicity across the strip and by
+their far-field membership flags along it, so balls may reach past the
+buffers.
 """
 
 from __future__ import annotations
@@ -238,6 +239,20 @@ def interface_width(field: Field, theta: float) -> float:
         return 0.0
     t = field.domain.t_centers()[cols]
     return float(t.max() - t.min())
+
+
+def interface_height(field: Field) -> float:
+    """Height at which the p-averaged profile, extended by the far values one
+    row beyond the slab, first changes sign: linear between the two rows."""
+    d = field.domain
+    rect = (0, d.n_p, -1, d.n_t + 1)
+    m = d.unroll(field.values, field.far_below, field.far_above,
+                 rect).mean(axis=0)
+    cross = np.flatnonzero((m[:-1] >= 0.0) != (m[1:] >= 0.0))
+    if cross.size == 0:
+        raise GeometryError("the p-averaged profile has no sign change")
+    i = cross[0]   # rows i - 1 and i of the slab bracket the crossing
+    return float(d.t_lo + (i - 0.5 + m[i] / (m[i] - m[i + 1])) * d.h)
 
 
 def symmetric_difference_measure(mask_a: SetMask, mask_b: SetMask) -> float:

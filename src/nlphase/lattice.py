@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BUFFER_FACTOR = 4.0   # default buffer depth B, in units of tau
+
 class GeometryError(ValueError):
     pass
 
@@ -261,9 +263,9 @@ def _divide_exactly(length: float, h: float, what: str) -> int:
 
 def build_domain(tau: float, direction: Direction, M: float, h: float,
                  buffer: float | None = None) -> StripDomain:
-    """Construct the discrete strip; buffer defaults to 4*tau."""
+    """Construct the discrete strip; buffer defaults to BUFFER_FACTOR*tau."""
     if buffer is None:
-        buffer = 4.0 * tau
+        buffer = BUFFER_FACTOR * tau
     return StripDomain(tau=tau, direction=direction, M=M, h=h, buffer=buffer)
 
 

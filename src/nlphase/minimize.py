@@ -170,7 +170,8 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
 # certificates
 
 
-def check_birkhoff(field: Field, theta_levels, generators=None) -> dict:
+def check_birkhoff(field: Field, theta_levels=(-0.9, -0.5, 0.0, 0.5, 0.9),
+                   generators=None) -> dict:
     """Discrete Birkhoff monotonicity of super/sublevel sets under tau-shifts.
 
     For each level, each lattice generator k with a definite sign of
@@ -282,7 +283,7 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
 
 
 def check_class_A(weights: WeightTable, potential, field: Field,
-                  trials: int = 50, radius_range=(None, None),
+                  trials: int = 12, radius_range=(None, None),
                   seed: int = 0, epsilon=None, tol_rel: float = 1e-8) -> dict:
     """Frozen-boundary ball re-solves on random balls inside the open strip.
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nlphase import cli, geometry
 from nlphase.cli import ExperimentConfig, fit_exponent, main
 from nlphase.energy import ConfigurationError
 
@@ -52,16 +53,28 @@ class TestFitExponent:
 
 
 class TestConfig:
-    def test_unknown_keys_rejected(self):
+    def test_unknown_keys_rejected(self, tmp_path, capsys):
+        # former keys among them: geometry is given only in units of tau,
+        # and the certificate levels, radii and reference level are fixed
         for section, key in (("geometry", "mesh"), ("solver", "theta0"),
                              ("tolerances", "decomposition_rel"),
                              ("tolerances", "identity_rel"),
-                             ("tolerances", "gradient_rel")):
+                             ("tolerances", "gradient_rel"),
+                             ("geometry", "M"), ("geometry", "h"),
+                             ("geometry", "buffer"), ("geometry", "r_cut"),
+                             ("experiment", "levels"),
+                             ("experiment", "radius_range"),
+                             ("experiment", "reference_set_level")):
             raw = base_config()
             raw[section][key] = 1
             with pytest.raises(ConfigurationError) as err:
                 ExperimentConfig.from_dict(raw)
             assert key in str(err.value)
+            out = tmp_path / key
+            assert main(["planelike", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_schema_version_required(self):
         raw = base_config()
@@ -205,10 +218,8 @@ class TestPipelines:
     @pytest.mark.parametrize("command,section,values", [
         pytest.param(command, section, values, id=f"{command}-{section}{i}")
         for i, (command, section, values) in enumerate([
-            ("validate", "geometry", {"M": 4.0}),   # M and M_factor both given
             ("planelike", "geometry", {"r_cut_factor": 0.1}),
             ("planelike", "geometry", {"M_factor": 0.5}),
-            ("planelike", "geometry", {"h": 0.3}),  # does not divide the period
             ("barrier", "kernel", {"family": "modulated"}),
             ("scaling", "experiment", {"radii": [2.0, 3.0, 4.0]}),
             # counts and lattice components must be whole numbers
@@ -226,12 +237,19 @@ class TestPipelines:
             ("barrier", "experiment", {"barrier_delta": math.nan}),
             ("barrier", "experiment", {"barrier_delta": math.inf}),
             ("barrier", "experiment", {"barrier_delta": 0.0}),
+            # geometry numbers: finite, positive, the buffer also 0
+            ("planelike", "geometry", {"cells_per_tau": 0}),
+            ("planelike", "geometry", {"M_factor": math.inf}),
+            ("planelike", "geometry", {"buffer_factor": math.inf}),
+            ("planelike", "geometry", {"buffer_factor": -1.0}),
+            ("planelike", "geometry", {"r_cut_factor": math.inf}),
+            ("planelike", "geometry", {"tau": math.inf}),
+            ("perimeter", "geometry", {"tau": 0.0}),
+            ("perimeter", "geometry", {"tau": math.nan}),
         ])])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
                                                   command, section, values):
         raw = base_config(**{section: values})
-        if isinstance(values, dict) and "h" in values:
-            del raw["geometry"]["cells_per_tau"]
         path = write_config(tmp_path, raw)
         assert main([command, "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
@@ -255,8 +273,35 @@ class TestPipelines:
     def test_strip_solve_below_unit_tau_rejected(self, tmp_path):
         raw = base_config(geometry={"tau": 0.5})
         path = write_config(tmp_path, raw)
-        assert main(["scaling", "--config", path,
-                     "--out", str(tmp_path / "out")]) == 2
+        for command in ("planelike", "scaling", "barrier"):
+            assert main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+            assert not (tmp_path / "out").exists()
+
+    def test_scaling_profiles_at_interface_and_theta(self, tmp_path):
+        # the balls are centred at the interface height and the interface
+        # profile counts the {|u| < theta} band of the obstacles
+        radii = [1.0, 1.5, 2.0, 2.5]
+        raw = base_config(experiment={"radii": radii},
+                          solver={"theta": 0.5, "epsilon": 0.25})
+        path = write_config(tmp_path, raw)
+        main(["scaling", "--config", path, "--out", str(tmp_path / "out")])
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        cfg = ExperimentConfig.from_dict(raw)
+        cfg.experiment["kind"] = "scaling"
+        domain, = cfg.strip_domains()
+        field = cli._solve_one(cfg, domain)[2].field
+        center = (0.5 * domain.n_p * domain.h,
+                  geometry.interface_height(field))
+        assert rep["center"] == list(center)
+        lines = (tmp_path / "out" / "interface_profile.csv").read_text()
+        written = [float(line.split(",")[1])
+                   for line in lines.splitlines()[1:]]
+        band = [v for _, v, _ in geometry.interface_profile(
+            field, 0.5, center, radii, xi=1.0)]
+        assert written == band
+        assert band != [v for _, v, _ in geometry.interface_profile(
+            field, 0.9, center, radii, xi=1.0)]
 
     def test_scaling_pipeline_synthetic_fit(self, tmp_path):
         raw = base_config(experiment={"radii": [1.0, 1.5, 2.0, 2.5]},

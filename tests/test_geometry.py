@@ -5,8 +5,8 @@ import pytest
 
 from nlphase.geometry import (SetMask, boundary_cube_family, ball_count,
                               clean_ball_search, density_profile,
-                              grid_boundary_count, interface_profile,
-                              interface_width, level_mask,
+                              grid_boundary_count, interface_height,
+                              interface_profile, interface_width, level_mask,
                               symmetric_difference_measure)
 from nlphase.lattice import Direction, Field, GeometryError, build_domain
 
@@ -113,6 +113,36 @@ class TestInterfaceProfile:
         width = interface_width(f, 0.9)
         for R, v, _ in rows:
             assert v <= 10.0 * width
+
+
+class TestInterfaceHeight:
+    def test_exact_on_linear_profile(self):
+        # the p-modulation averages out; the crossing may fall on a row
+        dom = axis_domain()
+        P, T = dom.frame_centers()
+        wave = 0.1 * np.sin(2.0 * np.pi * P / (dom.n_p * dom.h))
+        for t0 in (1.3, 2.0 + 0.5 * dom.h, 0.01):
+            u = np.clip((t0 - T) / 4.0 + wave, -1.0, 1.0)
+            assert interface_height(Field(dom, u)) == pytest.approx(
+                t0, abs=1e-12)
+
+    def test_continuous_under_rounding(self):
+        # a row sits exactly on the zero level; a perturbation at rounding
+        # scale moves the height by as little, not by a cell
+        dom = axis_domain()
+        t0 = dom.t_centers()[20]
+        f = Field(dom, np.tile(np.tanh(t0 - dom.t_centers()), (dom.n_p, 1)))
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            g = Field(dom, f.values + 1e-12 * rng.uniform(-1, 1, dom.shape))
+            assert abs(interface_height(g) - interface_height(f)) <= 1e-9
+
+    def test_far_values_extend_the_profile(self):
+        dom = axis_domain()
+        f = Field(dom, np.ones(dom.shape))      # far values +1 below, -1 above
+        assert interface_height(f) == pytest.approx(dom.t_hi, abs=1e-12)
+        with pytest.raises(GeometryError):
+            interface_height(Field.full(dom, 1.0, matching_far=True))
 
 
 class TestGridBoundary:

@@ -8,6 +8,7 @@ rename that breaks either shows up here instead of in a benchmark run.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from nlphase.cli import ExperimentConfig
 from nlphase.energy import WeightTable
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,13 +40,30 @@ def test_traced_names_resolve():
         assert meth in cls.__dict__, f"{cls_name}.{meth}"
 
 
+def _domains(raw: dict, kind: str) -> list:
+    """The strip domains a ``kind`` run of a config resolves, unsolved."""
+    raw = dict(raw, experiment=dict(raw.get("experiment", {}), kind=kind))
+    return ExperimentConfig.from_dict(raw).strip_domains()
+
+
 def test_workloads_drive_the_config_api(tmp_path):
     # MeasureWorkload reads ExperimentConfig's from_dict, domain, kernel_spec,
-    # potential_spec and r_cut; the CLI workloads pass --threads 1
+    # potential_spec and r_cut; the CLI workloads pass --threads 1, and every
+    # config they and the demos ship resolves under its pipeline
     workloads = _perfbench("workloads")
     measure = workloads.MeasureWorkload(seed=5).prepare()
     assert len(measure.cases) == len(workloads.STRIPS)
+    strip = workloads.CliWorkload("strip", 5, tmp_path / "strip").prepare()
     sweep = workloads.CliWorkload("sweep", 5, tmp_path / "cfg").prepare()
+    for _, pipeline, path in strip.calls + sweep.calls:
+        assert len(_domains(json.loads(path.read_text()), pipeline)) == 1
+    sample = json.loads((ROOT / "demos" / "sample_config.json").read_text())
+    for pipeline, n in (("planelike", 2), ("scaling", 1), ("validate", 0)):
+        assert len(_domains(sample, pipeline)) == n
+    # a barrier run always solves its slide strip, at the default height
+    barrier = dict(sample, kernel={"dim": 2, "s": 0.75, "family": "standard"},
+                   geometry={"tau": 1.0}, experiment={})
+    assert len(_domains(barrier, "barrier")) == 1
     sweep.calls = [c for c in sweep.calls if c[0] == "perimeter_w11"]
     (op_name, op), = sweep.ops(tmp_path / "pass")
     failures, _, _ = sweep.check(tmp_path / "pass", {op_name: op()})
