@@ -6,13 +6,11 @@ phase-pure inscribed balls, and the cubic-grid boundary count of a dense
 set.
 """
 
-import numpy as np
-
 from nlphase import Direction, build_domain, build_weights
 from nlphase.geometry import (ball_count, boundary_cube_family,
                               clean_ball_search, density_profile,
-                              grid_boundary_count, interface_profile,
-                              level_mask)
+                              grid_boundary_count, interface_height,
+                              interface_profile, level_mask)
 from nlphase.minimize import Constraints, SolveOptions, minimize_strip
 from nlphase.model import KernelSpec, PotentialSpec
 
@@ -26,9 +24,7 @@ result = minimize_strip(weights, potential, Constraints(0.9),
                         options=SolveOptions(max_iters=30000,
                                              epsilon=1.0 / 32.0))
 
-u = result.field.values
-ip, it = np.unravel_index(int(np.argmin(np.abs(u))), u.shape)
-center = ((ip + 0.5) * domain.h, domain.t_lo + (it + 0.5) * domain.h)
+center = (0.5 * domain.n_p * domain.h, interface_height(result.field))
 print(f"interface-centered at frame point ({center[0]:.2f}, {center[1]:.2f})")
 
 plus = level_mask(result.field, 0.5, "above")
@@ -47,7 +43,7 @@ print(f"\nclean balls inside B_6: plus r = {balls['plus']['radius']:.2f}, "
 
 cube = ((0.0, center[1] - 2.0), 4.0)
 for k in (4, 8, 16):
-    count, _ = grid_boundary_count(plus, cube, k)
+    count = grid_boundary_count(plus, cube, k)
     print(f"grid boundary count k={k:2d}: {count:4d} mixed subcubes "
           f"(count/k = {count / k:.2f})")
 family = boundary_cube_family(plus, cube, 8)

@@ -1,5 +1,7 @@
 """Windowed energies, the per-period functional, and the operator L_K."""
 
+from dataclasses import asdict
+
 import numpy as np
 
 from nlphase import (BallWindow, Direction, Field, PERIOD, build_domain,
@@ -17,7 +19,7 @@ field = Field(domain, np.tile(np.tanh(4.0 - t), (domain.n_p, 1)))
 
 period = weights.window_report(field, PERIOD, potential)
 print("per-period energy:")
-for key, val in period.as_dict().items():
+for key, val in asdict(period).items():
     print(f"  {key:>14}: {val}")
 
 P, T = domain.rect_centers((0, 1, domain.n_t // 2, domain.n_t // 2 + 1))

@@ -22,8 +22,7 @@ print(f"well floor gamma(0.9):     {gamma_of(potential, 0.9):.6f}")
 print(f"scaling profile Psi_s:     s=0.25: {psi_s(0.25, 16.0):g}, "
       f"s=0.5: {psi_s(0.5, np.e):g}, s=0.75: {psi_s(0.75, 100.0):g}")
 
-report = validate_hypotheses(kernel, potential, samples=512, seed=1,
-                             planelike=True)
+report = validate_hypotheses(kernel, potential, samples=512, seed=1)
 print("\nhypothesis checks:")
 for check in report.checks:
     print(f"  {check.tag:7s} {'pass' if check.passed else 'FAIL'}   "

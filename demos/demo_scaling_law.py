@@ -1,9 +1,8 @@
 """Energy growth in balls and the log-log exponent fit."""
 
-import numpy as np
-
 from nlphase import BallWindow, Direction, build_domain, build_weights
 from nlphase.cli import fit_exponent
+from nlphase.geometry import interface_height
 from nlphase.minimize import Constraints, SolveOptions, minimize_strip
 from nlphase.model import KernelSpec, PotentialSpec
 
@@ -16,9 +15,7 @@ weights = build_weights(kernel, domain, 17.6)
 result = minimize_strip(weights, potential, Constraints(0.9),
                         options=SolveOptions(max_iters=30000, epsilon=eps))
 
-u = result.field.values
-ip, it = np.unravel_index(int(np.argmin(np.abs(u))), u.shape)
-center = ((ip + 0.5) * domain.h, domain.t_lo + (it + 0.5) * domain.h)
+center = (0.5 * domain.n_p * domain.h, interface_height(result.field))
 
 pairs = []
 print("R      interior energy (kinetic_in + potential)")

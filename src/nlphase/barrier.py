@@ -186,13 +186,13 @@ def _assemble(n, s, r, R=math.nan, delta=math.nan, nu_bar=math.nan):
 
 
 @functools.lru_cache(maxsize=64)
-def _measure_c3(n, s, r, n_samples=160) -> float:
+def _measure_c3(n, s, r) -> float:
     """Sampled sup of |L v| / (v + 16 r^(-2s)) over B_r, with 1.2 safety."""
     proto = _assemble(n, s, r)
     # dense radial samples concentrated near the profile features
     base = np.concatenate([
-        np.linspace(0.0, r, n_samples // 2),
-        r - np.geomspace(1e-3, max(r / 2.0, 1e-2), n_samples // 2),
+        np.linspace(0.0, r, 80),
+        r - np.geomspace(1e-3, max(r / 2.0, 1e-2), 80),
     ])
     base = np.unique(np.clip(base, 0.0, r * (1.0 - 1e-9)))
     denom_floor = 16.0 * r ** (-2.0 * s)
@@ -210,8 +210,6 @@ def build_barrier(kernel, R: float, delta: float) -> BarrierFn:
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive: {value}")
     n, s = kernel.dim, kernel.s
-    if n not in (1, 2):
-        raise ValueError("barriers are built in dimensions 1 and 2 only")
     nu_bar = 1.0 - 2.0 * s if s < 0.5 else kernel.nu
     r1 = 2.0 ** (3.0 / s)
 

@@ -5,12 +5,13 @@ are rejected, cross-field constraints are validated against named
 hypothesis tags, and all randomized checks draw from one recorded 64-bit
 seed, so reruns with the same configuration are bit-identical.
 
-`ExperimentConfig` resolves the file once: kernel, potential, solver and
-certificate defaults are those of the classes and functions that use them,
-the geometry is given in units of tau (``M_factor``, ``cells_per_tau``,
-``buffer_factor``, ``r_cut_factor``), and `strip_domains` checks every
-domain a pipeline solves on before any output exists.  A ``run_*`` pipeline
-returns report entries and verdicts; `run_pipeline` writes ``report.json``.
+`ExperimentConfig` resolves the file once for one pipeline: kernel,
+potential, solver and certificate defaults are those of the classes and
+functions that use them, the geometry is given in units of tau
+(``M_factor``, ``cells_per_tau``, ``buffer_factor``, ``r_cut_factor``), and
+`strip_domains` checks every domain the pipeline solves on before any output
+exists.  A ``run_*`` pipeline returns report entries and verdicts;
+`run_pipeline` writes ``report.json``.
 
 Pipelines
 ---------
@@ -36,7 +37,7 @@ import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +56,14 @@ from .model import KernelSpec, PotentialSpec, validate_hypotheses
 SCHEMA_VERSION = 1
 
 # kernel and potential keys are the spec fields; tau comes from the geometry
-# and the planelike hypothesis fixes xi = tau
 _SECTION_KEYS = {
-    "kernel": {f.name for f in fields(KernelSpec)} - {"tau", "xi"},
+    "kernel": {f.name for f in fields(KernelSpec)} - {"tau"},
     "potential": {f.name for f in fields(PotentialSpec)} - {"tau"},
     "geometry": {"tau", "direction", "M_factor", "cells_per_tau",
                  "buffer_factor", "r_cut_factor"},
-    "solver": {"theta", "max_iters", "grad_tol", "rel_decrease_tol",
-               "epsilon"},
-    "experiment": {"kind", "radii", "tau_list", "eps_list", "directions",
-                   "trials", "barrier_R", "barrier_delta", "density_floor",
+    "solver": {"theta", "max_iters", "epsilon"},
+    "experiment": {"radii", "tau_list", "eps_list", "directions", "trials",
+                   "barrier_R", "barrier_delta", "density_floor",
                    "m0_spread"},
     "tolerances": {"classA_rel", "flip_rel"},
 }
@@ -77,6 +76,8 @@ _POSITIVE_KEYS = (("geometry", "tau"), ("geometry", "M_factor"),
                   ("geometry", "cells_per_tau"), ("geometry", "buffer_factor"),
                   ("geometry", "r_cut_factor"), ("experiment", "barrier_R"),
                   ("experiment", "barrier_delta"))
+# lists of radii and periods: every entry finite and positive
+_POSITIVE_LISTS = (("experiment", "radii"), ("experiment", "tau_list"))
 
 
 def _given(section: dict, cast, **params) -> dict:
@@ -102,9 +103,10 @@ class ExperimentConfig:
     tolerances: dict
     output: str = "out"
     seed: int = 20240808
+    kind: str | None = None      # the pipeline the config is resolved for
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, kind: str | None = None) -> "ExperimentConfig":
         _check_keys(raw, {"schema_version", "output", "seed", *_SECTION_KEYS},
                     "configuration")
         if raw.get("schema_version") != SCHEMA_VERSION:
@@ -116,14 +118,15 @@ class ExperimentConfig:
         cfg = cls(**{name: dict(raw.get(name, {})) for name in _SECTION_KEYS},
                   output=raw.get("output", cls.output),
                   seed=whole_number(raw.get("seed", cls.seed), "seed",
-                                    ConfigurationError))
+                                    ConfigurationError),
+                  kind=kind)
         cfg.validate_cross_fields()
         return cfg
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, kind: str | None = None) -> "ExperimentConfig":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            return cls.from_dict(json.load(f), kind)
 
     @property
     def tau(self) -> float:
@@ -150,7 +153,13 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"{section}.{key} must be finite and "
                     f"{'nonnegative' if zero_ok else 'positive'}: {value}")
-        kind = self.experiment.get("kind")
+        for section, key in _POSITIVE_LISTS:
+            for value in getattr(self, section).get(key) or []:
+                if not (math.isfinite(float(value)) and float(value) > 0.0):
+                    raise ConfigurationError(
+                        f"{section}.{key} entries must be finite and "
+                        f"positive: {value}")
+        kind = self.kind
         tau = self.tau
         if kind in ("gamma", "perimeter") and \
                 float(self.kernel.get("s", KernelSpec.s)) >= 0.5:
@@ -197,12 +206,12 @@ class ExperimentConfig:
                 * (self.tau if tau is None else tau))
 
     def strip_domains(self) -> list:
-        """Every domain the ``experiment.kind`` pipeline builds weights on,
-        checked against the cell grid and the cutoff; a strip that is solved
-        on must be at least tau high and, except in the gamma sweep, have
-        xi = tau >= 1."""
+        """Every domain the ``kind`` pipeline builds weights on, checked
+        against the kernel dimension, the cell grid and the cutoff; a strip
+        that is solved on must be at least tau high and, except in the gamma
+        sweep, have xi = tau >= 1."""
         exp = self.experiment
-        kind = exp.get("kind")
+        kind = self.kind
         if kind == "planelike":
             jobs = [(float(tau), d)
                     for d in exp.get("directions", [self.direction])
@@ -211,8 +220,13 @@ class ExperimentConfig:
             jobs = [(self.tau, self.direction)]
         else:
             return []
+        dim = self.kernel.get("dim", KernelSpec.dim)
         domains = []
         for tau, d in jobs:
+            if len(d) != dim:
+                raise ConfigurationError(
+                    f"direction {list(d)} has {len(d)} components, "
+                    f"kernel.dim is {dim}")
             if kind in ("planelike", "scaling", "barrier") and tau < 1.0:
                 raise ConfigurationError(
                     f"strip solves require tau >= 1, got {tau}", tag="xi=tau")
@@ -226,8 +240,7 @@ class ExperimentConfig:
     def solve_options(self) -> min_mod.SolveOptions:
         return min_mod.SolveOptions(
             **_given(self.solver, int, max_iters="max_iters"),
-            **_given(self.solver, float, grad_tol="grad_tol",
-                     rel_decrease_tol="rel_decrease_tol", epsilon="epsilon"))
+            **_given(self.solver, float, epsilon="epsilon"))
 
     def constraints(self) -> min_mod.Constraints:
         return min_mod.Constraints(**_given(self.solver, float, theta="theta"))
@@ -330,7 +343,7 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
 
     verdicts = []
     for row in rows:
-        name = f"tau{row['tau']:g}_w{row['direction'][0]}{row['direction'][1]}"
+        name = f"tau{row['tau']:g}_w" + "".join(map(str, row["direction"]))
         row.pop("field").dump_csv(out / f"field_{name}.csv")
         trace = row.pop("trace")
         if trace is not None:
@@ -377,10 +390,10 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
               "R,total,kinetic_in,kinetic_cross,potential,tail,tag", rows)
     plus = geom.level_mask(result.field, 0.5, "above")
     write_csv(out / "density_profile.csv", "R,value,tag",
-              geom.density_profile(plus, center, radii, xi=kernel.xi))
+              geom.density_profile(plus, center, radii, xi=kernel.tau))
     write_csv(out / "interface_profile.csv", "R,value,tag",
               geom.interface_profile(result.field, cfg.constraints().theta,
-                                     center, radii, xi=kernel.xi))
+                                     center, radii, xi=kernel.tau))
 
     fitted = None
     if s == 0.5:
@@ -506,7 +519,7 @@ def run_perimeter(cfg: ExperimentConfig, out: Path) -> tuple:
     small, big = (per_mod.per_K(weights, mask, energy_mod.BallWindow(
         (0.5 * domain.n_p * domain.h, level), k * tau)).per_K for k in (2, 3))
     mono = small <= big + 1e-12
-    return {"per_K": res.as_dict()}, [
+    return {"per_K": asdict(res)}, [
         _verdict("PerKchi", identity_gap, identity_gap <= 1e-10),
         _verdict("PerK-parts", part_gap, part_gap <= 1e-12),
         _verdict("PerK-window-monotone", mono, mono),
@@ -553,15 +566,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = ExperimentConfig.from_file(args.config)
+        cfg = ExperimentConfig.from_file(args.config, args.command)
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.experiment["kind"] = args.command
         cfg.experiment["_threads"] = args.threads
-        cfg.validate_cross_fields()
         hyp = validate_hypotheses(cfg.kernel_spec(), cfg.potential_spec(),
-                                  samples=256, seed=cfg.seed,
-                                  planelike=args.command == "planelike")
+                                  samples=256, seed=cfg.seed)
         if not hyp.passed:
             print("hypothesis rejection: " + ", ".join(hyp.failing_tags()),
                   file=sys.stderr)

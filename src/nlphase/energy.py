@@ -284,22 +284,7 @@ class EnergyReport:
     kinetic_cross: float
     potential: float
     total: float
-    epsilon: float | None
-    r_cut: float
-    h: float
     tail_estimate: float
-
-    def as_dict(self) -> dict:
-        return {
-            "kinetic_in": self.kinetic_in,
-            "kinetic_cross": self.kinetic_cross,
-            "potential": self.potential,
-            "total": self.total,
-            "epsilon": self.epsilon,
-            "R_cut": self.r_cut,
-            "h": self.h,
-            "tail_estimate": self.tail_estimate,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +481,7 @@ class WeightTable:
         tail = float(np.sum((u - fb) ** 2 * tp + (u - fa) ** 2 * tm))
         pot = 0.0 if potential is None else float(np.sum(
             self._potential_weights(potential, epsilon) * potential.profile(u)))
-        return EnergyReport(kin - kin_cross, kin_cross, pot, kin + pot,
-                            None if epsilon is None else float(epsilon),
-                            self.r_cut, self.domain.h, tail)
+        return EnergyReport(kin - kin_cross, kin_cross, pot, kin + pot, tail)
 
     def gradient(self, field: Field, potential, epsilon=None) -> np.ndarray:
         """Gradient of the per-period functional in the cell values."""
@@ -525,14 +508,11 @@ class WeightTable:
 
         return fun
 
-    def apply_lk(self, field: Field, index=None):
+    def apply_lk(self, field: Field) -> np.ndarray:
         """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included),
         half the kinetic gradient per cell volume."""
         grad, _ = self._kinetic(field.values, field.far_below, field.far_above)
-        lk = grad / (2.0 * self.domain.cell_volume)
-        if index is None:
-            return lk
-        return float(lk[index])
+        return grad / (2.0 * self.domain.cell_volume)
 
     # -- windowed energies ------------------------------------------------------
 
@@ -575,9 +555,7 @@ class WeightTable:
             pot = float(np.sum(potential.q(x) * potential.profile(V) * chi)) \
                 * d.cell_volume * self._pscale(epsilon)
         total = kin_in + kin_cross + pot
-        return EnergyReport(kin_in, kin_cross, pot, total,
-                            None if epsilon is None else float(epsilon),
-                            self.r_cut, d.h, tail)
+        return EnergyReport(kin_in, kin_cross, pot, total, tail)
 
     def window_cells(self, field: Field, window) -> tuple:
         """(rect, values, g, P, T) over the cell-index rectangle that covers

@@ -158,18 +158,12 @@ def _subcubes(mask: SetMask, cube, k: int) -> tuple:
     return rect, P, T, incube, sub_p, sub_t, has_in & has_out
 
 
-def grid_boundary_count(mask: SetMask, cube, k: int,
-                        c_star: float | None = None) -> tuple:
+def grid_boundary_count(mask: SetMask, cube, k: int) -> int:
     """Number of subcubes of a k^n partition meeting both phases.
 
-    ``cube`` is (corner, r) with the corner in frame coordinates.  Returns
-    (count, passed) where passed compares against c_star * k^(n-1) when a
-    threshold constant is supplied (and is None otherwise).
+    ``cube`` is (corner, r) with the corner in frame coordinates.
     """
-    count = int(np.count_nonzero(_subcubes(mask, cube, k)[-1]))
-    passed = (None if c_star is None
-              else count >= c_star * k ** (mask.domain.dim - 1))
-    return count, passed
+    return int(np.count_nonzero(_subcubes(mask, cube, k)[-1]))
 
 
 def boundary_cube_family(mask: SetMask, cube, k: int) -> list:

@@ -10,6 +10,7 @@ fused value-and-gradient oracle `WeightTable.objective`.  Its quality is
 certified a posteriori by the Birkhoff monotonicity of level sets and by
 frozen-boundary ball re-solves (local minimality in the plane, not just per
 period); the ``planelike`` pipeline reports both, with the upper distance.
+The solver tolerances and the certificate ball radii are module constants.
 The period-doubling consistency check `doubling_check` is a library check
 that no pipeline runs, as is multi-start agreement (a second solve from
 another seed field).
@@ -25,6 +26,12 @@ from scipy import optimize as sopt
 
 from .energy import BallWindow, ConfigurationError, WeightTable, build_weights
 from .lattice import Field, StripDomain, birkhoff_shift
+
+# L-BFGS-B stopping tolerances: projected gradient, relative decrease of F
+GRAD_TOL = 1e-8
+REL_DECREASE_TOL = 1e-15
+# certificate balls have radii in [2h, 2tau]: (factor of h, factor of tau)
+CERT_RADII = (2.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -52,8 +59,6 @@ class Constraints:
 @dataclass
 class SolveOptions:
     max_iters: int = 40000
-    grad_tol: float = 1e-8
-    rel_decrease_tol: float = 1e-15
     epsilon: float | None = None
     record_trace: bool = True
 
@@ -107,8 +112,8 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
 
     Accepted iterations never increase the objective.
     ``diagnostics["stop_reason"]`` is ``grad_tol`` (largest projected-gradient
-    entry below ``grad_tol``), ``stall`` (relative reduction of F in one
-    iteration below ``rel_decrease_tol``), ``no_descent`` (no admissible
+    entry below `GRAD_TOL`), ``stall`` (relative reduction of F in one
+    iteration below `REL_DECREASE_TOL`), ``no_descent`` (no admissible
     descent left at machine precision) or ``iteration_cap`` (``max_iters``
     reached, the only exit with ``converged=False``);
     ``diagnostics["nfev"]`` counts oracle evaluations.  Trace rows are
@@ -148,7 +153,7 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
         fun, x_prev, jac=True, method="L-BFGS-B", bounds=sopt.Bounds(lo, hi),
         callback=record if options.record_trace else None,
         options={"maxiter": options.max_iters, "maxfun": math.inf,
-                 "ftol": options.rel_decrease_tol, "gtol": options.grad_tol})
+                 "ftol": REL_DECREASE_TOL, "gtol": GRAD_TOL})
     reason = _stop_reason(res.message)
 
     fld = Field(domain, np.clip(res.x, lo, hi).reshape(domain.shape))
@@ -170,21 +175,18 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
 # certificates
 
 
-def check_birkhoff(field: Field, theta_levels=(-0.9, -0.5, 0.0, 0.5, 0.9),
-                   generators=None) -> dict:
+def check_birkhoff(field: Field,
+                   theta_levels=(-0.9, -0.5, 0.0, 0.5, 0.9)) -> dict:
     """Discrete Birkhoff monotonicity of super/sublevel sets under tau-shifts.
 
-    For each level, each lattice generator k with a definite sign of
-    omega.k, and both set families {u > eta} and {-u > eta}, counts the
-    cells violating the required inclusion.  Generators orthogonal to
+    For each level, each axis generator +-e_i of the lattice with a definite
+    sign of omega.k, and both set families {u > eta} and {-u > eta}, counts
+    the cells violating the required inclusion.  Generators orthogonal to
     omega must reproduce the sets exactly.
     """
     d = field.domain
-    if generators is None:
-        if d.dim == 1:
-            generators = [(1,), (-1,)]
-        else:
-            generators = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    generators = ([(1,), (-1,)] if d.dim == 1
+                  else [(1, 0), (-1, 0), (0, 1), (0, -1)])
     omega = d.direction.omega
     rows = []
     worst = 0
@@ -221,8 +223,7 @@ def upper_distance(field: Field, theta: float) -> float:
 
 
 def ball_improvement(weights: WeightTable, potential, field: Field,
-                     center, radius: float, epsilon=None,
-                     maxiter: int = 400) -> float:
+                     center, radius: float, epsilon=None) -> float:
     """Energy gained by re-solving inside a frozen-boundary ball.
 
     The constraint obstacles are dropped inside the ball (only the box
@@ -277,25 +278,25 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     e0 = split(u_ball)
     res = sopt.minimize(split, u_ball, jac=grad, method="L-BFGS-B",
                         bounds=[(-1.0, 1.0)] * nb,
-                        options={"maxiter": maxiter, "ftol": 1e-18,
+                        options={"maxiter": 400, "ftol": 1e-18,
                                  "gtol": 1e-12})
     return max(e0 - float(res.fun), 0.0)
 
 
 def check_class_A(weights: WeightTable, potential, field: Field,
-                  trials: int = 12, radius_range=(None, None),
-                  seed: int = 0, epsilon=None, tol_rel: float = 1e-8) -> dict:
+                  trials: int = 12, seed: int = 0, epsilon=None,
+                  tol_rel: float = 1e-8) -> dict:
     """Frozen-boundary ball re-solves on random balls inside the open strip.
 
-    Balls are sampled compactly inside {0 < t < M}, the region where the
-    constrained minimizer is a free local minimizer; the one-sided
-    obstacles are active on the constrained regions themselves, so balls
-    crossing them would test a property that only holds asymptotically.
+    Radii are drawn in `CERT_RADII`, and balls compactly inside
+    {0 < t < M}, the region where the constrained minimizer is a free local
+    minimizer; the one-sided obstacles are active on the constrained
+    regions themselves, so balls crossing them would test a property that
+    only holds asymptotically.
     """
     d = weights.domain
     rng = np.random.default_rng(seed)
-    r_lo = radius_range[0] or 2.0 * d.h
-    r_hi = radius_range[1] or 2.0 * d.tau
+    r_lo, r_hi = CERT_RADII[0] * d.h, CERT_RADII[1] * d.tau
     F_ref = abs(weights.period_value(field, potential, epsilon))
     rows = []
     worst = 0.0

@@ -60,36 +60,34 @@ def _reduced_cos(x, tau):
 class KernelSpec:
     """Pairwise interaction kernel with ellipticity and periodicity data.
 
-    ``lam``/``Lam`` are the two-sided envelope constants: the kernel is
-    bounded below by lam/|x-y|^(n+2s) for |x-y| < xi and above by
-    Lam/|x-y|^(n+2s) everywhere.  ``nu``/``gamma_reg`` quantify the odd-part
-    regularity needed in the weakly nonlocal range s >= 1/2.
+    The hypothesis constants are derived: the kernel is bounded below by
+    lam/|x-y|^(n+2s) for |x-y| < xi = tau and above by Lam/|x-y|^(n+2s)
+    everywhere; ``nu``/``gamma_reg`` quantify the odd-part regularity
+    needed in the weakly nonlocal range s >= 1/2 (None below it).
     """
 
     dim: int = 2
     s: float = 0.25
     tau: float = 1.0
     family: str = "standard"
-    xi: float | None = None       # defaults to tau
-    nu: float | None = None       # only meaningful for s >= 1/2
-    gamma_reg: float | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.xi is None:
-            object.__setattr__(self, "xi", self.tau)
-        if self.s >= 0.5:
-            if self.nu is None:
-                object.__setattr__(self, "nu", min(0.9, 2.0 - 2.0 * self.s))
-            if self.gamma_reg is None:
-                object.__setattr__(self, "gamma_reg", 4.0 * math.pi / self.tau)
+
+    @property
+    def nu(self) -> float | None:
+        return min(0.9, 2.0 - 2.0 * self.s) if self.s >= 0.5 else None
+
+    @property
+    def gamma_reg(self) -> float | None:
+        return 4.0 * math.pi / self.tau if self.s >= 0.5 else None
 
     @property
     def lam(self) -> float:
@@ -136,14 +134,13 @@ def eval_kernel(spec: KernelSpec, x, y):
 class PotentialSpec:
     """Double-well potential W(x, r) vanishing exactly at r = +-1.
 
-    When ``kappa`` is not given it is derived from the family so that the
-    uniform bounds W, |W_r| <= 1/kappa hold with a 5% margin even at the
-    strongest modulation Q = 2.
+    ``kappa`` is derived from the family so that the uniform bounds W,
+    |W_r| <= 1/kappa hold with a 5% margin even at the strongest modulation
+    Q = 2; it lies in (0, 1/3].
     """
 
     family: str = "quartic"
     d: float = 1.5                # exponent for power_d only
-    kappa: float | None = None
     tau: float = 1.0
     Q_modulation: bool = False
 
@@ -154,13 +151,13 @@ class PotentialSpec:
             raise ValueError(f"power_d requires d in (1,2), got {self.d}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.kappa is None:
-            r = np.linspace(-1.0, 1.0, 2001)
-            peak = 2.0 * max(float(np.max(self.profile(r))),
-                             float(np.max(np.abs(self.profile_derivative(r)))))
-            object.__setattr__(self, "kappa", min(0.95 / peak, 1.0 / 3.0))
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0,1), got {self.kappa}")
+
+    @property
+    def kappa(self) -> float:
+        r = np.linspace(-1.0, 1.0, 2001)
+        peak = 2.0 * max(float(np.max(self.profile(r))),
+                         float(np.max(np.abs(self.profile_derivative(r)))))
+        return min(0.95 / peak, 1.0 / 3.0)
 
     def q(self, x):
         """Spatial modulation Q(x) in [1, 2]; identically 1 when disabled."""
@@ -294,13 +291,14 @@ def _sample_points(rng, n, dim, scale):
 
 
 def validate_hypotheses(kernel, potential, samples: int = 256,
-                        seed: int = 0, planelike: bool = False) -> ValidationReport:
+                        seed: int = 0) -> ValidationReport:
     """Check the kernel/potential structure hypotheses on random samples.
 
     Failures are recorded in the report rather than raised, each with its
-    worst violation.  ``kernel`` and ``potential`` only need to
-    provide the evaluation surface of `KernelSpec`/`PotentialSpec`, so test
-    doubles can be injected.
+    worst violation.  The lower envelope (K2) is sampled on |x - y| < tau,
+    the range xi of the lower bound.  ``kernel`` and ``potential`` only
+    need to provide the evaluation surface of `KernelSpec`/`PotentialSpec`,
+    so test doubles can be injected.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -311,7 +309,7 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
     scale = 4.0 * tau
 
     x = _sample_points(rng, samples, n, scale)
-    y = x + (rng.random((samples, n)) - 0.5) * 2.0 * kernel.xi
+    y = x + (rng.random((samples, n)) - 0.5) * 2.0 * tau
     coincident = np.linalg.norm(x - y, axis=-1) < 1e-9 * tau
     y[coincident] += 0.1 * tau
 
@@ -324,7 +322,7 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
 
     d = np.linalg.norm(x - y, axis=-1)
     env = kxy * d ** kernel.exponent
-    near = d < kernel.xi
+    near = d < tau
     lo_dev = float(np.max(np.where(near, kernel.lam - env, -np.inf)))
     hi_dev = float(np.max(env - kernel.Lam))
     worst = max(lo_dev, hi_dev, 0.0)
@@ -373,12 +371,12 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
     rfull = 2.0 * rng.random(samples) - 1.0
     wv = eval_potential(potential, xs, rfull)
     wd = np.abs(eval_potential_derivative(potential, xs, rfull))
-    worst = float(max(wv.max(), wd.max()) - 1.0 / potential.kappa)
+    kap = potential.kappa
+    worst = float(max(wv.max(), wd.max()) - 1.0 / kap)
     rep.checks.append(HypothesisCheck(
         "W3", worst <= 1e-12, worst,
-        f"W, |W_r| <= 1/kappa with kappa={potential.kappa}"))
+        f"W, |W_r| <= 1/kappa with kappa={kap}"))
 
-    kap = potential.kappa
     r4 = -1.0 + kap * rng.random(samples)
     t4 = r4 + (-1.0 + kap - r4) * rng.random(samples)
     lhs = eval_potential(potential, xs, t4)
@@ -406,11 +404,5 @@ def validate_hypotheses(kernel, potential, samples: int = 256,
         worst = float(max(np.max(1.0 - qs), np.max(qs - 2.0)))
         rep.checks.append(HypothesisCheck("Qrange", worst <= 1e-12, worst,
                                           "Q(x) in [1,2]"))
-
-    if planelike:
-        ok = abs(kernel.xi - tau) <= 1e-12 * tau and tau >= 1.0
-        rep.checks.append(HypothesisCheck(
-            "xi=tau", ok, abs(kernel.xi - tau),
-            "planelike runs require xi = tau >= 1"))
 
     return rep

@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import PERIOD, PeriodWindow, WeightTable
 from .geometry import SetMask, level_mask, symmetric_difference_measure
-from .minimize import Constraints, SolveOptions, minimize_strip
+from .minimize import CERT_RADII, Constraints, SolveOptions, minimize_strip
 
 
 class RegimeError(ValueError):
@@ -34,14 +34,6 @@ class PerimeterResult:
     parts: tuple
     window: str
     tail_estimate: float
-
-    def as_dict(self) -> dict:
-        return {
-            "per_K": self.per_K,
-            "parts": list(self.parts),
-            "window": self.window,
-            "tail_estimate": self.tail_estimate,
-        }
 
 
 def _require_subcritical(weights: WeightTable):
@@ -245,19 +237,19 @@ def flip_gains(weights: WeightTable, mask: SetMask) -> tuple:
 
 
 def surface_local_min_check(weights: WeightTable, mask: SetMask,
-                            trials: int = 20, radius_range=(None, None),
-                            seed: int = 0, tol_rel: float = 1e-10) -> dict:
+                            trials: int = 20, seed: int = 0,
+                            tol_rel: float = 1e-10) -> dict:
     """Search balls for improving {1,2}-cell indicator flips.
 
-    Balls wrap periodically in p, so a ball near the period boundary also
-    holds the cells it reaches across it.
+    Radii are drawn in `nlphase.minimize.CERT_RADII`.  Balls wrap
+    periodically in p, so a ball near the period boundary also holds the
+    cells it reaches across it.
     """
     d = weights.domain
     rng = np.random.default_rng(seed)
     single, pair_t, pair_p = flip_gains(weights, mask)
     total = per_K(weights, mask, PERIOD).per_K
-    r_lo = radius_range[0] or 2.0 * d.h
-    r_hi = radius_range[1] or 2.0 * d.tau
+    r_lo, r_hi = CERT_RADII[0] * d.h, CERT_RADII[1] * d.tau
     P, T = d.frame_centers()
     L = d.n_p * d.h
     best = 0.0

@@ -26,8 +26,8 @@ from nlphase.cli import fit_exponent
 from nlphase.energy import (BallWindow, PERIOD, build_weights,
                             unit_pair_integral, pair_core_exclusion)
 from nlphase.geometry import (SetMask, boundary_cube_family, ball_count,
-                              grid_boundary_count, interface_width,
-                              level_mask)
+                              grid_boundary_count, interface_height,
+                              interface_width, level_mask)
 from nlphase.lattice import Direction, Field, StripDomain
 from nlphase.minimize import (Constraints, SolveOptions, check_birkhoff,
                               check_class_A, minimize_strip)
@@ -130,10 +130,10 @@ def scaling_runs():
     for s, cfg in SCALING_CFG.items():
         run = _solve(s, 1.0, cfg["Mf"], cfg["cpt"], eps=cfg["eps"],
                      r_cut=cfg["r_cut"], max_iters=30000)
-        u = run["result"].field.values
         dom = run["domain"]
-        ip, it = np.unravel_index(int(np.argmin(np.abs(u))), u.shape)
-        run["center"] = ((ip + 0.5) * dom.h, dom.t_lo + (it + 0.5) * dom.h)
+        # centred at the interface height, as the scaling pipeline does
+        run["center"] = (0.5 * dom.n_p * dom.h,
+                         interface_height(run["result"].field))
         run["radii"] = cfg["radii"]
         reports = []
         for R in cfg["radii"]:
@@ -396,9 +396,7 @@ def test_criterion_09_barrier(barrier_quarter, scaling_runs):
     probe = build_barrier(std75, R=1e6, delta=1.0)
     sbar = build_barrier(std75, R=18.0, delta=probe.c3 * 1.05)
     dom = run["domain"]
-    u = run["result"].field.values
-    it = int(np.argmin(np.abs(u.mean(axis=0))))
-    t0 = min(max(dom.t_lo + (it + 0.5) * dom.h + 0.5 * sbar.R,
+    t0 = min(max(interface_height(run["result"].field) + 0.5 * sbar.R,
                  dom.t_lo + sbar.R + dom.h),
              dom.t_hi - sbar.R - dom.h)
     slide = barrier_slide_test(run["weights"], run["potential"],
@@ -442,7 +440,7 @@ def test_criterion_10_grid_boundary_counting():
     for trial in range(100):
         mask = _random_dense_mask(domain, rng, cube, 0.25)
         for k in (4, 8, 16):
-            count, _ = grid_boundary_count(mask, cube, k)
+            count = grid_boundary_count(mask, cube, k)
             ratios.append(count / k)
             if trial % 10 == 0 and k == 8:
                 fam = boundary_cube_family(mask, cube, k)

@@ -55,7 +55,9 @@ class TestFitExponent:
 class TestConfig:
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         # former keys among them: geometry is given only in units of tau,
-        # and the certificate levels, radii and reference level are fixed
+        # the certificate levels, radii and reference level are fixed, the
+        # model constants are derived, the solver tolerances are constants
+        # and the pipeline is named on the command line
         for section, key in (("geometry", "mesh"), ("solver", "theta0"),
                              ("tolerances", "decomposition_rel"),
                              ("tolerances", "identity_rel"),
@@ -64,7 +66,12 @@ class TestConfig:
                              ("geometry", "buffer"), ("geometry", "r_cut"),
                              ("experiment", "levels"),
                              ("experiment", "radius_range"),
-                             ("experiment", "reference_set_level")):
+                             ("experiment", "reference_set_level"),
+                             ("kernel", "xi"), ("kernel", "nu"),
+                             ("kernel", "gamma_reg"), ("potential", "kappa"),
+                             ("solver", "grad_tol"),
+                             ("solver", "rel_decrease_tol"),
+                             ("experiment", "kind")):
             raw = base_config()
             raw[section][key] = 1
             with pytest.raises(ConfigurationError) as err:
@@ -76,6 +83,19 @@ class TestConfig:
             assert f"'{key}'" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("key,values,bad", [
+        ("radii", [2.0, 3.0, math.nan, 5.0], "nan"),
+        ("radii", [2.0, 3.0, -4.0, 5.0], "-4.0"),
+        ("radii", [0.0, 3.0, 4.0, 5.0], "0.0"),
+        ("tau_list", [1.0, math.inf], "inf"),
+        ("tau_list", [1.0, math.nan], "nan"),
+    ])
+    def test_list_entry_rejection_names_key_and_value(self, key, values, bad):
+        with pytest.raises(ConfigurationError) as err:
+            ExperimentConfig.from_dict(base_config(experiment={key: values}))
+        assert f"experiment.{key}" in str(err.value)
+        assert str(err.value).endswith(f": {bad}")
+
     def test_schema_version_required(self):
         raw = base_config()
         raw["schema_version"] = 2
@@ -83,9 +103,10 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
 
     def test_regime_gate_names_tag(self):
-        raw = base_config(kernel={"s": 0.6}, experiment={"kind": "gamma"})
+        raw = base_config(kernel={"s": 0.6})
+        ExperimentConfig.from_dict(raw)              # no pipeline, no gate
         with pytest.raises(ConfigurationError) as err:
-            ExperimentConfig.from_dict(raw)
+            ExperimentConfig.from_dict(raw, kind="gamma")
         assert err.value.tag == "s<1/2"
 
     def test_epsilon_gate(self):
@@ -246,6 +267,10 @@ class TestPipelines:
             ("planelike", "geometry", {"tau": math.inf}),
             ("perimeter", "geometry", {"tau": 0.0}),
             ("perimeter", "geometry", {"tau": math.nan}),
+            # ball radii: every entry finite and positive
+            ("scaling", "experiment", {"radii": [2.0, 3.0, math.nan, 5.0]}),
+            ("scaling", "experiment", {"radii": [2.0, 3.0, -4.0, 5.0]}),
+            ("scaling", "experiment", {"radii": [0.0, 3.0, 4.0, 5.0]}),
         ])])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
                                                   command, section, values):
@@ -270,13 +295,57 @@ class TestPipelines:
             assert ((tmp_path / "1" / name).read_bytes()
                     == (tmp_path / "2" / name).read_bytes()), name
 
-    def test_strip_solve_below_unit_tau_rejected(self, tmp_path):
+    def test_strip_solve_below_unit_tau_rejected(self, tmp_path, capsys):
         raw = base_config(geometry={"tau": 0.5})
         path = write_config(tmp_path, raw)
         for command in ("planelike", "scaling", "barrier"):
             assert main([command, "--config", path,
                          "--out", str(tmp_path / "out")]) == 2
+            assert "[xi=tau]" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+        # every period of a tau list is checked
+        path = write_config(tmp_path, base_config(
+            experiment={"tau_list": [1.0, 0.5]}))
+        assert main(["planelike", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "[xi=tau]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # the kernel works in dimensions 1 and 2, and every direction has
+    # kernel.dim components
+    @pytest.mark.parametrize("command,kernel,geometry,experiment", [
+        ("planelike", {"dim": 3}, {}, {}),
+        ("planelike", {"dim": 1}, {"direction": [1]},
+         {"directions": [[0, 1]]}),
+        ("planelike", {"dim": 3}, {"direction": [0, 0, 1]}, {}),
+        ("validate", {"dim": 3}, {"direction": [0, 0, 1]}, {}),
+    ])
+    def test_kernel_dimension_checked_before_output(
+            self, tmp_path, capsys, command, kernel, geometry, experiment):
+        raw = base_config(kernel=kernel, geometry=geometry,
+                          experiment=experiment)
+        path = write_config(tmp_path, raw)
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "dim" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_planelike_one_dimensional(self, tmp_path):
+        # the file names carry every direction component; the verdicts are
+        # physics (a 4-tau strip is too short for disttau), the exit code
+        # follows them
+        raw = base_config(kernel={"dim": 1}, geometry={"direction": [1]},
+                          experiment={"trials": 2, "directions": [[1]]})
+        path = write_config(tmp_path, raw)
+        code = main(["planelike", "--config", path,
+                     "--out", str(tmp_path / "out")])
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "field_tau1_w1.csv", "report.json", "trace_tau1_w1.csv"]
+        rep = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert code == (0 if rep["passed"] else 1)
+        assert rep["rows"][0]["direction"] == [1]
+        verdicts = {v["tag"]: v["passed"] for v in rep["verdicts"]}
+        assert verdicts["birkhoff"] and verdicts["classA"]
 
     def test_scaling_profiles_at_interface_and_theta(self, tmp_path):
         # the balls are centred at the interface height and the interface
@@ -287,8 +356,7 @@ class TestPipelines:
         path = write_config(tmp_path, raw)
         main(["scaling", "--config", path, "--out", str(tmp_path / "out")])
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
-        cfg = ExperimentConfig.from_dict(raw)
-        cfg.experiment["kind"] = "scaling"
+        cfg = ExperimentConfig.from_dict(raw, kind="scaling")
         domain, = cfg.strip_domains()
         field = cli._solve_one(cfg, domain)[2].field
         center = (0.5 * domain.n_p * domain.h,

@@ -152,13 +152,10 @@ class TestGridBoundary:
         level = 0.5 + dom.h
         t = dom.t_centers()
         mask = SetMask(dom, np.tile(t < level, (dom.n_p, 1)), True, False)
-        count, passed = grid_boundary_count(mask, ((0.0, 0.0), 1.0), 4,
-                                            c_star=0.9)
-        assert count == 4 and passed
+        assert grid_boundary_count(mask, ((0.0, 0.0), 1.0), 4) == 4
         # seam aligned with the partition: no subcube sees both phases
         aligned = SetMask(dom, np.tile(t < 0.5, (dom.n_p, 1)), True, False)
-        count0, _ = grid_boundary_count(aligned, ((0.0, 0.0), 1.0), 4)
-        assert count0 == 0
+        assert grid_boundary_count(aligned, ((0.0, 0.0), 1.0), 4) == 0
 
     def test_checkerboard_all_mixed(self):
         dom = axis_domain(M=4.0, h=0.125, B=2.0)
@@ -168,8 +165,7 @@ class TestGridBoundary:
         # blocks of subcube size, offset by one cell so every subcube mixes
         cb = (((ip + 1) // 2 + (it + 1) // 2) % 2).astype(bool)
         mask = SetMask(dom, cb, True, False)
-        count, _ = grid_boundary_count(mask, ((0.0, 0.0), 1.0), k)
-        assert count == k * k
+        assert grid_boundary_count(mask, ((0.0, 0.0), 1.0), k) == k * k
 
     def test_under_resolved_rejected(self):
         dom = axis_domain()
@@ -184,7 +180,7 @@ class TestGridBoundary:
         mask = SetMask(dom, T < wig, True, False)
         k = 8
         fam = boundary_cube_family(mask, ((0.0, 0.5), 2.0), k)
-        count, _ = grid_boundary_count(mask, ((0.0, 0.5), 2.0), k)
+        count = grid_boundary_count(mask, ((0.0, 0.5), 2.0), k)
         assert len(fam) >= max(count // 9, 1)
         side = 2.0 / k
         for a in fam:

@@ -56,7 +56,7 @@ class TestKernel:
         y[np.linalg.norm(x - y, axis=1) < 1e-6] += 0.2
         d = np.linalg.norm(x - y, axis=1)
         env = eval_kernel(spec, x, y) * d ** spec.exponent
-        near = d < spec.xi
+        near = d < spec.tau
         assert np.all(env[near] >= spec.lam - 1e-12)
         assert np.all(env <= spec.Lam + 1e-12)
 
@@ -70,6 +70,20 @@ class TestKernel:
             KernelSpec(s=1.2)
         with pytest.raises(ValueError):
             KernelSpec(family="exotic")
+        # lattice, energy and barrier work in dimensions 1 and 2
+        for dim in (0, 3):
+            with pytest.raises(ValueError, match="dim must be 1 or 2"):
+                KernelSpec(dim=dim)
+
+    def test_regularity_constants_derived(self):
+        assert KernelSpec(s=0.25).nu is None
+        assert KernelSpec(s=0.25).gamma_reg is None
+        spec = KernelSpec(s=0.75, tau=2.0)
+        assert spec.nu == pytest.approx(0.5)
+        assert spec.gamma_reg == pytest.approx(2.0 * math.pi)
+        assert KernelSpec(s=0.5).nu == pytest.approx(0.9)
+        with pytest.raises(AttributeError):
+            spec.nu = 0.1
 
 
 class TestPotential:
@@ -109,6 +123,18 @@ class TestPotential:
         an = eval_potential_derivative(spec, x, r)
         scale = np.maximum(np.abs(an), 1e-2)
         assert np.max(np.abs(fd - an) / scale) < 1e-6
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_kappa_derived_in_range(self, family):
+        spec = make_potential(family, Q_modulation=True)
+        assert 0.0 < spec.kappa <= 1.0 / 3.0
+        r = np.linspace(-1.0, 1.0, 2001)
+        x = np.zeros((r.size, 2))          # Q = 2, the strongest modulation
+        peak = max(np.max(eval_potential(spec, x, r)),
+                   np.max(np.abs(eval_potential_derivative(spec, x, r))))
+        assert peak <= 0.95 / spec.kappa + 1e-12
+        with pytest.raises(AttributeError):
+            spec.kappa = 0.1
 
     def test_power_d_one_sided_derivative_at_wells(self):
         spec = make_potential("power_d", d=1.5)
@@ -179,8 +205,7 @@ class TestValidateHypotheses:
             for pf in ALL_FAMILIES:
                 rep = validate_hypotheses(
                     KernelSpec(dim=2, s=0.3, tau=1.0, family=kf),
-                    make_potential(pf, Q_modulation=True), samples=256,
-                    planelike=True)
+                    make_potential(pf, Q_modulation=True), samples=256)
                 assert rep.passed, rep.failing_tags()
 
     def test_standard_kernel_saturates_unit_bounds(self):
@@ -208,12 +233,6 @@ class TestValidateHypotheses:
         rep = validate_hypotheses(KernelSpec(dim=2, s=0.75, family="modulated"),
                                   make_potential("quartic"), samples=256)
         assert rep["K3"].passed
-
-    def test_xi_tau_gate(self):
-        spec = KernelSpec(dim=2, s=0.3, tau=0.5, family="standard")
-        rep = validate_hypotheses(spec, make_potential("quartic"),
-                                  planelike=True)
-        assert not rep["xi=tau"].passed
 
     def test_q_grid_scanned_once(self):
         grid_scans = []

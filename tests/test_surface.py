@@ -42,8 +42,7 @@ def test_traced_names_resolve():
 
 def _domains(raw: dict, kind: str) -> list:
     """The strip domains a ``kind`` run of a config resolves, unsolved."""
-    raw = dict(raw, experiment=dict(raw.get("experiment", {}), kind=kind))
-    return ExperimentConfig.from_dict(raw).strip_domains()
+    return ExperimentConfig.from_dict(raw, kind).strip_domains()
 
 
 def test_workloads_drive_the_config_api(tmp_path):
