@@ -16,6 +16,10 @@ operator constant c3 so that |L_K w| <= delta (1 + w) holds on B_R with
     R0 = (c3 / delta)^(1/(1 - nu_bar)) r1,
     nu_bar = 1 - 2s  (s < 1/2)  or the kernel regularity exponent nu.
 
+L_K pairs +-z; in 2D the half-circle angle nodes are mirrored bitwise,
+cos phi_(N-1-k) = -cos phi_k, so the profile at |x - z| is the profile at
+|x + z| in reverse angle order, and each node is evaluated once.
+
 The operator constant c3 is measured, not proved: it is the sampled
 supremum of |L v| / (v + 16 r^(-2s)) times a 1.2 safety factor, clamped
 from below by delta; it depends on (n, s, r) alone, and each measurement
@@ -42,7 +46,8 @@ class BarrierRangeError(ValueError):
 # _lk_radial: Gauss-Legendre on geometric radial panels, midpoint in angle
 _N_PANELS, _N_PHI = 96, 96
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_COS_PHI = np.cos((np.arange(_N_PHI) + 0.5) * (math.pi / _N_PHI))
+_COS_PHI = np.cos((np.arange(_N_PHI // 2) + 0.5) * (math.pi / _N_PHI))
+_COS_PHI = np.concatenate([_COS_PHI, -_COS_PHI[::-1]])
 
 
 def _smoothstep(x):
@@ -161,9 +166,9 @@ def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False):
     if n == 2:
         sq = rho * rho + rr[:, None] ** 2
         cross = 2.0 * rho * rr[:, None] * _COS_PHI[None, :]
-        ang = pair(profile(np.sqrt(sq + cross)),
-                   profile(np.sqrt(sq - cross))).sum(axis=1) \
-            * (math.pi / _N_PHI)
+        w_plus = profile(np.sqrt(sq + cross))
+        # sq - cross is sq + cross at the mirrored angle, bitwise
+        ang = pair(w_plus, w_plus[:, ::-1]).sum(axis=1) * (math.pi / _N_PHI)
         val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * ang))
         tail = gap * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s)
     else:

@@ -67,9 +67,17 @@ _SECTION_KEYS = {
                    "m0_spread"},
     "tolerances": {"classA_rel", "flip_rel"},
 }
-# keys that count something; a string or a fraction is rejected, not cast
-_WHOLE_KEYS = (("geometry", "cells_per_tau"), ("solver", "max_iters"),
-               ("experiment", "trials"))
+# keys that count something; a string or a fraction is rejected, not cast,
+# and a whole float is kept as the int
+_WHOLE_KEYS = (("kernel", "dim"), ("geometry", "cells_per_tau"),
+               ("solver", "max_iters"), ("experiment", "trials"))
+# the other numbers, and lists of numbers; a string is rejected, not cast
+_NUMBER_KEYS = (("kernel", "s"), ("potential", "d"), ("solver", "theta"),
+                ("solver", "epsilon"), ("experiment", "density_floor"),
+                ("experiment", "m0_spread"), ("tolerances", "classA_rel"),
+                ("tolerances", "flip_rel"))
+_NUMBER_LISTS = (("experiment", "radii"), ("experiment", "tau_list"),
+                 ("experiment", "eps_list"))
 # numbers a strip or a barrier is built from: finite and positive, except
 # the buffer, which may also be 0 (a whole cells_per_tau is then >= 1)
 _POSITIVE_KEYS = (("geometry", "tau"), ("geometry", "M_factor"),
@@ -85,6 +93,13 @@ def _given(section: dict, cast, **params) -> dict:
     config section gives; a key it leaves out takes the library default."""
     return {param: cast(section[key]) for param, key in params.items()
             if section.get(key) is not None}
+
+
+def _check_number(value, what: str):
+    """Reject a given ``value`` that is not a JSON number, naming ``what``."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, (int, float))):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
 
 
 def _check_keys(section: dict, allowed: set, name: str):
@@ -138,27 +153,32 @@ class ExperimentConfig:
 
     def validate_cross_fields(self):
         for section, key in _WHOLE_KEYS:
-            value = getattr(self, section).get(key)
-            if value is not None:
-                whole_number(value, f"{section}.{key}", ConfigurationError)
+            values = getattr(self, section)
+            if values.get(key) is not None:
+                values[key] = whole_number(values[key], f"{section}.{key}",
+                                           ConfigurationError)
+        for section, key in _NUMBER_KEYS + _POSITIVE_KEYS:
+            _check_number(getattr(self, section).get(key), f"{section}.{key}")
+        for section, key in _NUMBER_LISTS:
+            for value in getattr(self, section).get(key) or []:
+                _check_number(value, f"{section}.{key} entry")
+                if (section, key) in _POSITIVE_LISTS and not (
+                        math.isfinite(value) and value > 0.0):
+                    raise ConfigurationError(
+                        f"{section}.{key} entries must be finite and "
+                        f"positive: {value}")
         # the gcd is checked where a pipeline builds a domain
         for p in [self.direction, *(self.experiment.get("directions") or [])]:
             for v in p:
                 whole_number(v, "direction component", ConfigurationError)
         for section, key in _POSITIVE_KEYS:
-            value = float(getattr(self, section).get(key, 1.0))  # absent: ok
+            value = getattr(self, section).get(key, 1.0)  # absent: ok
             zero_ok = key == "buffer_factor"
             if not (math.isfinite(value)
                     and (value >= 0.0 if zero_ok else value > 0.0)):
                 raise ConfigurationError(
                     f"{section}.{key} must be finite and "
                     f"{'nonnegative' if zero_ok else 'positive'}: {value}")
-        for section, key in _POSITIVE_LISTS:
-            for value in getattr(self, section).get(key) or []:
-                if not (math.isfinite(float(value)) and float(value) > 0.0):
-                    raise ConfigurationError(
-                        f"{section}.{key} entries must be finite and "
-                        f"positive: {value}")
         kind = self.kind
         tau = self.tau
         if kind in ("gamma", "perimeter") and \

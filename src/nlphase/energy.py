@@ -37,7 +37,9 @@ primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
   values times `far_weights` (per-period energy, gradient, L_K, flip
   gains, frozen ball couplings, row sums);
 * `rect_form` -- the bilinear form B(X, Y) = sum_ij w_ij X_i Y_j on a
-  materialized rectangle (window energies, windowed K-perimeters).
+  materialized rectangle (window energies, windowed K-perimeters).  One
+  argument of each form vanishes within K cells of the rectangle's edges,
+  so the transform needs no padding; forms without one would need K.
 
 Both sums evaluate through FFTs, so the cutoff radius can be taken
 comparable to the simulated region at negligible cost.  The far weights
@@ -532,9 +534,10 @@ class WeightTable:
         rect, V, G, P, T = self.window_cells(field, window)
         if transform is not None:
             V = transform(V, P, T)
-        chi = window.contains(P, T).astype(float)
-        if not chi.any():
+        inside = window.contains(P, T)
+        if not inside.any():
             raise WindowError("window contains no cells")
+        chi = inside.astype(float)
         form = self.rect_form(G)
         chiV = chi * V
         chiV2 = chiV * V
@@ -551,8 +554,8 @@ class WeightTable:
 
         pot = 0.0
         if potential is not None:
-            x = d.world_of_frame(P, T)
-            pot = float(np.sum(potential.q(x) * potential.profile(V) * chi)) \
+            x = d.world_of_frame(P[inside], T[inside])
+            pot = float(np.sum(potential.q(x) * potential.profile(V[inside]))) \
                 * d.cell_volume * self._pscale(epsilon)
         total = kin_in + kin_cross + pot
         return EnergyReport(kin_in, kin_cross, pot, total, tail)
@@ -571,18 +574,23 @@ class WeightTable:
         V = d.unroll(field.values, field.far_below, field.far_above, rect)
         return (rect, V, self._g_rect(rect), *d.rect_centers(rect))
 
-    def _fft_shape(self, grid_shape) -> tuple:
-        """Transform shape for a rectangle: lags up to K on n cells stay
-        alias-free on n + K points (and n >= 2K + 1 holds the stencil)."""
-        K = self.k_cells
-        st = sfft.next_fast_len(grid_shape[1] + K)
-        if self.domain.dim == 1:
-            return (1, st)
-        return (sfft.next_fast_len(grid_shape[0] + K), st)
+    @staticmethod
+    def _fft_shape(grid_shape) -> tuple:
+        """Transform shape for a rectangle of n cells per axis, for forms
+        with one argument that vanishes within K cells of the rectangle's
+        edges (`rect_form`).  A pair with that end at index i then has lag
+        |j - i| <= n - 1 - K, and a circular lag aliases only lags of at
+        least N - K > n - 1 - K, so N = next_fast_len(n) >= n is exact.  A
+        form with no such argument needs N >= n + K."""
+        return tuple(sfft.next_fast_len(n) for n in grid_shape)
 
     def rect_form(self, G: np.ndarray):
         """Bilinear form B(X, Y) = sum_ij w_ij X_i Y_j over the cells of a
         materialized rectangle whose modulation values are ``G``.
+
+        One of X and Y must vanish within K cells of the rectangle's edges,
+        as a window indicator does on the rectangle of `window_cells`
+        (`_fft_shape`).
 
         Each argument array is transformed once per form (pass the same
         object again to reuse its spectrum), and the sum is taken by

@@ -169,15 +169,19 @@ class PotentialSpec:
         return 0.5 * (3.0 + c1 * c2)
 
     def profile(self, r):
-        """x-independent well shape w0 with W(x, r) = Q(x) w0(r)."""
-        r = np.asarray(r, dtype=float)
+        """x-independent well shape w0 with W(x, r) = Q(x) w0(r); a scalar
+        is evaluated as a one-entry array, so it rounds as an array entry."""
+        shape = np.shape(r)
+        r = np.atleast_1d(np.asarray(r, dtype=float))
         if self.family == "quartic":
-            return (1.0 - r * r) ** 2
-        if self.family == "power_d":
-            return np.abs(1.0 - r * r) ** self.d
-        if self.family == "cosine":
-            return 1.0 + np.cos(np.pi * r)
-        return np.cos(0.5 * np.pi * r) ** 2
+            out = (1.0 - r * r) ** 2
+        elif self.family == "power_d":
+            out = np.abs(1.0 - r * r) ** self.d
+        elif self.family == "cosine":
+            out = 1.0 + np.cos(np.pi * r)
+        else:
+            out = np.cos(0.5 * np.pi * r) ** 2
+        return out.reshape(shape)[()]
 
     def profile_derivative(self, r):
         r = np.asarray(r, dtype=float)
@@ -213,15 +217,12 @@ def gamma_of(spec: PotentialSpec, theta):
     bound is exact; with modulation Q >= 1 so the Q-free value is already a
     valid lower bound, tightened here by a grid scan with a 0.99 safety
     factor against the grid missing the x-infimum.  ``theta`` may be an
-    array, which scans the grid once; a scalar returns a float.  The well
-    shape is evaluated one theta at a time, because numpy rounds r**2 and
-    r**d on a scalar differently than inside an array, and an entry must
-    equal the scalar answer bitwise.
+    array, which scans the grid once; a scalar returns a float.
     """
     theta = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= theta) & (theta < 1.0)):
         raise ValueError(f"theta must lie in [0,1), got {theta}")
-    base = np.array([spec.profile(t) for t in theta.flat]).reshape(theta.shape)
+    base = spec.profile(theta)
     if spec.Q_modulation:
         xs = np.linspace(0.0, spec.tau, 65)
         grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)

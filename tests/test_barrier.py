@@ -168,6 +168,59 @@ class TestProfileBand:
         assert np.isnan(bar.g_profile(np.array([math.nan]))).all()
 
 
+def _lk_two_sided(profile, rho, s, r_inner, r_outer, absolute):
+    """The 2D radial L_K with the profile evaluated at both |x + z| and
+    |x - z| over the same nodes: the reference for the one-sided path."""
+    edges = np.geomspace(r_inner, r_outer, barrier_mod._N_PANELS + 1)
+    a, b = edges[:-1], edges[1:]
+    rr = (0.5 * (a + b)[:, None]
+          + 0.5 * (b - a)[:, None] * barrier_mod._GAUSS_X).ravel()
+    ww = (0.5 * (b - a)[:, None] * barrier_mod._GAUSS_W).ravel()
+    w0 = float(profile(rho))
+    sq = rho * rho + rr[:, None] ** 2
+    cross = 2.0 * rho * rr[:, None] * barrier_mod._COS_PHI[None, :]
+    w_plus, w_minus = profile(np.sqrt(sq + cross)), profile(np.sqrt(sq - cross))
+    if absolute:
+        pair, gap = np.abs(w0 - w_plus) + np.abs(w0 - w_minus), abs(w0 - 1.0)
+    else:
+        pair, gap = 2.0 * w0 - w_plus - w_minus, w0 - 1.0
+    ang = pair.sum(axis=1) * (math.pi / barrier_mod._N_PHI)
+    return (float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * ang))
+            + gap * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s))
+
+
+class TestRadialQuadrature:
+    def test_angle_nodes_mirrored(self):
+        c = barrier_mod._COS_PHI
+        assert c.size == barrier_mod._N_PHI
+        assert c.tobytes() == (-c[::-1]).tobytes()
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_one_sided_matches_two_sided(self, barrier_quarter, absolute):
+        # bitwise, for the barrier (verify_barrier) and for the unscaled
+        # profile at r1 (the c3 measurement), with one profile value per
+        # quadrature node and one at rho
+        _, bar = barrier_quarter
+        proto = _assemble(2, bar.s, bar.r1)
+        nodes = barrier_mod._N_PANELS * len(barrier_mod._GAUSS_X) \
+            * barrier_mod._N_PHI
+        for profile, R, r_inner in ((bar.w_radial, bar.R, 1e-7 * bar.R),
+                                    (proto.g_profile, proto.r, 1e-6)):
+            for rho in (0.0, 0.3 * R, 0.97 * R, R - 1e-3):
+                sizes = []
+
+                def counted(x):
+                    sizes.append(np.size(x))
+                    return profile(x)
+
+                got = barrier_mod._lk_radial(counted, rho, bar.s, 2, r_inner,
+                                             rho + R, absolute=absolute)
+                assert sum(sizes) == 768 * 96 + 1 == nodes + 1
+                want = _lk_two_sided(profile, rho, bar.s, r_inner, rho + R,
+                                     absolute)
+                assert got == want, (rho, got, want)
+
+
 class TestVerification:
     def test_operator_and_envelope_bounds(self, barrier_quarter):
         kernel, bar = barrier_quarter

@@ -115,12 +115,17 @@ class TestConfig:
             ExperimentConfig.from_dict(raw)
         assert err.value.tag == "eps<=tau"
 
-    def test_whole_number_floats_accepted(self):
-        raw = base_config(geometry={"cells_per_tau": 6.0, "direction": [0.0, 1]},
+    def test_whole_number_floats_accepted(self, tmp_path):
+        raw = base_config(kernel={"dim": 2.0},
+                          geometry={"cells_per_tau": 6.0, "direction": [0.0, 1]},
                           solver={"max_iters": 8000.0},
                           experiment={"trials": 2.0}, seed=7.0)
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.seed == 7 and isinstance(cfg.seed, int)
+        assert type(cfg.kernel_spec().dim) is int and cfg.kernel_spec().dim == 2
+        path = write_config(tmp_path, base_config(kernel={"dim": 2.0}))
+        assert main(["validate", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
         assert cfg.solve_options().max_iters == 8000
         assert cfg.domain().n_p == 6 and cfg.domain().direction.p == (0, 1)
         # whole components with a common factor are a domain error, not a
@@ -279,6 +284,30 @@ class TestPipelines:
         assert main([command, "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("configuration rejected")
+        assert not (tmp_path / "out").exists()
+
+    # a value of the wrong kind is named with its key
+    @pytest.mark.parametrize("command,section,values,shown", [
+        ("validate", "kernel", {"dim": 2.5}, "kernel.dim must be a whole "
+                                             "number, got 2.5"),
+        ("validate", "kernel", {"dim": "2"}, "kernel.dim must be a whole "
+                                             "number, got '2'"),
+        ("validate", "kernel", {"s": "0.3"}, "kernel.s must be a number, "
+                                             "got '0.3'"),
+        ("planelike", "geometry", {"tau": "1.0"}, "geometry.tau must be a "
+                                                  "number, got '1.0'"),
+        ("scaling", "experiment", {"radii": ["a", 3, 4, 5]},
+         "experiment.radii entry must be a number, got 'a'"),
+        ("gamma", "experiment", {"eps_list": [1.0, "x"]},
+         "experiment.eps_list entry must be a number, got 'x'"),
+    ], ids=["dim-fraction", "dim-string", "s-string", "tau-string",
+            "radii-entry", "eps_list-entry"])
+    def test_wrong_kind_of_value_names_key(self, tmp_path, capsys, command,
+                                           section, values, shown):
+        path = write_config(tmp_path, base_config(**{section: values}))
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(shown)
         assert not (tmp_path / "out").exists()
 
     def test_planelike_threads_same_bytes(self, tmp_path):

@@ -10,8 +10,10 @@ from nlphase import energy
 from nlphase.energy import (BallWindow, BoxWindow, PERIOD, ConfigurationError,
                             WindowError, build_weights, rescale_field,
                             unit_pair_integral)
+from nlphase.geometry import level_mask
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase.model import KernelSpec, PotentialSpec
+from nlphase.perimeter import indicator_energy, per_K
 
 CORE = 1.0 / 16.0
 NEAR = energy.NEAR_EXACT_CELLS
@@ -412,13 +414,21 @@ class TestWindowEnergies:
             assert rep.total == pytest.approx(lhs, rel=1e-12)
             assert min(rep.kinetic_in, rep.kinetic_cross, rep.potential) >= 0
 
-    @pytest.mark.parametrize("family,s,direction", [
-        ("standard", 0.25, (0, 1)),
-        ("modulated", 0.25, (0, 1)),
-        ("standard", 0.75, (1, 1)),
-        ("modulated", 0.6, (1, 1)),
-    ])
-    def test_window_matches_brute_force(self, family, s, direction):
+    # an unpadded ball sits on cell corners: its rectangle, 8 window cells
+    # plus K = 5 on each side, is 18 cells per axis, already a fast length,
+    # so the transform wraps at the rectangle's own size
+    @pytest.mark.parametrize("family,s,direction,unpadded", [
+        pytest.param(family, s, direction, unpadded,
+                     id=f"{family}-{s}-direction{i}"
+                     + ("-unpadded" if unpadded else ""))
+        for unpadded in (False, True)
+        for i, (family, s, direction) in enumerate([
+            ("standard", 0.25, (0, 1)),
+            ("modulated", 0.25, (0, 1)),
+            ("standard", 0.75, (1, 1)),
+            ("modulated", 0.6, (1, 1)),
+        ])])
+    def test_window_matches_brute_force(self, family, s, direction, unpadded):
         tau = 1.0
         d = Direction(direction, tau)
         L = tau * d.norm_p
@@ -428,11 +438,40 @@ class TestWindowEnergies:
         wt = build_weights(kernel, dom, 5 * h)
         rng = np.random.default_rng(2)
         fld = Field(dom, rng.uniform(-1, 1, dom.shape))
-        window = BallWindow((0.4 * L, 0.7), 3.1 * h)
+        center = (2 * h, dom.t_lo + 5 * h) if unpadded else (0.4 * L, 0.7)
+        window = BallWindow(center, 3.1 * h)
+        if unpadded:
+            shape = wt.window_cells(fld, window)[1].shape
+            assert shape == (18, 18)
+            assert wt._fft_shape(shape) == shape
         rep = wt.window_report(fld, window)
         kin_in, kin_cross = brute_window(wt, fld, window)
         assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
         assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10)
+
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    def test_windowed_per_K_unpadded(self, family):
+        # Per_K's third part pairs E outside the window, which is not
+        # window-supported, with the window's cells outside E; the
+        # transform is the 18 x 18 rectangle itself
+        d = Direction((0, 1), 1.0)
+        h = 0.25
+        wt = build_weights(KernelSpec(dim=2, s=0.25, family=family),
+                           build_domain(1.0, d, M=1.0, h=h, buffer=0.5),
+                           5 * h)
+        dom = wt.domain
+        fld = Field(dom, np.random.default_rng(5).uniform(-1, 1, dom.shape))
+        mask = level_mask(fld, 0.0, "above")
+        window = BallWindow((2 * h, dom.t_lo + 5 * h), 3.1 * h)
+        shape = wt.window_cells(fld, window)[1].shape
+        assert wt._fft_shape(shape) == shape == (18, 18)
+        res = per_K(wt, mask, window)
+        assert res.parts[2] > 0.0
+        assert res.per_K == pytest.approx(
+            indicator_energy(wt, mask, window) / 4.0, rel=1e-10)
+        kin_in, kin_cross = brute_window(wt, mask.indicator_field(), window)
+        assert res.per_K == pytest.approx((kin_in + kin_cross) / 4.0,
+                                          rel=1e-10)
 
     @settings(max_examples=30)
     @given(s=st.floats(0.05, 0.95),
