@@ -1,17 +1,16 @@
 """Experiment orchestration: configs, pipelines, reports, command line.
 
-A single JSON configuration file drives every experiment.  Unknown keys
-are rejected, cross-field constraints are validated against named
-hypothesis tags, and all randomized checks draw from one recorded 64-bit
-seed, so reruns with the same configuration are bit-identical.
+A single JSON configuration file drives every experiment.  `_KEYS` has one
+row per key, with its kind, range and default; a key it does not know, or a
+value of the wrong kind or out of range, is rejected by name, and
+cross-field constraints are validated against named hypothesis tags.  All
+randomized checks draw from one recorded 64-bit seed, so reruns with the
+same configuration are bit-identical.
 
-`ExperimentConfig` resolves the file once for one pipeline: kernel,
-potential, solver and certificate defaults are those of the classes and
-functions that use them, the geometry is given in units of tau
-(``M_factor``, ``cells_per_tau``, ``buffer_factor``, ``r_cut_factor``), and
-`strip_domains` checks every domain the pipeline solves on before any output
-exists.  A ``run_*`` pipeline returns report entries and verdicts;
-`run_pipeline` writes ``report.json``.
+`ExperimentConfig` resolves the file once for one pipeline: the geometry is
+given in units of tau, and `strip_domains` checks every domain the pipeline
+solves on before any output exists.  A ``run_*`` pipeline returns report
+entries and verdicts; `run_pipeline` writes ``report.json``.
 
 Pipelines
 ---------
@@ -37,7 +36,7 @@ import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,181 +47,177 @@ from . import geometry as geom
 from . import minimize as min_mod
 from . import perimeter as per_mod
 from .energy import ConfigurationError
-from .lattice import (BUFFER_FACTOR, Direction, StripDomain, whole_number,
-                      write_csv)
+from .lattice import BUFFER_FACTOR, Direction, StripDomain, write_csv
 from .model import KernelSpec, PotentialSpec, validate_hypotheses
 
 
 SCHEMA_VERSION = 1
 
-# kernel and potential keys are the spec fields; tau comes from the geometry
-_SECTION_KEYS = {
-    "kernel": {f.name for f in fields(KernelSpec)} - {"tau"},
-    "potential": {f.name for f in fields(PotentialSpec)} - {"tau"},
-    "geometry": {"tau", "direction", "M_factor", "cells_per_tau",
-                 "buffer_factor", "r_cut_factor"},
-    "solver": {"theta", "max_iters", "epsilon"},
-    "experiment": {"radii", "tau_list", "eps_list", "directions", "trials",
-                   "barrier_R", "barrier_delta", "density_floor",
-                   "m0_spread"},
-    "tolerances": {"classA_rel", "flip_rel"},
+
+# kinds of value: (JSON type, what it is called, cast); a kind in a list is
+# a non-empty list of that kind, so [_WHOLE] is a lattice vector
+_NUMBER = ((int, float), "a number", float)
+_WHOLE = ((int, float), "a whole number", int)   # a whole float is the int
+_BOOL = (bool, "true or false", bool)
+_STRING = (str, "a string", str)
+# range tests of a value or of each list entry: (test, what it asks)
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and positive")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+
+# one row per config key, by section (None: the top level): key -> (kind,
+# range test, default).  A None default leaves the key to the spec field or
+# the keyword default that takes it; tau_list and directions default to the
+# one strip of the geometry.  The kernel and potential keys are the spec
+# fields but tau, which the geometry gives.
+_KEYS = {
+    "kernel": {"dim": (_WHOLE, None, None), "s": (_NUMBER, None, None),
+               "family": (_STRING, None, None)},
+    "potential": {"family": (_STRING, None, None),
+                  "d": (_NUMBER, None, None),
+                  "Q_modulation": (_BOOL, None, None)},
+    "geometry": {
+        "tau": (_NUMBER, _POSITIVE, 1.0),
+        "direction": ([_WHOLE], None, (0, 1)),
+        "M_factor": (_NUMBER, _POSITIVE, 12.0),
+        "cells_per_tau": (_WHOLE, _POSITIVE, 8),
+        "buffer_factor": (_NUMBER, _NONNEGATIVE, BUFFER_FACTOR),
+        "r_cut_factor": (_NUMBER, _POSITIVE, energy_mod.R_CUT_FACTOR)},
+    "solver": {"theta": (_NUMBER, _OPEN_UNIT, None),
+               "max_iters": (_WHOLE, _POSITIVE, None),
+               "epsilon": (_NUMBER, None, None)},      # in (0, tau]
+    "experiment": {
+        "tau_list": ([_NUMBER], _POSITIVE, None),
+        "directions": ([[_WHOLE]], None, None),
+        "radii": ([_NUMBER], _POSITIVE, (2.0, 3.0, 4.0, 6.0, 8.0)),
+        "eps_list": ([_NUMBER], None, (1.0, 0.5, 0.25, 0.125)),
+        "trials": (_WHOLE, _POSITIVE, None),
+        "barrier_R": (_NUMBER, _POSITIVE, 16.0),
+        "barrier_delta": (_NUMBER, _POSITIVE, 0.1),
+        "density_floor": (_NUMBER, _NONNEGATIVE, None),
+        "m0_spread": (_NUMBER, _NONNEGATIVE, 0.25)},
+    "tolerances": {"classA_rel": (_NUMBER, _NONNEGATIVE, None),
+                   "flip_rel": (_NUMBER, _NONNEGATIVE, None)},
+    None: {"seed": (_WHOLE, _NONNEGATIVE, 20240808),
+           "output": (_STRING, None, "out")},
 }
-# keys that count something; a string or a fraction is rejected, not cast,
-# and a whole float is kept as the int
-_WHOLE_KEYS = (("kernel", "dim"), ("geometry", "cells_per_tau"),
-               ("solver", "max_iters"), ("experiment", "trials"))
-# the other numbers, and lists of numbers; a string is rejected, not cast
-_NUMBER_KEYS = (("kernel", "s"), ("potential", "d"), ("solver", "theta"),
-                ("solver", "epsilon"), ("experiment", "density_floor"),
-                ("experiment", "m0_spread"), ("tolerances", "classA_rel"),
-                ("tolerances", "flip_rel"))
-_NUMBER_LISTS = (("experiment", "radii"), ("experiment", "tau_list"),
-                 ("experiment", "eps_list"))
-# numbers a strip or a barrier is built from: finite and positive, except
-# the buffer, which may also be 0 (a whole cells_per_tau is then >= 1)
-_POSITIVE_KEYS = (("geometry", "tau"), ("geometry", "M_factor"),
-                  ("geometry", "cells_per_tau"), ("geometry", "buffer_factor"),
-                  ("geometry", "r_cut_factor"), ("experiment", "barrier_R"),
-                  ("experiment", "barrier_delta"))
-# lists of radii and periods: every entry finite and positive
-_POSITIVE_LISTS = (("experiment", "radii"), ("experiment", "tau_list"))
 
 
-def _given(section: dict, cast, **params) -> dict:
-    """Keyword arguments ``param=cast(section[key])`` for the keys that a
-    config section gives; a key it leaves out takes the library default."""
-    return {param: cast(section[key]) for param, key in params.items()
-            if section.get(key) is not None}
-
-
-def _check_number(value, what: str):
-    """Reject a given ``value`` that is not a JSON number, naming ``what``."""
-    if value is not None and (isinstance(value, bool)
-                              or not isinstance(value, (int, float))):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-
-
-def _check_keys(section: dict, allowed: set, name: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {name}: {sorted(unknown)}")
+def _check(name: str, kind, bounds, value, entry: str = ""):
+    """``value`` of the key ``name`` cast to ``kind`` and range-tested by
+    ``bounds``, or an error naming the key and the value."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigurationError(
+                f"{name}{entry} must be a non-empty list, got {value!r}")
+        return [_check(name, kind[0], bounds, v, " entry") for v in value]
+    types, what, cast = kind
+    if (not isinstance(value, types)     # and a JSON boolean is no number
+            or isinstance(value, bool) != (types is bool)
+            or cast is int and not float(value).is_integer()):
+        raise ConfigurationError(
+            f"{name}{entry} must be {what}, got {value!r}")
+    value = cast(value)
+    if bounds is not None and not bounds[0](value):
+        raise ConfigurationError(
+            f"{name}{' entries' if entry else ''} must {bounds[1]}: {value}")
+    return value
 
 
 @dataclass
 class ExperimentConfig:
-    kernel: dict
-    potential: dict
-    geometry: dict
-    solver: dict
-    experiment: dict
-    tolerances: dict
-    output: str = "out"
-    seed: int = 20240808
+    sections: dict               # section -> the keys the config gives
+    output: str = _KEYS[None]["output"][2]
+    seed: int = _KEYS[None]["seed"][2]
     kind: str | None = None      # the pipeline the config is resolved for
+    threads: int = 1             # planelike jobs solved at once
 
     @classmethod
     def from_dict(cls, raw: dict, kind: str | None = None) -> "ExperimentConfig":
-        _check_keys(raw, {"schema_version", "output", "seed", *_SECTION_KEYS},
-                    "configuration")
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"schema_version must be {SCHEMA_VERSION}, "
                 f"got {raw.get('schema_version')!r}")
-        for name, allowed in _SECTION_KEYS.items():
-            _check_keys(raw.get(name, {}), allowed, name)
-        cfg = cls(**{name: dict(raw.get(name, {})) for name in _SECTION_KEYS},
-                  output=raw.get("output", cls.output),
-                  seed=whole_number(raw.get("seed", cls.seed), "seed",
-                                    ConfigurationError),
-                  kind=kind)
+        checked = {}
+        for section, rows in _KEYS.items():
+            given = raw.get(section, {}) if section else {
+                k: v for k, v in raw.items()
+                if k not in _KEYS and k != "schema_version"}
+            if not isinstance(given, dict):
+                raise ConfigurationError(
+                    f"{section} must be an object, got {given!r}")
+            unknown = sorted(set(given) - set(rows))
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown keys in {section or 'configuration'}: {unknown}")
+            checked[section] = {
+                k: _check(f"{section}.{k}" if section else k, *rows[k][:2], v)
+                for k, v in given.items()}
+        top = checked.pop(None)
+        cfg = cls(checked, **top, kind=kind)
         cfg.validate_cross_fields()
         return cfg
 
-    @classmethod
-    def from_file(cls, path, kind: str | None = None) -> "ExperimentConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f), kind)
+    def get(self, section: str, key: str):
+        """``section.key`` as the config gives it, else its row's default
+        (None: the library's)."""
+        return self.sections[section].get(key, _KEYS[section][key][2])
+
+    def given(self, section: str, **params) -> dict:
+        """Keyword arguments ``param=value`` for the ``section`` keys that
+        the config gives; a key it leaves out takes the library default."""
+        values = self.sections[section]
+        return {param: values[key] for param, key in params.items()
+                if key in values}
 
     @property
     def tau(self) -> float:
-        return float(self.geometry.get("tau", 1.0))
-
-    @property
-    def direction(self) -> tuple:
-        return tuple(self.geometry.get("direction", (0, 1)))
+        return self.get("geometry", "tau")
 
     def validate_cross_fields(self):
-        for section, key in _WHOLE_KEYS:
-            values = getattr(self, section)
-            if values.get(key) is not None:
-                values[key] = whole_number(values[key], f"{section}.{key}",
-                                           ConfigurationError)
-        for section, key in _NUMBER_KEYS + _POSITIVE_KEYS:
-            _check_number(getattr(self, section).get(key), f"{section}.{key}")
-        for section, key in _NUMBER_LISTS:
-            for value in getattr(self, section).get(key) or []:
-                _check_number(value, f"{section}.{key} entry")
-                if (section, key) in _POSITIVE_LISTS and not (
-                        math.isfinite(value) and value > 0.0):
-                    raise ConfigurationError(
-                        f"{section}.{key} entries must be finite and "
-                        f"positive: {value}")
-        # the gcd is checked where a pipeline builds a domain
-        for p in [self.direction, *(self.experiment.get("directions") or [])]:
-            for v in p:
-                whole_number(v, "direction component", ConfigurationError)
-        for section, key in _POSITIVE_KEYS:
-            value = getattr(self, section).get(key, 1.0)  # absent: ok
-            zero_ok = key == "buffer_factor"
-            if not (math.isfinite(value)
-                    and (value >= 0.0 if zero_ok else value > 0.0)):
-                raise ConfigurationError(
-                    f"{section}.{key} must be finite and "
-                    f"{'nonnegative' if zero_ok else 'positive'}: {value}")
-        kind = self.kind
-        tau = self.tau
-        if kind in ("gamma", "perimeter") and \
-                float(self.kernel.get("s", KernelSpec.s)) >= 0.5:
+        """The gates that read two keys or the pipeline; each key's kind
+        and range are checked by its row."""
+        kind, tau = self.kind, self.tau
+        if kind in ("gamma", "perimeter") and self.kernel_spec().s >= 0.5:
             raise ConfigurationError(
                 f"experiment {kind!r} requires the strongly nonlocal regime",
                 tag="s<1/2")
-        if kind == "barrier" and \
-                self.kernel.get("family", KernelSpec.family) != "standard":
+        if kind == "barrier" and self.kernel_spec().family != "standard":
             raise ConfigurationError(
                 "barrier pipeline requires the standard kernel")
-        if kind == "scaling" and "radii" in self.experiment and \
-                len(self.experiment["radii"]) < 4:
+        if kind == "scaling" and len(self.get("experiment", "radii")) < 4:
             raise ConfigurationError("scaling needs at least 4 radii")
-        eps = self.solver.get("epsilon")
-        if eps is not None and not 0.0 < float(eps) <= tau:
-            raise ConfigurationError("epsilon must lie in (0, tau]",
-                                     tag="eps<=tau")
-        if any(not 0.0 < float(e) <= tau
-               for e in self.experiment.get("eps_list") or []):
-            raise ConfigurationError("eps_list values must lie in (0, tau]",
-                                     tag="eps<=tau")
+        eps_list = self.sections["experiment"].get("eps_list", [])
+        # an epsilon the config leaves out passes as tau
+        if any(not 0.0 < e <= tau
+               for e in [self.sections["solver"].get("epsilon", tau),
+                         *eps_list]):
+            raise ConfigurationError("epsilon and eps_list values must lie "
+                                     "in (0, tau]", tag="eps<=tau")
+        if any(e1 <= e2 for e1, e2 in zip(eps_list, eps_list[1:])):
+            raise ConfigurationError(
+                f"experiment.eps_list must be strictly decreasing: {eps_list}")
 
     def kernel_spec(self, tau=None) -> KernelSpec:
-        return KernelSpec(**self.kernel, tau=self.tau if tau is None else tau)
+        return KernelSpec(**self.sections["kernel"],
+                          tau=self.tau if tau is None else tau)
 
     def potential_spec(self, tau=None) -> PotentialSpec:
-        return PotentialSpec(**self.potential,
+        return PotentialSpec(**self.sections["potential"],
                              tau=self.tau if tau is None else tau)
 
     def domain(self, tau=None, direction=None) -> StripDomain:
-        g = self.geometry
         tau = self.tau if tau is None else tau
-        d = Direction(direction or self.direction, tau)
-        cpt = int(g.get("cells_per_tau", 8))
+        d = Direction(direction or self.get("geometry", "direction"), tau)
+        cpt = self.get("geometry", "cells_per_tau")
         h = tau * d.norm_p / (cpt * d.p_sq) if d.dim == 2 else tau / cpt
         # snap the strip extents onto the cell grid
-        M = round(float(g.get("M_factor", 12.0)) * tau / h) * h
-        B = round(float(g.get("buffer_factor", BUFFER_FACTOR)) * tau / h) * h
+        M = round(self.get("geometry", "M_factor") * tau / h) * h
+        B = round(self.get("geometry", "buffer_factor") * tau / h) * h
         return StripDomain(tau=tau, direction=d, M=M, h=h, buffer=B)
 
     def r_cut(self, tau=None) -> float:
-        return (float(self.geometry.get("r_cut_factor",
-                                        energy_mod.R_CUT_FACTOR))
+        return (self.get("geometry", "r_cut_factor")
                 * (self.tau if tau is None else tau))
 
     def strip_domains(self) -> list:
@@ -230,17 +225,16 @@ class ExperimentConfig:
         against the kernel dimension, the cell grid and the cutoff; a strip
         that is solved on must be at least tau high and, except in the gamma
         sweep, have xi = tau >= 1."""
-        exp = self.experiment
-        kind = self.kind
+        kind, direction = self.kind, self.get("geometry", "direction")
         if kind == "planelike":
-            jobs = [(float(tau), d)
-                    for d in exp.get("directions", [self.direction])
-                    for tau in exp.get("tau_list", [self.tau])]
+            taus = self.get("experiment", "tau_list") or [self.tau]
+            dirs = self.get("experiment", "directions") or [direction]
+            jobs = [(tau, d) for d in dirs for tau in taus]
         elif kind in ("scaling", "barrier", "gamma", "perimeter"):
-            jobs = [(self.tau, self.direction)]
+            jobs = [(self.tau, direction)]
         else:
             return []
-        dim = self.kernel.get("dim", KernelSpec.dim)
+        dim = self.kernel_spec().dim
         domains = []
         for tau, d in jobs:
             if len(d) != dim:
@@ -258,12 +252,11 @@ class ExperimentConfig:
         return domains
 
     def solve_options(self) -> min_mod.SolveOptions:
-        return min_mod.SolveOptions(
-            **_given(self.solver, int, max_iters="max_iters"),
-            **_given(self.solver, float, epsilon="epsilon"))
+        return min_mod.SolveOptions(**self.given(
+            "solver", max_iters="max_iters", epsilon="epsilon"))
 
     def constraints(self) -> min_mod.Constraints:
-        return min_mod.Constraints(**_given(self.solver, float, theta="theta"))
+        return min_mod.Constraints(**self.given("solver", theta="theta"))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +316,7 @@ def _solve_one(cfg, domain):
 
 
 def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
-    exp = cfg.experiment
     theta_band = cfg.constraints().theta
-    threads = int(exp.get("_threads", 1))
 
     def work(domain):
         potential, weights, result = _solve_one(cfg, domain)
@@ -338,8 +329,8 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
         ca = min_mod.check_class_A(
             weights, potential, result.field, seed=cfg.seed,
             epsilon=cfg.solve_options().epsilon,
-            **_given(exp, int, trials="trials"),
-            **_given(cfg.tolerances, float, tol_rel="classA_rel"))
+            **cfg.given("experiment", trials="trials"),
+            **cfg.given("tolerances", tol_rel="classA_rel"))
         return {
             "tau": domain.tau, "direction": list(domain.direction.p),
             "F_value": result.F_value, "iterations": result.iterations,
@@ -355,8 +346,8 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
         }
 
     domains = cfg.strip_domains()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             rows = list(pool.map(work, domains))
     else:
         rows = [work(d) for d in domains]
@@ -386,13 +377,13 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
             spread = (max(m0s) - mid) / mid if mid > 0 else math.inf
             verdicts.append(_verdict(
                 "tauPLcond-M0-spread", spread,
-                spread <= float(exp.get("m0_spread", 0.25)),
+                spread <= cfg.get("experiment", "m0_spread"),
                 f"direction {d}, M0_emp={m0s}"))
     return {"rows": rows}, verdicts
 
 
 def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
-    radii = [float(r) for r in cfg.experiment.get("radii", [2, 3, 4, 6, 8])]
+    radii = cfg.get("experiment", "radii")
     domain, = cfg.strip_domains()
     potential, weights, result = _solve_one(cfg, domain)
     kernel = weights.kernel
@@ -435,10 +426,9 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
 
 
 def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
-    exp = cfg.experiment
     kernel = cfg.kernel_spec()
-    R = float(exp.get("barrier_R", 16.0))
-    delta = float(exp.get("barrier_delta", 0.1))
+    R = cfg.get("experiment", "barrier_R")
+    delta = cfg.get("experiment", "barrier_delta")
     bar = barrier_mod.build_barrier(kernel, R, delta)
     ver = barrier_mod.verify_barrier(kernel, bar, n_samples=200, seed=cfg.seed)
     rho = np.linspace(0.0, 1.2 * R, 512)
@@ -481,10 +471,9 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
 
 
 def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
-    exp = cfg.experiment
     domain, = cfg.strip_domains()
     tau = domain.tau
-    eps_list = [float(e) for e in exp.get("eps_list", [1.0, 0.5, 0.25, 0.125])]
+    eps_list = cfg.get("experiment", "eps_list")
     weights = _weights(cfg, domain)
     sweep = per_mod.gamma_sweep(weights, cfg.potential_spec(tau),
                                 cfg.constraints(), eps_list,
@@ -497,12 +486,12 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
                                   cfg.constraints().theta) / tau
     extract = per_mod.minimal_surface_extract(
         sweep, m0_ref=m0_ref,
-        **_given(exp, float, density_floor="density_floor"))
+        **cfg.given("experiment", density_floor="density_floor"))
     extract["mask"].dump_csv(out / "limit_mask.csv")
     flips = per_mod.surface_local_min_check(
         weights, extract["mask"], seed=cfg.seed,
-        **_given(exp, int, trials="trials"),
-        **_given(cfg.tolerances, float, tol_rel="flip_rel"))
+        **cfg.given("experiment", trials="trials"),
+        **cfg.given("tolerances", tol_rel="flip_rel"))
     verdicts = [
         _verdict("Gamma-recovery", sweep["recovery_identity_gap"],
                  sweep["recovery_identity_gap"] <= 1e-10),
@@ -586,10 +575,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = ExperimentConfig.from_file(args.config, args.command)
+        with open(args.config) as f:
+            cfg = ExperimentConfig.from_dict(json.load(f), args.command)
         if args.seed is not None:
             cfg.seed = args.seed
-        cfg.experiment["_threads"] = args.threads
+        cfg.threads = args.threads
         hyp = validate_hypotheses(cfg.kernel_spec(), cfg.potential_spec(),
                                   samples=256, seed=cfg.seed)
         if not hyp.passed:

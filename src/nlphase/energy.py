@@ -308,7 +308,8 @@ class WeightTable:
     with K far rows on each side), the tail weights of the slab rows,
     ``far_weights`` = (Fb, Fa), the per-cell total weight to the far
     half-plane below and above the slab (far rows within the cutoff plus
-    tails), and ``row_sums``, the per-cell total weight.
+    tails), ``R_in``, the per-cell weight to the slab, and ``row_sums``,
+    the per-cell total weight R_in + Fb + Fa.
     """
 
     def __init__(self, kernel, domain: StripDomain, r_cut: float):
@@ -333,10 +334,11 @@ class WeightTable:
         near_b, near_a = self._weighted_sum(far_rows, g_ext)[
             ..., K:K + domain.n_t]
         self._slab_tails = tp, tm = self._tails_for(np.arange(domain.n_t))
-        self.far_weights = (near_b + tp, near_a + tm)
-        # the interaction sum of the constant state 1, so that
+        self.far_weights = Fb, Fa = near_b + tp, near_a + tm
+        # bitwise the interaction sum of the constant state 1, so that
         # row_sums * u - interaction_sum(u, u, u) vanishes bitwise at u = +-1
-        self.row_sums = self.interaction_sum(np.ones(domain.shape), 1.0, 1.0)
+        self._r_in = self._weighted_sum(np.ones(domain.shape), self._g_slab)
+        self.row_sums = self._r_in + Fb + Fa
 
     # -- tails -----------------------------------------------------------
 
@@ -447,20 +449,22 @@ class WeightTable:
                 * self._pscale(epsilon))
 
     def _kinetic(self, u, far_below, far_above) -> tuple:
-        """Gradient and value of the kinetic part of the per-period
-        functional at slab values ``u``.
+        """Gradient, value and slab sum of the kinetic part of the
+        per-period functional at slab values ``u``.
 
-        With S = interaction_sum(u) the gradient is 2 (row_sums u - S); the
-        form is quadratic in u with the far values fixed, so its value is
+        With the slab sum S_in = sum_{j in slab} w_ij u_j the gradient is
+        2 (row_sums u - S_in - f_b Fb - f_a Fa); the form is quadratic in u
+        with the far values fixed, so its value is
         sum [u grad / 2 - f_b (u - f_b) Fb - f_a (u - f_a) Fa].
         """
-        grad = 2.0 * (u * self.row_sums
-                      - self.interaction_sum(u, far_below, far_above))
+        s_in = self._weighted_sum(u, self._g_slab)
         Fb, Fa = self.far_weights
+        grad = 2.0 * (u * self.row_sums
+                      - (s_in + far_below * Fb + far_above * Fa))
         value = float(np.sum(0.5 * u * grad
                              - far_below * (u - far_below) * Fb
                              - far_above * (u - far_above) * Fa))
-        return grad, value
+        return grad, value, s_in
 
     def period_value(self, field: Field, potential, epsilon=None) -> float:
         return self.period_report(field, potential, epsilon).total
@@ -471,24 +475,25 @@ class WeightTable:
 
         Pairs are counted once per equivalence class of ~, so the kinetic
         value is the energy content of one period of the infinite strip;
-        ``kinetic_in`` collects class pairs with both ends in the simulated
-        slab and ``kinetic_cross`` the far-field pairs plus the analytic
-        beyond-cutoff tail.
+        ``kinetic_in`` = sum u (u R_in - S_in) collects class pairs with both
+        ends in the slab (exactly 0 on a constant slab at +-1), and
+        ``kinetic_cross`` the far pairs plus the analytic beyond-cutoff tail.
         """
         u, fb, fa = field.values, field.far_below, field.far_above
-        _, kin = self._kinetic(u, fb, fa)
+        _, kin, s_in = self._kinetic(u, fb, fa)
         Fb, Fa = self.far_weights
         tp, tm = self._slab_tails
         kin_cross = float(np.sum((u - fb) ** 2 * Fb + (u - fa) ** 2 * Fa))
         tail = float(np.sum((u - fb) ** 2 * tp + (u - fa) ** 2 * tm))
         pot = 0.0 if potential is None else float(np.sum(
             self._potential_weights(potential, epsilon) * potential.profile(u)))
-        return EnergyReport(kin - kin_cross, kin_cross, pot, kin + pot, tail)
+        kin_in = float(np.sum(u * (u * self._r_in - s_in)))
+        return EnergyReport(kin_in, kin_cross, pot, kin + pot, tail)
 
     def gradient(self, field: Field, potential, epsilon=None) -> np.ndarray:
         """Gradient of the per-period functional in the cell values."""
         u = field.values
-        grad, _ = self._kinetic(u, field.far_below, field.far_above)
+        grad = self._kinetic(u, field.far_below, field.far_above)[0]
         if potential is not None:
             grad = grad + (self._potential_weights(potential, epsilon)
                            * potential.profile_derivative(u))
@@ -504,7 +509,7 @@ class WeightTable:
 
         def fun(x):
             u = x.reshape(shape)
-            grad, kin = self._kinetic(u, far_below, far_above)
+            grad, kin, _ = self._kinetic(u, far_below, far_above)
             value = kin + float(np.sum(qv * potential.profile(u)))
             return value, (grad + qv * potential.profile_derivative(u)).ravel()
 
@@ -513,7 +518,7 @@ class WeightTable:
     def apply_lk(self, field: Field) -> np.ndarray:
         """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included),
         half the kinetic gradient per cell volume."""
-        grad, _ = self._kinetic(field.values, field.far_below, field.far_above)
+        grad = self._kinetic(field.values, field.far_below, field.far_above)[0]
         return grad / (2.0 * self.domain.cell_volume)
 
     # -- windowed energies ------------------------------------------------------

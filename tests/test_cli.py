@@ -1,5 +1,7 @@
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ import pytest
 from nlphase import cli, geometry
 from nlphase.cli import ExperimentConfig, fit_exponent, main
 from nlphase.energy import ConfigurationError
+from nlphase.model import KernelSpec, PotentialSpec
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(**adjust):
@@ -132,6 +137,31 @@ class TestConfig:
         # config error
         ExperimentConfig.from_dict(base_config(geometry={"direction": [2, 4]}))
 
+    def test_readme_table_mirrors_key_table(self):
+        # one README row per key, with the default the key table sets, and
+        # "*library*" where it leaves the key to the library
+        readme = {}
+        for line in README.read_text().splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 4:
+                readme[cells[0].strip("`")] = cells[3]
+        defaults = {f"{section}.{key}" if section else key: row[2]
+                    for section, rows in cli._KEYS.items()
+                    for key, row in rows.items()}
+        assert set(readme) == set(defaults)
+        for name, default in defaults.items():
+            if default is None:
+                assert readme[name].startswith("*library*"), name
+            else:
+                assert readme[name] == f"`{json.dumps(default)}`", name
+
+    def test_spec_keys_are_the_spec_fields(self):
+        # tau comes from the geometry
+        for section, spec in (("kernel", KernelSpec),
+                              ("potential", PotentialSpec)):
+            assert set(cli._KEYS[section]) == (
+                {f.name for f in fields(spec)} - {"tau"})
+
     def test_domain_snaps_to_grid(self):
         cfg = ExperimentConfig.from_dict(base_config())
         dom = cfg.domain()
@@ -241,9 +271,11 @@ class TestPipelines:
         assert err.startswith("runtime failure: boom\nTraceback")
         assert "exploding_pipeline" in err
 
-    @pytest.mark.parametrize("command,section,values", [
-        pytest.param(command, section, values, id=f"{command}-{section}{i}")
-        for i, (command, section, values) in enumerate([
+    # a case with a fourth entry names that key on stderr
+    @pytest.mark.parametrize("command,section,values,named", [
+        pytest.param(command, section, values, (named or [""])[0],
+                     id=f"{command}-{section}{i}")
+        for i, (command, section, values, *named) in enumerate([
             ("planelike", "geometry", {"r_cut_factor": 0.1}),
             ("planelike", "geometry", {"M_factor": 0.5}),
             ("barrier", "kernel", {"family": "modulated"}),
@@ -276,14 +308,41 @@ class TestPipelines:
             ("scaling", "experiment", {"radii": [2.0, 3.0, math.nan, 5.0]}),
             ("scaling", "experiment", {"radii": [2.0, 3.0, -4.0, 5.0]}),
             ("scaling", "experiment", {"radii": [0.0, 3.0, 4.0, 5.0]}),
+            # no vacuous pass: lists are non-empty, counts at least 1
+            ("planelike", "experiment", {"tau_list": []},
+             "experiment.tau_list"),
+            ("planelike", "experiment", {"directions": []},
+             "experiment.directions"),
+            ("scaling", "experiment", {"radii": []}, "experiment.radii"),
+            ("gamma", "experiment", {"eps_list": []}, "experiment.eps_list"),
+            ("planelike", "experiment", {"trials": 0}, "experiment.trials"),
+            ("planelike", "solver", {"max_iters": 0}, "solver.max_iters"),
+            ("planelike", "solver", {"max_iters": -5}, "solver.max_iters"),
+            # ranges checked before --out exists, not in the pipeline
+            ("planelike", "solver", {"theta": 1.5}, "solver.theta"),
+            ("planelike", "solver", {"theta": 0.0}, "solver.theta"),
+            ("gamma", "experiment", {"eps_list": [0.5, 1.0]},
+             "experiment.eps_list"),
+            ("planelike", "tolerances", {"classA_rel": -1e-8},
+             "tolerances.classA_rel"),
+            ("gamma", "tolerances", {"flip_rel": -1e-10},
+             "tolerances.flip_rel"),
+            ("planelike", "experiment", {"m0_spread": -0.25},
+             "experiment.m0_spread"),
+            ("gamma", "experiment", {"density_floor": -0.02},
+             "experiment.density_floor"),
+            ("validate", "seed", -1, "seed"),
         ])])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
-                                                  command, section, values):
+                                                  command, section, values,
+                                                  named):
         raw = base_config(**{section: values})
         path = write_config(tmp_path, raw)
         assert main([command, "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("configuration rejected")
+        err = capsys.readouterr().err
+        assert err.startswith("configuration rejected")
+        assert named in err
         assert not (tmp_path / "out").exists()
 
     # a value of the wrong kind is named with its key
@@ -300,8 +359,29 @@ class TestPipelines:
          "experiment.radii entry must be a number, got 'a'"),
         ("gamma", "experiment", {"eps_list": [1.0, "x"]},
          "experiment.eps_list entry must be a number, got 'x'"),
+        ("validate", "experiment", {"trials": [2]},
+         "experiment.trials must be a whole number, got [2]"),
+        ("scaling", "experiment", {"radii": 5},
+         "experiment.radii must be a non-empty list, got 5"),
+        ("validate", "geometry", {"direction": 5},
+         "geometry.direction must be a non-empty list, got 5"),
+        ("validate", "experiment", {"directions": [1, 0]},
+         "experiment.directions entry must be a non-empty list, got 1"),
+        ("validate", "kernel", [], "kernel must be an object, got []"),
+        ("validate", "kernel", {"dim": True},
+         "kernel.dim must be a whole number, got True"),
+        ("validate", "kernel", {"family": 1},
+         "kernel.family must be a string, got 1"),
+        ("validate", "potential", {"Q_modulation": "no"},
+         "potential.Q_modulation must be true or false, got 'no'"),
+        ("validate", "potential", {"Q_modulation": 0.5},
+         "potential.Q_modulation must be true or false, got 0.5"),
+        ("validate", "output", 5, "output must be a string, got 5"),
     ], ids=["dim-fraction", "dim-string", "s-string", "tau-string",
-            "radii-entry", "eps_list-entry"])
+            "radii-entry", "eps_list-entry", "trials-list", "radii-number",
+            "direction-number", "directions-flat", "kernel-list", "dim-bool",
+            "family-number", "Q_modulation-string", "Q_modulation-number",
+            "output-number"])
     def test_wrong_kind_of_value_names_key(self, tmp_path, capsys, command,
                                            section, values, shown):
         path = write_config(tmp_path, base_config(**{section: values}))

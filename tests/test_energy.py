@@ -394,6 +394,19 @@ class TestWindowEnergies:
                                PERIOD, pot)
         assert rep.total == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_constant_slab_kinetic_in_exactly_zero(self, dim, family, s):
+        # no slab pair differs, so the in-slab part is 0, not a rounding
+        # residue of the total less the cross part
+        wt, _ = strip_setup(dim, family, s)
+        for value in (-1.0, 1.0):
+            for far in ((1.0, -1.0), (-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0)):
+                rep = wt.period_report(
+                    Field(wt.domain, np.full(wt.domain.shape, value), *far))
+                assert rep.kinetic_in == 0.0, (value, far)
+
     def test_zero_field_potential_volume(self):
         _, dom, wt = axis_setup(h=0.125, r_cut=1.0)
         pot = PotentialSpec(family="quartic")
