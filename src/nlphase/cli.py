@@ -134,6 +134,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, kind: str | None = None) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigurationError(
+                f"the configuration's top level must be an object, got {raw!r}")
         if raw.get("schema_version") != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"schema_version must be {SCHEMA_VERSION}, "
@@ -578,7 +581,7 @@ def main(argv=None) -> int:
         with open(args.config) as f:
             cfg = ExperimentConfig.from_dict(json.load(f), args.command)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _check("--seed", *_KEYS[None]["seed"][:2], args.seed)
         cfg.threads = args.threads
         hyp = validate_hypotheses(cfg.kernel_spec(), cfg.potential_spec(),
                                   samples=256, seed=cfg.seed)

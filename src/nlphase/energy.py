@@ -12,6 +12,8 @@ with weights assembled from a translation-structured stencil:
   kernel against the cell autocorrelation ("tent") profile; each class of
   offsets under the 8 lattice symmetries is integrated once, and its
   angular tent profile, which does not depend on s, is shared across s;
+  the tent sum runs only over the angles whose ray meets the square
+  support of the tent (`_tent_window`), since every other term is 0;
 * longer offsets use midpoint quadrature with the leading curvature
   correction, whose relative error at the crossover radius is below 1e-3;
 * pairs of touching cells (and the self pair, which never enters any energy
@@ -31,7 +33,7 @@ Every kinetic and perimeter quantity goes through three `WeightTable`
 primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
 
 * `offset_weights` -- pair weights for arrays of offsets and modulation
-  values (entry queries, ball blocks, two-cell flips);
+  values (entry queries, two-cell flips);
 * `interaction_sum` -- sum_j w_ij u_j over every world cell, from the
   slab values and the two far values: the periodic slab sum plus the far
   values times `far_weights` (per-period energy, gradient, L_K, flip
@@ -41,7 +43,12 @@ primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
   argument of each form vanishes within K cells of the rectangle's edges,
   so the transform needs no padding; forms without one would need K.
 
-Both sums evaluate through FFTs, so the cutoff radius can be taken
+`ball_operator` is the matvec v -> sum_{j in B} w_ij v_j over the single-
+copy cells of a ball B (the class-A ball re-solves): a linear correlation
+on twice the ball's unpadded rectangle, against the stencil cut to the
+lags that fit in it.
+
+All sums evaluate through FFTs, so the cutoff radius can be taken
 comparable to the simulated region at negligible cost.  The far weights
 (Fb, Fa) and the row sums are attributes built once with the table; the
 per-period value, its parts, its gradient, L_K and the solver oracle share
@@ -89,11 +96,31 @@ def _gauss_panels(edges, order=16):
             (0.5 * (b - a) * w).ravel())
 
 
+def _tent_window(cs, sn, d1, d2, r_lo, r_hi):
+    """Indices of the angle nodes (cos, sin) = (cs, sn) whose ray meets the
+    open square |z - d|_inf < 1 at some radius in [r_lo, r_hi]: on each
+    axis the slab |r c - d| < 1 is an interval of r, and the tent term is
+    0 wherever the two intervals and [r_lo, r_hi] have no common point.
+    Each slab interval is widened by 1e-12 (|d| + 2)/|c|, far more than
+    the rounding of the term's |r c - d|, so only exact zeros drop."""
+    lo, hi = np.full(cs.shape, float(r_lo)), np.full(cs.shape, float(r_hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, dd in ((cs, d1), (sn, d2)):
+            a, b = (dd - 1.0) / c, (dd + 1.0) / c
+            pad = 1e-12 * (abs(dd) + 2.0) / np.abs(c)
+            lo = np.maximum(lo, np.minimum(a, b) - pad)
+            hi = np.minimum(hi, np.maximum(a, b) + pad)
+    return np.nonzero(lo <= hi)[0]
+
+
 def _angular_tent(rr, d1, d2, n_phi):
     """(2 pi / n_phi) sum_phi (1-|r cos phi - d1|)_+ (1-|r sin phi - d2|)_+
-    at each radius r of ``rr``, in chunks of 256 radii."""
+    at each radius r of ``rr``, in chunks of 256 radii; the sum runs over
+    the nodes of `_tent_window` only, since every other term is 0."""
     phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
     cs, sn = np.cos(phi), np.sin(phi)
+    keep = _tent_window(cs, sn, d1, d2, rr.min(), rr.max())
+    cs, sn = cs[keep], sn[keep]
     ang = np.empty_like(rr)
     for lo in range(0, rr.size, 256):
         r = rr[lo:lo + 256, None]
@@ -401,24 +428,36 @@ class WeightTable:
 
     # -- spectral helpers -----------------------------------------------------
 
-    def _embed(self, shape) -> np.ndarray:
-        """The stencil on an FFT grid, offset 0 at index 0; offsets that
-        wrap onto one index (the periodic p axis, n_p < 2K + 1) add up."""
+    def _embed(self, shape, reach=None) -> np.ndarray:
+        """The stencil on an FFT grid, offset 0 at index 0, cut to offsets
+        of at most ``reach`` = (rp, rt) cells per axis (default: all);
+        offsets that wrap onto one index (the periodic p axis,
+        n_p < 2K + 1) add up."""
         K = self.k_cells
-        offs = np.arange(-K, K + 1)
-        rows = (offs[:, None] % shape[0] if self.domain.dim == 2
-                else np.zeros((1, 1), dtype=int))
+        rp, rt = (K, K) if reach is None else (min(r, K) for r in reach)
+        block = self.stencil[:, K - rt:K + rt + 1]
+        if self.domain.dim == 1:
+            rows = np.zeros((1, 1), dtype=int)
+        else:
+            block = block[K - rp:K + rp + 1]
+            rows = np.arange(-rp, rp + 1)[:, None] % shape[0]
         A = np.zeros(shape)
-        np.add.at(A, (rows, offs[None, :] % shape[1]), self.stencil)
+        np.add.at(A, (rows, np.arange(-rt, rt + 1)[None, :] % shape[1]), block)
         return A
 
-    def _weighted_sum(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    def _weighted_sum(self, X: np.ndarray, G: np.ndarray, size=None,
+                      spectrum=None) -> np.ndarray:
         """sum_j w_ij X_j for each cell i of the rows ``X`` (p periodic,
-        rows beyond them zero); ``G`` is the modulation on those rows."""
+        rows beyond them zero); ``G`` is the modulation on those rows.  A
+        transform ``size`` and stencil ``spectrum`` other than the period
+        grid's (`ball_operator`) correlate a single-copy rectangle."""
+        size = size or self._fft_size
+        spectrum = self._spectrum if spectrum is None else spectrum
+
         def corr(Y):
-            FY = sfft.rfftn(Y, s=self._fft_size, axes=(-2, -1))
-            return sfft.irfftn(FY * self._spectrum, s=self._fft_size,
-                               axes=(-2, -1))[..., :X.shape[-1]]
+            FY = sfft.rfftn(Y, s=size, axes=(-2, -1))
+            return sfft.irfftn(FY * spectrum, s=size, axes=(-2, -1))[
+                ..., :X.shape[-2], :X.shape[-1]]
 
         if self.kernel.family == "standard":
             return corr(X)
@@ -436,6 +475,35 @@ class WeightTable:
         Fb, Fa = self.far_weights
         return (self._weighted_sum(u, self._g_slab)
                 + far_below * Fb + far_above * Fa)
+
+    def ball_operator(self, ball: BallWindow) -> tuple:
+        """The cells of a ball and the matvec of its own pair weights.
+
+        Returns (rect, inball, op): the cell-index rectangle that covers the
+        ball (unpadded, single copy, so periodic images of one slab cell are
+        separate cells), the mask of the ball's cells in it, and
+        op(v) = sum_{j in ball} w_ij v_j for each ball cell i, with ``v``
+        and the result ordered as ``rect``'s cells under ``inball``.
+
+        The matvec is a linear correlation on next_fast_len(2n - 1) points
+        per axis of an n-cell rectangle, against the stencil cut to lags of
+        at most n - 1, the largest lag inside the rectangle; longer lags
+        would wrap onto real ones.
+        """
+        d = self.domain
+        rect = d.cover(ball.bounds(), 0)
+        inball = ball.contains(*d.rect_centers(rect))
+        size = tuple(sfft.next_fast_len(2 * n - 1) for n in inball.shape)
+        spectrum = np.conj(sfft.rfftn(self._embed(
+            size, tuple(n - 1 for n in inball.shape))))
+        G = self._g_rect(rect)
+
+        def op(v):
+            X = np.zeros(inball.shape)
+            X[inball] = v
+            return self._weighted_sum(X, G, size, spectrum)[inball]
+
+        return rect, inball, op
 
     # -- per-period functional, gradient, operator ----------------------------
 

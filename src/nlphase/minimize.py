@@ -9,7 +9,9 @@ started from the pointwise-smallest admissible state and driven by the
 fused value-and-gradient oracle `WeightTable.objective`.  Its quality is
 certified a posteriori by the Birkhoff monotonicity of level sets and by
 frozen-boundary ball re-solves (local minimality in the plane, not just per
-period); the ``planelike`` pipeline reports both, with the upper distance.
+period), whose class-A improvement is an anchored energy difference, exact
+to a few ulp of the change of the ball's values rather than of the energy
+itself; the ``planelike`` pipeline reports both, with the upper distance.
 The solver tolerances and the certificate ball radii are module constants.
 The period-doubling consistency check `doubling_check` is a library check
 that no pipeline runs, as is multi-start agreement (a second solve from
@@ -228,59 +230,57 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
 
     The constraint obstacles are dropped inside the ball (only the box
     [-1, 1] remains); everything outside, including the periodic images of
-    the ball itself, stays frozen at the current state.  Nonnegative by
-    construction; a value at solver scale certifies local minimality.
+    the ball itself, stays frozen at the current state.  The ball's cells
+    are single copies (`WeightTable.ball_operator`).
+
+    L-BFGS-B minimizes the anchored difference f(v) = E(v) - E(u) from the
+    current values u, and the gain is -min f, nonnegative by construction
+    since f(u) = 0.  f is exact to a few ulp of v - u, not of E: its
+    kinetic part is (v - u).(g(v) + g(u))/2, exact for a quadratic form
+    with gradient g, and its potential part sums
+    `PotentialSpec.profile_difference`.  A value at solver scale
+    certifies local minimality.
     """
     d = weights.domain
     ball = BallWindow(tuple(center), float(radius))
-    rect, V, G, P, T = weights.window_cells(field, ball)
-    inball = ball.contains(P, T)
-    idx = np.nonzero(inball)
-    nb = idx[0].size
-    if nb == 0:
+    rect, inball, op = weights.ball_operator(ball)
+    if not inball.any():
         return 0.0
-    gi = G[idx]
-    W_bb = weights.offset_weights(idx[0][None, :] - idx[0][:, None],
-                                  idx[1][None, :] - idx[1][:, None],
-                                  gi[:, None], gi[None, :])
-
-    # frozen couplings from the full-field interaction sums (periodic classes)
-    rs = weights.row_sums
+    idx = np.nonzero(inball)
     cell_cols = np.mod(idx[0] + rect[0], d.n_p)
     cell_rows = idx[1] + rect[2]
-    inside_slab = (cell_rows >= 0) & (cell_rows < d.n_t)
-    if not inside_slab.all():
+    if not np.all((cell_rows >= 0) & (cell_rows < d.n_t)):
         raise ConfigurationError("perturbation ball must stay inside the slab")
-    R_tot = rs[cell_cols, cell_rows]
-    C_tot = weights.interaction_sum(field.values, field.far_below,
+
+    # E(v) = sum [v^2 R_tot - v (W v) - 2 v C_out] + potential: the row
+    # sums and interaction sums over every world cell (periodic classes),
+    # less the ball's own couplings C_ball = W u
+    u_ball = field.values[cell_cols, cell_rows]
+    R_tot = weights.row_sums[cell_cols, cell_rows]
+    C_out = weights.interaction_sum(field.values, field.far_below,
                                     field.far_above)[cell_cols, cell_rows]
-    u_ball = V[idx]
-    R_ball = W_bb.sum(axis=1)
-    C_ball = W_bb @ u_ball
-    R_out = R_tot - R_ball
-    C_out = C_tot - C_ball
+    C_out -= op(u_ball)
 
-    x = d.world_of_frame(P[idx], T[idx])
-    q = potential.q(x)
-    vol = d.cell_volume
-    pscale = weights._pscale(epsilon)
+    P, T = d.rect_centers(rect)
+    qv = (potential.q(d.world_of_frame(P[idx], T[idx])) * d.cell_volume
+          * weights._pscale(epsilon))
 
-    def split(v):
-        kin_bb = float(v @ (R_ball * v) - v @ (W_bb @ v))
-        kin_out = float(np.sum(v * v * R_out - 2.0 * v * C_out))
-        pot = float(np.sum(q * potential.profile(v))) * vol * pscale
-        return kin_bb + kin_out + pot
+    def kinetic_grad(v):
+        return 2.0 * (R_tot * v - op(v) - C_out)
 
-    def grad(v):
-        return (2.0 * (R_ball * v - W_bb @ v) + 2.0 * (R_out * v - C_out)
-                + q * potential.profile_derivative(v) * vol * pscale)
+    g_anchor = kinetic_grad(u_ball)
 
-    e0 = split(u_ball)
-    res = sopt.minimize(split, u_ball, jac=grad, method="L-BFGS-B",
-                        bounds=[(-1.0, 1.0)] * nb,
+    def fun(v):
+        g = kinetic_grad(v)
+        value = (0.5 * float((v - u_ball) @ (g + g_anchor))
+                 + float(np.sum(qv * potential.profile_difference(v, u_ball))))
+        return value, g + qv * potential.profile_derivative(v)
+
+    res = sopt.minimize(fun, u_ball, jac=True, method="L-BFGS-B",
+                        bounds=sopt.Bounds(-1.0, 1.0),
                         options={"maxiter": 400, "ftol": 1e-18,
                                  "gtol": 1e-12})
-    return max(e0 - float(res.fun), 0.0)
+    return max(0.0, -float(res.fun))
 
 
 def check_class_A(weights: WeightTable, potential, field: Field,

@@ -377,17 +377,32 @@ class TestPipelines:
         ("validate", "potential", {"Q_modulation": 0.5},
          "potential.Q_modulation must be true or false, got 0.5"),
         ("validate", "output", 5, "output must be a string, got 5"),
+        # section None: the value is the whole configuration
+        ("validate", None, [], "the configuration's top level must be an "
+                               "object, got []"),
     ], ids=["dim-fraction", "dim-string", "s-string", "tau-string",
             "radii-entry", "eps_list-entry", "trials-list", "radii-number",
             "direction-number", "directions-flat", "kernel-list", "dim-bool",
             "family-number", "Q_modulation-string", "Q_modulation-number",
-            "output-number"])
+            "output-number", "top-level-list"])
     def test_wrong_kind_of_value_names_key(self, tmp_path, capsys, command,
                                            section, values, shown):
-        path = write_config(tmp_path, base_config(**{section: values}))
+        raw = values if section is None else base_config(**{section: values})
+        path = write_config(tmp_path, raw)
         assert main([command, "--config", path,
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.rstrip().endswith(shown)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "planelike"])
+    def test_seed_override_checked_by_key_row(self, tmp_path, capsys,
+                                              command):
+        path = write_config(tmp_path, base_config())
+        assert main([command, "--config", path, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration rejected")
+        assert "--seed must be finite and nonnegative: -1" in err
         assert not (tmp_path / "out").exists()
 
     def test_planelike_threads_same_bytes(self, tmp_path):

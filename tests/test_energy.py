@@ -289,6 +289,46 @@ class TestStencilQuadrature:
                                        tent, rtol=0, atol=1e-13)
 
 
+class TestTentWindow:
+    """The angular tent sum runs only over the angles whose ray meets the
+    square |z - d|_inf < 1; every dropped term must be an exact zero."""
+
+    OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, -1), (1, 1), (-1, 1), (1, -1),
+               (-1, -1), (2, -1), (-3, 5), (6, 0), (-4, -4), (0, 6)]
+
+    @staticmethod
+    def radii(d1, d2):
+        """The radial nodes of a pair integral with no core exclusion, as
+        `_radial_profile` places them, plus an even grid over that range."""
+        rmin = max(math.hypot(d1, d2) - math.sqrt(2.0), 1e-9)
+        edges = np.geomspace(rmin, math.hypot(d1, d2) + math.sqrt(2.0), 49)
+        return np.concatenate([energy._gauss_panels(edges)[0],
+                               np.linspace(edges[0], edges[-1], 257)])
+
+    @pytest.mark.parametrize("n_phi", [512, 1024])
+    @pytest.mark.parametrize("d1,d2", OFFSETS)
+    def test_window_drops_only_zeros(self, d1, d2, n_phi):
+        rr = self.radii(d1, d2)
+        phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+        cs, sn = np.cos(phi), np.sin(phi)
+        terms = (np.maximum(1.0 - np.abs(rr[:, None] * cs - d1), 0.0)
+                 * np.maximum(1.0 - np.abs(rr[:, None] * sn - d2), 0.0))
+        keep = energy._tent_window(cs, sn, d1, d2, rr.min(), rr.max())
+        outside = np.ones(n_phi, dtype=bool)
+        outside[keep] = False
+        assert np.all(terms[:, outside] == 0.0)
+        full = terms.sum(axis=1) * (2.0 * math.pi / n_phi)
+        np.testing.assert_allclose(energy._angular_tent(rr, d1, d2, n_phi),
+                                   full, rtol=1e-15, atol=0)
+        # the window is what saves the work: half the circle for the
+        # axis neighbours, a quarter for the diagonal ones, less beyond
+        reach = max(abs(d1), abs(d2))
+        if reach == 1:
+            assert keep.size == n_phi // (2 if d1 * d2 == 0 else 4)
+        elif reach > 1:
+            assert keep.size < 0.2 * n_phi
+
+
 def halfplane_oracle(n, s, d, rho):
     """Adaptive quadrature of int over {z_t > d, |z| > rho} of
     |z|^(-n-2s) dz, split at |d|; past the split r = b u^(-1/(2s)) maps the

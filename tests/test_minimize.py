@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nlphase.energy import ConfigurationError, PERIOD, build_weights
+from nlphase.energy import (BallWindow, ConfigurationError, PERIOD,
+                            build_weights)
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase.minimize import (Constraints, SolveOptions, ball_improvement,
                               check_birkhoff, check_class_A, doubling_check,
@@ -210,6 +211,59 @@ class TestClassA:
                             trials=3, seed=4)
         assert len(rep["rows"]) == 3
         assert all(r.get("skipped") for r in rep["rows"])
+
+
+class TestBallOperator:
+    """The FFT ball matvec against the dense block of pair weights."""
+
+    @staticmethod
+    def make_weights(dim, family, direction, h):
+        tau = 1.0
+        kernel = KernelSpec(dim=dim, s=0.4, tau=tau, family=family)
+        domain = build_domain(tau, Direction(direction, tau), M=24 * h, h=h,
+                              buffer=8 * h)
+        return build_weights(kernel, domain, 3.0), domain
+
+    @pytest.mark.parametrize("dim,family,direction,h,center,radius", [
+        (2, "standard", (0, 1), 0.25, (0.5, 3.0), 1.2),
+        (2, "modulated", (0, 1), 0.25, (0.3, 2.5), 1.3),
+        (2, "modulated", (1, 1), 2 ** 0.5 / 6, (0.4, 2.0), 1.1),
+        (1, "standard", (1,), 0.25, (0.0, 3.0), 1.7),
+        (1, "modulated", (1,), 0.25, (0.0, 3.0), 1.7),
+        # radius 2 tau, wider than the period: periodic images of one slab
+        # cell are separate variables of the ball
+        (2, "modulated", (0, 1), 0.25, (0.5, 3.0), 2.0),
+    ], ids=["2d-standard", "2d-modulated", "2d-modulated-11", "1d-standard",
+            "1d-modulated", "2d-wider-than-period"])
+    def test_matches_dense_block(self, dim, family, direction, h, center,
+                                 radius):
+        weights, domain = self.make_weights(dim, family, direction, h)
+        ball = BallWindow(center, radius)
+        rect, inball, op = weights.ball_operator(ball)
+        assert rect == domain.cover(ball.bounds(), 0)
+        ip, it = np.nonzero(inball)
+        g = weights._g_rect(rect)[ip, it]
+        W = weights.offset_weights(ip[None, :] - ip[:, None],
+                                   it[None, :] - it[:, None],
+                                   g[:, None], g[None, :])
+        cols = np.mod(ip + rect[0], domain.n_p)
+        if dim == 2 and 2 * radius > domain.L:
+            cells = np.stack([cols, it], axis=1)
+            assert len(np.unique(cells, axis=0)) < len(cells)
+        rng = np.random.default_rng(5)
+        u = np.tanh(domain.t_centers() - 3.0)
+        field = Field(domain, -np.tile(u, (domain.n_p, 1)))
+        u_ball = field.values[cols, it + rect[2]]
+        scale = np.abs(W).sum(axis=1).max()
+        for v, dense in [(rng.uniform(-1, 1, ip.size), None),
+                         (np.ones(ip.size), W.sum(axis=1)),    # R_ball
+                         (u_ball, W @ u_ball)]:                 # C_ball
+            ref = W @ v if dense is None else dense
+            np.testing.assert_allclose(op(v), ref, rtol=0,
+                                       atol=1e-12 * scale)
+        gain = ball_improvement(weights, PotentialSpec(family="quartic"),
+                                field, center, radius)
+        assert gain >= 0.0
 
 
 class TestDoubling:

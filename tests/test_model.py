@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -140,6 +141,48 @@ class TestPotential:
         spec = make_potential("power_d", d=1.5)
         assert eval_potential_derivative(spec, np.zeros(2), 1.0) == 0.0
         assert eval_potential_derivative(spec, np.zeros(2), -1.0) == 0.0
+
+
+def mp_profile(family, d, r):
+    """The well shape at the float ``r`` in 50-digit arithmetic."""
+    r = mpmath.mpf(r)
+    if family == "quartic":
+        return (1 - r * r) ** 2
+    if family == "power_d":
+        return abs(1 - r * r) ** mpmath.mpf(d)
+    if family == "cosine":
+        return 1 + mpmath.cos(mpmath.pi * r)
+    return mpmath.cos(mpmath.pi * r / 2) ** 2
+
+
+class TestProfileDifference:
+    FAMILIES = [("quartic", 1.5), ("power_d", 1.5), ("power_d", 1.2),
+                ("cosine", 1.5), ("cosine_sq", 1.5)]
+
+    @pytest.mark.parametrize("family,d", FAMILIES)
+    def test_zero_at_equal_arguments(self, family, d):
+        spec = make_potential(family, d=d)
+        r = np.concatenate([[-1.0, -0.5, 0.0, 1e-300, 0.9999999, 1.0],
+                            np.random.default_rng(2).uniform(-1, 1, 200)])
+        assert np.all(spec.profile_difference(r, r) == 0.0)
+
+    @pytest.mark.parametrize("family,d", FAMILIES)
+    def test_error_scales_with_the_step(self, family, d):
+        # |dw - (w0(r) - w0(ra))| <= 1e-14 |r - ra| for |r - ra| in
+        # [1e-12, 1]; a difference of two profile values errs by about
+        # 1e-16 whatever the step, which misses this bound at small steps
+        spec = make_potential(family, d=d)
+        rng = np.random.default_rng(11)
+        r = rng.uniform(-1.0, 1.0, 300)
+        step = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-12, 0, 300)
+        ra = np.clip(r - step, -1.0, 1.0)
+        got = spec.profile_difference(r, ra)
+        with mpmath.workdps(50):
+            for a, b, g in zip(r, ra, got):
+                exact = mp_profile(family, d, a) - mp_profile(family, d, b)
+                err = abs(mpmath.mpf(float(g)) - exact)
+                assert err <= 1e-14 * abs(mpmath.mpf(a) - mpmath.mpf(b)), (
+                    a, b, float(err))
 
 
 class TestGammaOf:
