@@ -12,14 +12,14 @@ from .model import (KernelSpec, PotentialSpec, eval_kernel, eval_potential,
 from .lattice import (Direction, Field, StripDomain, build_domain,
                       birkhoff_shift)
 from .energy import (BallWindow, BoxWindow, PERIOD, EnergyReport, WeightTable,
-                     build_weights, rescale_field)
+                     build_weights)
 
 __all__ = [
     "KernelSpec", "PotentialSpec", "eval_kernel", "eval_potential",
     "eval_potential_derivative", "gamma_of", "psi_s", "validate_hypotheses",
     "Direction", "Field", "StripDomain", "build_domain", "birkhoff_shift",
     "BallWindow", "BoxWindow", "PERIOD", "EnergyReport", "WeightTable",
-    "build_weights", "rescale_field",
+    "build_weights",
 ]
 
 __version__ = "0.1.0"

@@ -582,7 +582,7 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig.from_dict(json.load(f), args.command)
         if args.seed is not None:
             cfg.seed = _check("--seed", *_KEYS[None]["seed"][:2], args.seed)
-        cfg.threads = args.threads
+        cfg.threads = _check("--threads", _WHOLE, _POSITIVE, args.threads)
         hyp = validate_hypotheses(cfg.kernel_spec(), cfg.potential_spec(),
                                   samples=256, seed=cfg.seed)
         if not hyp.passed:

@@ -38,15 +38,9 @@ primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
   slab values and the two far values: the periodic slab sum plus the far
   values times `far_weights` (per-period energy, gradient, L_K, flip
   gains, frozen ball couplings, row sums);
-* `rect_form` -- the bilinear form B(X, Y) = sum_ij w_ij X_i Y_j on a
-  materialized rectangle (window energies, windowed K-perimeters).  One
-  argument of each form vanishes within K cells of the rectangle's edges,
-  so the transform needs no padding; forms without one would need K.
-
-`ball_operator` is the matvec v -> sum_{j in B} w_ij v_j over the single-
-copy cells of a ball B (the class-A ball re-solves): a linear correlation
-on twice the ball's unpadded rectangle, against the stencil cut to the
-lags that fit in it.
+* `rect_operator` -- the matvec X -> sum_j w_ij X_j over the cells of a
+  materialized single-copy rectangle (window energies, windowed
+  K-perimeters, and, through `ball_operator`, the class-A ball re-solves).
 
 All sums evaluate through FFTs, so the cutoff radius can be taken
 comparable to the simulated region at negligible cost.  The far weights
@@ -65,7 +59,7 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.special import gamma as _gamma_fn, hyp2f1 as _hyp2f1
 
-from .lattice import Direction, Field, StripDomain
+from .lattice import Field, StripDomain
 
 NEAR_EXACT_CELLS = 6          # exact pair integrals out to this many cells
 CORE_FRACTION = 1.0 / 16.0    # singular-core exclusion radius, in cells
@@ -450,7 +444,7 @@ class WeightTable:
         """sum_j w_ij X_j for each cell i of the rows ``X`` (p periodic,
         rows beyond them zero); ``G`` is the modulation on those rows.  A
         transform ``size`` and stencil ``spectrum`` other than the period
-        grid's (`ball_operator`) correlate a single-copy rectangle."""
+        grid's (`rect_operator`) correlate a single-copy rectangle."""
         size = size or self._fft_size
         spectrum = self._spectrum if spectrum is None else spectrum
 
@@ -493,17 +487,27 @@ class WeightTable:
         d = self.domain
         rect = d.cover(ball.bounds(), 0)
         inball = ball.contains(*d.rect_centers(rect))
-        size = tuple(sfft.next_fast_len(2 * n - 1) for n in inball.shape)
-        spectrum = np.conj(sfft.rfftn(self._embed(
-            size, tuple(n - 1 for n in inball.shape))))
-        G = self._g_rect(rect)
+        matvec = self.rect_operator(
+            self._g_rect(rect),
+            tuple(sfft.next_fast_len(2 * n - 1) for n in inball.shape),
+            tuple(n - 1 for n in inball.shape))
 
         def op(v):
             X = np.zeros(inball.shape)
             X[inball] = v
-            return self._weighted_sum(X, G, size, spectrum)[inball]
+            return matvec(X)[inball]
 
         return rect, inball, op
+
+    def rect_operator(self, G: np.ndarray, size=None, reach=None):
+        """The matvec X -> sum_j w_ij X_j for each cell i of a materialized
+        (single copy, non-periodic) rectangle whose modulation values are
+        ``G``: a correlation on ``size`` points per axis (default
+        `_fft_shape`) against the stencil cut to lags of at most ``reach``
+        cells per axis (default all)."""
+        size = size or self._fft_shape(G.shape)
+        spectrum = np.conj(sfft.rfftn(self._embed(size, reach)))
+        return lambda X: self._weighted_sum(X, G, size, spectrum)
 
     # -- per-period functional, gradient, operator ----------------------------
 
@@ -604,25 +608,25 @@ class WeightTable:
         if isinstance(window, PeriodWindow):
             return self.period_report(field, potential, epsilon)
         d = self.domain
-        rect, V, G, P, T = self.window_cells(field, window)
+        _, V, G, P, T, tp, tm = self.window_cells(field, window)
         if transform is not None:
             V = transform(V, P, T)
         inside = window.contains(P, T)
         if not inside.any():
             raise WindowError("window contains no cells")
         chi = inside.astype(float)
-        form = self.rect_form(G)
         chiV = chi * V
-        chiV2 = chiV * V
-        kin_in = form(chiV2, chi) - form(chiV, chiV)
+        # chi and chi V vanish within K cells of the rectangle's edges and
+        # op(1) is read only where chi is 1, so no term aliases (`_fft_shape`)
+        op = self.rect_operator(G)
+        y1, y2 = op(chi), op(chiV)
+        kin_in = float(np.sum(chiV * V * y1)) - float(np.sum(chiV * y2))
         # all pairs with one end in the window, less those with both ends
-        kin_cross = (form(chiV2, np.ones_like(V)) - 2.0 * form(chiV, V)
-                     + form(chi, V * V) - 2.0 * kin_in)
-
-        its = np.arange(rect[2], rect[3])
-        tp, tm = self._tails_for(its)
-        tail = float(np.sum(chi * ((V - field.far_below) ** 2 * tp[None, :]
-                                   + (V - field.far_above) ** 2 * tm[None, :])))
+        kin_cross = (float(np.sum(chiV * V * op(np.ones_like(V))))
+                     - 2.0 * float(np.sum(V * y2))
+                     + float(np.sum(V * V * y1)) - 2.0 * kin_in)
+        tail = float(np.sum(chi * ((V - field.far_below) ** 2 * tp
+                                   + (V - field.far_above) ** 2 * tm)))
         kin_cross += tail
 
         pot = 0.0
@@ -634,9 +638,10 @@ class WeightTable:
         return EnergyReport(kin_in, kin_cross, pot, total, tail)
 
     def window_cells(self, field: Field, window) -> tuple:
-        """(rect, values, g, P, T) over the cell-index rectangle that covers
-        a box or ball window grown by the stencil radius: a single copy of
-        the plane, not folded by the periodicity."""
+        """(rect, values, g, P, T, tp, tm) over the cell-index rectangle that
+        covers a box or ball window grown by the stencil radius: a single
+        copy of the plane, not folded by the periodicity; (tp, tm) are the
+        far tail weights of its rows, shaped to broadcast over it."""
         d = self.domain
         p_lo, p_hi, t_lo, t_hi = bounds = window.bounds()
         if t_hi <= t_lo or (d.dim == 2 and p_hi <= p_lo):
@@ -645,57 +650,20 @@ class WeightTable:
             raise WindowError("window lies outside the simulated region")
         rect = d.cover(bounds, self.k_cells)
         V = d.unroll(field.values, field.far_below, field.far_above, rect)
-        return (rect, V, self._g_rect(rect), *d.rect_centers(rect))
+        tp, tm = self._tails_for(np.arange(rect[2], rect[3]))
+        return (rect, V, self._g_rect(rect), *d.rect_centers(rect),
+                tp[None, :], tm[None, :])
 
     @staticmethod
     def _fft_shape(grid_shape) -> tuple:
-        """Transform shape for a rectangle of n cells per axis, for forms
-        with one argument that vanishes within K cells of the rectangle's
-        edges (`rect_form`).  A pair with that end at index i then has lag
-        |j - i| <= n - 1 - K, and a circular lag aliases only lags of at
-        least N - K > n - 1 - K, so N = next_fast_len(n) >= n is exact.  A
-        form with no such argument needs N >= n + K."""
+        """Circular transform shape of `rect_operator` for a rectangle of n
+        cells per axis.  Where the argument vanishes within K cells of the
+        rectangle's edges, or the result is read only at cells at least K
+        from them, a pair has lag |j - i| <= n - 1 - K, and a circular lag
+        aliases only lags of at least N - K > n - 1 - K, so
+        N = next_fast_len(n) >= n is exact.  Otherwise N >= n + K is needed."""
         return tuple(sfft.next_fast_len(n) for n in grid_shape)
 
-    def rect_form(self, G: np.ndarray):
-        """Bilinear form B(X, Y) = sum_ij w_ij X_i Y_j over the cells of a
-        materialized rectangle whose modulation values are ``G``.
-
-        One of X and Y must vanish within K cells of the rectangle's edges,
-        as a window indicator does on the rectangle of `window_cells`
-        (`_fft_shape`).
-
-        Each argument array is transformed once per form (pass the same
-        object again to reuse its spectrum), and the sum is taken by
-        Parseval against the real spectrum of the symmetric stencil, so no
-        inverse transform is needed.
-        """
-        shape = self._fft_shape(G.shape)
-        spec = sfft.rfftn(self._embed(shape), axes=(0, 1)).real
-        spec[:, 1:(shape[1] + 1) // 2] *= 2.0    # conjugate-pair bins
-        spec /= shape[0] * shape[1]
-        mod = self.kernel.family != "standard"
-        memo = {}
-
-        def spectra(X):
-            # keyed by identity; the memo keeps X alive so ids stay unique
-            if id(X) not in memo:
-                FX = sfft.rfftn(X, s=shape, axes=(0, 1))
-                FGX = sfft.rfftn(G * X, s=shape, axes=(0, 1)) if mod else None
-                memo[id(X)] = (X, FX, FGX)
-            return memo[id(X)][1:]
-
-        def form(X, Y) -> float:
-            FX, FGX = spectra(X)
-            FY, FGY = spectra(Y)
-            sY = spec * FY
-            z = np.vdot(FX, sY)
-            if mod:
-                z += 0.25 * np.vdot(FGX, sY)
-                z += 0.25 * np.vdot(FX, np.multiply(spec, FGY, out=sY))
-            return float(z.real)
-
-        return form
 
 # ---------------------------------------------------------------------------
 # public operation wrappers
@@ -704,14 +672,3 @@ class WeightTable:
 def build_weights(kernel, domain: StripDomain, r_cut: float) -> WeightTable:
     return WeightTable(kernel, domain, r_cut)
 
-
-def rescale_field(field: Field, epsilon: float) -> Field:
-    """u(x / epsilon) on the epsilon-scaled domain (cell indices preserved)."""
-    d = field.domain
-    if not 0.0 < epsilon <= d.tau:
-        raise ValueError(f"epsilon must lie in (0, tau], got {epsilon}")
-    direction = Direction(d.direction.p, d.direction.tau * epsilon)
-    dom = StripDomain(tau=d.tau * epsilon, direction=direction,
-                      M=d.M * epsilon, h=d.h * epsilon,
-                      buffer=d.buffer * epsilon)
-    return Field(dom, field.values.copy(), field.far_below, field.far_above)

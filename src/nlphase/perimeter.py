@@ -47,24 +47,26 @@ def per_K(weights: WeightTable, mask: SetMask, window) -> PerimeterResult:
     _require_subcritical(weights)
     if isinstance(window, PeriodWindow):
         return _per_K_period(weights, mask)
-    rect, V, G, P, T = weights.window_cells(mask.indicator_field(), window)
+    _, V, G, P, T, tp, tm = weights.window_cells(mask.indicator_field(),
+                                                 window)
     chiE = V > 0.0
     chiW = window.contains(P, T)
     X1 = (chiE & chiW).astype(float)
     Y1 = (chiW & ~chiE).astype(float)
     Y2 = (~chiE & ~chiW).astype(float)
     X3 = (chiE & ~chiW).astype(float)
-    form = weights.rect_form(G)
-    part1 = form(X1, Y1)
-    part2 = form(X1, Y2)
-    part3 = form(X3, Y1)
+    # Y1 lies in the window, so z1 is exact everywhere; z2 is read only on
+    # X1, which lies in the window too (`WeightTable._fft_shape`)
+    op = weights.rect_operator(G)
+    z1, z2 = op(Y1), op(Y2)
+    part1 = float(np.sum(X1 * z1))
+    part2 = float(np.sum(X1 * z2))
+    part3 = float(np.sum(X3 * z1))
 
-    its = np.arange(rect[2], rect[3])
-    tp, tm = weights._tails_for(its)
-    tail2 = float(np.sum(X1 * ((0.0 if mask.far_below else 1.0) * tp[None, :]
-                               + (0.0 if mask.far_above else 1.0) * tm[None, :])))
-    tail3 = float(np.sum(Y1 * ((1.0 if mask.far_below else 0.0) * tp[None, :]
-                               + (1.0 if mask.far_above else 0.0) * tm[None, :])))
+    tail2 = float(np.sum(X1 * ((0.0 if mask.far_below else 1.0) * tp
+                               + (0.0 if mask.far_above else 1.0) * tm)))
+    tail3 = float(np.sum(Y1 * ((1.0 if mask.far_below else 0.0) * tp
+                               + (1.0 if mask.far_above else 0.0) * tm)))
     part2 += tail2
     part3 += tail3
     total = part1 + part2 + part3
@@ -89,13 +91,10 @@ def _per_K_period(weights: WeightTable, mask: SetMask) -> PerimeterResult:
                            rep.tail_estimate / 4.0)
 
 
-def indicator_energy(weights: WeightTable, mask: SetMask, window,
-                     potential=None, epsilon=None) -> float:
-    """Scaled energy of the signed indicator; equals 4 Per_K exactly since
-    the potential vanishes at the pure phases."""
-    rep = weights.window_report(mask.indicator_field(), window, potential,
-                                epsilon)
-    return rep.total
+def indicator_energy(weights: WeightTable, mask: SetMask, window) -> float:
+    """Kinetic energy of the signed indicator in a window, 4 Per_K; the
+    potential vanishes at the pure phases."""
+    return weights.window_report(mask.indicator_field(), window).total
 
 
 def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,

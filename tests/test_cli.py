@@ -398,12 +398,17 @@ class TestPipelines:
     def test_seed_override_checked_by_key_row(self, tmp_path, capsys,
                                               command):
         path = write_config(tmp_path, base_config())
-        assert main([command, "--config", path, "--seed", "-1",
-                     "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration rejected")
-        assert "--seed must be finite and nonnegative: -1" in err
-        assert not (tmp_path / "out").exists()
+        for flag, value, shown in [
+                ("--seed", "-1", "--seed must be finite and nonnegative: -1"),
+                ("--threads", "0", "--threads must be finite and positive: 0"),
+                ("--threads", "-3",
+                 "--threads must be finite and positive: -3")]:
+            assert main([command, "--config", path, flag, value,
+                         "--out", str(tmp_path / "out")]) == 2, flag
+            err = capsys.readouterr().err
+            assert err.startswith("configuration rejected")
+            assert shown in err
+            assert not (tmp_path / "out").exists()
 
     def test_planelike_threads_same_bytes(self, tmp_path):
         raw = base_config(experiment={"trials": 2, "tau_list": [1.0, 2.0],

@@ -8,8 +8,7 @@ from scipy import integrate
 
 from nlphase import energy
 from nlphase.energy import (BallWindow, BoxWindow, PERIOD, ConfigurationError,
-                            WindowError, build_weights, rescale_field,
-                            unit_pair_integral)
+                            WindowError, build_weights, unit_pair_integral)
 from nlphase.geometry import level_mask
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase.model import KernelSpec, PotentialSpec
@@ -224,6 +223,31 @@ def brute_window(wt, fld, window):
             kin_cross += ((val(ip, it) - fld.far_below) ** 2 * tp
                           + (val(ip, it) - fld.far_above) ** 2 * tm)
     return kin_in, kin_cross
+
+
+def compensated_window(wt, fld, window):
+    """(kinetic_in, kinetic_cross) of a window as `math.fsum` of the
+    nonnegative pair terms w_ij (V_i - V_j)^2 over the stencil offsets (one
+    correctly rounded partial per offset), with the tails added as
+    `window_report` adds them."""
+    _, V, G, P, T, tp, tm = wt.window_cells(fld, window)
+    inside = window.contains(P, T)
+    K = wt.k_cells
+    # every offset of a window cell stays inside the rectangle
+    assert not (inside[:, :K].any() or inside[:, -K:].any())
+    if wt.domain.dim == 2:
+        assert not (inside[:K].any() or inside[-K:].any())
+    I = np.nonzero(inside)
+    in_parts, cross_parts = [], []
+    for dp in range(-K, K + 1) if wt.domain.dim == 2 else [0]:
+        for dt in range(-K, K + 1):
+            J = (I[0] + dp, I[1] + dt)
+            t = wt.offset_weights(dp, dt, G[I], G[J]) * (V[I] - V[J]) ** 2
+            in_parts.append(0.5 * math.fsum(t[inside[J]]))
+            cross_parts.append(math.fsum(t[~inside[J]]))
+    tail = float(np.sum(inside * ((V - fld.far_below) ** 2 * tp
+                                  + (V - fld.far_above) ** 2 * tm)))
+    return math.fsum(in_parts), math.fsum(cross_parts) + tail
 
 
 def lattice_images(d1, d2):
@@ -526,6 +550,32 @@ class TestWindowEnergies:
         assert res.per_K == pytest.approx((kin_in + kin_cross) / 4.0,
                                           rel=1e-10)
 
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_window_matches_compensated_sum(self, s):
+        # the benchmark's s = 0.75 strip geometry and a ball of radius
+        # 6 tau, a rectangle of 169 x 169 cells with K = 48
+        tau = 1.0
+        dom = build_domain(tau, Direction((0, 1), tau), M=14.0 * tau,
+                           h=tau / 6.0, buffer=4.0 * tau)
+        wt = build_weights(KernelSpec(dim=2, s=s, tau=tau,
+                                      family="modulated"), dom, 8.0 * tau)
+        P, T = dom.frame_centers()
+        rng = np.random.default_rng(1)
+        u = (np.tanh((0.5 * dom.M + 0.8 * np.sin(2 * math.pi * P) - T) / 1.5)
+             + 0.05 * rng.standard_normal(dom.shape))
+        fld = Field(dom, np.clip(u, -1.0, 1.0))
+        window = BallWindow((0.3, 0.5 * dom.M + 0.2), 6.0 * tau)
+        assert wt.window_cells(fld, window)[1].shape == (169, 169)
+        rep = wt.window_report(fld, window)
+        kin_in, kin_cross = compensated_window(wt, fld, window)
+        assert rep.kinetic_in == pytest.approx(kin_in, rel=5e-12, abs=0)
+        assert rep.kinetic_cross == pytest.approx(kin_cross, rel=5e-12, abs=0)
+        if s < 0.5:
+            mask = level_mask(fld, 0.0, "above")
+            ref = sum(compensated_window(wt, mask.indicator_field(), window))
+            assert per_K(wt, mask, window).per_K == pytest.approx(
+                ref / 4.0, rel=5e-12, abs=0)
+
     @settings(max_examples=30)
     @given(s=st.floats(0.05, 0.95),
            direction=st.sampled_from([(0, 1), (1, 1), (1, 2)]),
@@ -811,44 +861,6 @@ class TestOperatorAndGradient:
 
 
 class TestRescale:
-    def test_identity_at_one(self):
-        _, dom, wt = axis_setup()
-        rng = np.random.default_rng(7)
-        fld = Field(dom, rng.uniform(-1, 1, dom.shape))
-        out = rescale_field(fld, 1.0)
-        assert out.domain == dom
-        assert np.array_equal(out.values, fld.values)
-
-    def test_geometry_scales(self):
-        _, dom, _ = axis_setup()
-        rng = np.random.default_rng(8)
-        fld = Field(dom, rng.uniform(-1, 1, dom.shape))
-        out = rescale_field(fld, 0.25)
-        assert out.domain.h == pytest.approx(dom.h * 0.25)
-        assert out.domain.M == pytest.approx(dom.M * 0.25)
-        assert out.domain.tau == pytest.approx(dom.tau * 0.25)
-        assert np.array_equal(out.values, fld.values)
-
-    def test_band_scales_exactly(self):
-        from nlphase.geometry import interface_width
-        _, dom, _ = axis_setup()
-        t = dom.t_centers()
-        fld = Field(dom, np.tile(np.tanh(2.0 - t), (dom.n_p, 1)))
-        w0 = interface_width(fld, 0.9)
-        w1 = interface_width(rescale_field(fld, 0.5), 0.9)
-        assert w1 == pytest.approx(0.5 * w0, rel=1e-12)
-
-    def test_out_of_range(self):
-        _, dom, _ = axis_setup()
-        fld = Field.full(dom, 0.0)
-        with pytest.raises(ValueError):
-            rescale_field(fld, 1.5)
-
-    def test_far_values_kept(self):
-        _, dom, _ = axis_setup()
-        out = rescale_field(Field.full(dom, 0.3, matching_far=True), 0.5)
-        assert (out.far_below, out.far_above) == (0.3, 0.3)
-
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("family", ["standard", "modulated"])
     @settings(max_examples=10)
@@ -865,8 +877,8 @@ class TestRescale:
         wt, pot = strip_setup(dim, family, s)
         fld = random_field(wt.domain, seed, far)
         wt_eps, pot_eps = strip_setup(dim, family, s, tau=eps)
-        scaled = rescale_field(fld, eps)
-        assert scaled.domain == wt_eps.domain
+        scaled = Field(wt_eps.domain, fld.values, fld.far_below,
+                       fld.far_above)
         a = asdict(wt.period_report(fld, pot))
         b = asdict(wt_eps.period_report(scaled, pot_eps, eps))
         for key in ("kinetic_in", "kinetic_cross", "potential", "total",
