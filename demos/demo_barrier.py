@@ -5,7 +5,7 @@ import numpy as np
 from nlphase import Direction, build_domain, build_weights
 from nlphase.barrier import (barrier_slide_test, build_barrier,
                              verify_barrier)
-from nlphase.minimize import Constraints, SolveOptions, minimize_strip
+from nlphase.minimize import Constraints, minimize_strip
 from nlphase.model import KernelSpec, PotentialSpec
 
 kernel = KernelSpec(dim=2, s=0.25, tau=1.0)
@@ -36,8 +36,7 @@ slide_bar = build_barrier(k75, R=18.0, delta=probe75.c3 * 1.05)
 potential = PotentialSpec(family="quartic", tau=1.0)
 domain = build_domain(1.0, Direction((0, 1), 1.0), M=36.0, h=0.5, buffer=4.0)
 weights = build_weights(k75, domain, 8.0)
-result = minimize_strip(weights, potential, Constraints(0.9),
-                        options=SolveOptions(max_iters=40000))
+result = minimize_strip(weights, potential, Constraints(0.9))
 u = result.field.values
 it = int(np.argmin(np.abs(u.mean(axis=0))))
 t0 = min(domain.t_lo + (it + 0.5) * domain.h + 0.5 * slide_bar.R,

@@ -11,7 +11,7 @@ from nlphase.geometry import (ball_count, boundary_cube_family,
                               clean_ball_search, density_profile,
                               grid_boundary_count, interface_height,
                               interface_profile, level_mask)
-from nlphase.minimize import Constraints, SolveOptions, minimize_strip
+from nlphase.minimize import Constraints, minimize_strip
 from nlphase.model import KernelSpec, PotentialSpec
 
 tau = 1.0
@@ -21,8 +21,7 @@ domain = build_domain(tau, Direction((0, 1), tau), M=24.0, h=0.125,
                       buffer=4.0)
 weights = build_weights(kernel, domain, 8.0)
 result = minimize_strip(weights, potential, Constraints(0.9),
-                        options=SolveOptions(max_iters=30000,
-                                             epsilon=1.0 / 32.0))
+                        epsilon=1.0 / 32.0)
 
 center = (0.5 * domain.n_p * domain.h, interface_height(result.field))
 print(f"interface-centered at frame point ({center[0]:.2f}, {center[1]:.2f})")

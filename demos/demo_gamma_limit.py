@@ -1,7 +1,7 @@
 """Sharp-interface limit: scaled solves, threshold sets, limit surface."""
 
 from nlphase import Direction, build_domain, build_weights
-from nlphase.minimize import Constraints, SolveOptions
+from nlphase.minimize import Constraints
 from nlphase.model import KernelSpec, PotentialSpec
 from nlphase.perimeter import (gamma_sweep, minimal_surface_extract,
                                surface_local_min_check)
@@ -14,8 +14,7 @@ domain = build_domain(tau, Direction((0, 1), tau), M=8.0, h=tau / 6,
 weights = build_weights(kernel, domain, 8.0 * tau)
 
 sweep = gamma_sweep(weights, potential, Constraints(0.9),
-                    [1.0, 0.5, 0.25, 0.125],
-                    options=SolveOptions(max_iters=40000))
+                    [1.0, 0.5, 0.25, 0.125])
 print("eps      E_eps        G(threshold)  gap        sym-diff")
 for rec in sweep["records"]:
     gap = abs(rec["E_eps"] - rec["G_threshold"])

@@ -10,8 +10,8 @@ import numpy as np
 
 from nlphase import Direction, build_domain, build_weights
 from nlphase.geometry import interface_width
-from nlphase.minimize import (Constraints, SolveOptions, check_birkhoff,
-                              check_class_A, minimize_strip, upper_distance)
+from nlphase.minimize import (Constraints, check_birkhoff, check_class_A,
+                              minimize_strip, upper_distance)
 from nlphase.model import KernelSpec, PotentialSpec
 
 tau = 1.0
@@ -21,8 +21,7 @@ domain = build_domain(tau, Direction((0, 1), tau), M=16.0, h=tau / 6,
                       buffer=4.0 * tau)
 weights = build_weights(kernel, domain, 8.0 * tau)
 
-result = minimize_strip(weights, potential, Constraints(0.9),
-                        options=SolveOptions(max_iters=40000))
+result = minimize_strip(weights, potential, Constraints(0.9))
 print(f"converged: {result.converged} after {result.iterations} iterations, "
       f"F = {result.F_value:.6f}, |proj grad| = {result.grad_norm:.2e}")
 

@@ -3,7 +3,7 @@
 from nlphase import BallWindow, Direction, build_domain, build_weights
 from nlphase.cli import fit_exponent
 from nlphase.geometry import interface_height
-from nlphase.minimize import Constraints, SolveOptions, minimize_strip
+from nlphase.minimize import Constraints, minimize_strip
 from nlphase.model import KernelSpec, PotentialSpec
 
 tau, s, eps = 1.0, 0.25, 1.0 / 32.0
@@ -13,7 +13,7 @@ domain = build_domain(tau, Direction((0, 1), tau), M=24.0, h=0.125,
                       buffer=4.0)
 weights = build_weights(kernel, domain, 17.6)
 result = minimize_strip(weights, potential, Constraints(0.9),
-                        options=SolveOptions(max_iters=30000, epsilon=eps))
+                        epsilon=eps)
 
 center = (0.5 * domain.n_p * domain.h, interface_height(result.field))
 

@@ -84,7 +84,6 @@ _KEYS = {
         "buffer_factor": (_NUMBER, _NONNEGATIVE, BUFFER_FACTOR),
         "r_cut_factor": (_NUMBER, _POSITIVE, energy_mod.R_CUT_FACTOR)},
     "solver": {"theta": (_NUMBER, _OPEN_UNIT, None),
-               "max_iters": (_WHOLE, _POSITIVE, None),
                "epsilon": (_NUMBER, None, None)},      # in (0, tau]
     "experiment": {
         "tau_list": ([_NUMBER], _POSITIVE, None),
@@ -254,10 +253,6 @@ class ExperimentConfig:
             domains.append(domain)
         return domains
 
-    def solve_options(self) -> min_mod.SolveOptions:
-        return min_mod.SolveOptions(**self.given(
-            "solver", max_iters="max_iters", epsilon="epsilon"))
-
     def constraints(self) -> min_mod.Constraints:
         return min_mod.Constraints(**self.given("solver", theta="theta"))
 
@@ -314,7 +309,7 @@ def _solve_one(cfg, domain):
     weights = _weights(cfg, domain)
     potential = cfg.potential_spec(domain.tau)
     result = min_mod.minimize_strip(weights, potential, cfg.constraints(),
-                                    cfg.solve_options())
+                                    epsilon=cfg.get("solver", "epsilon"))
     return potential, weights, result
 
 
@@ -331,17 +326,17 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
         bk = min_mod.check_birkhoff(result.field)
         ca = min_mod.check_class_A(
             weights, potential, result.field, seed=cfg.seed,
-            epsilon=cfg.solve_options().epsilon,
+            epsilon=cfg.get("solver", "epsilon"),
             **cfg.given("experiment", trials="trials"),
             **cfg.given("tolerances", tol_rel="classA_rel"))
         return {
             "tau": domain.tau, "direction": list(domain.direction.p),
             "F_value": result.F_value, "iterations": result.iterations,
             "grad_norm": result.grad_norm, "converged": result.converged,
-            "stop_reason": result.diagnostics["stop_reason"],
-            "nfev": result.diagnostics["nfev"], "width": width, "band": band,
+            "stop_reason": result.stop_reason,
+            "nfev": result.nfev, "width": width, "band": band,
             "M": domain.M, "M0_emp": width / domain.tau,
-            "upper_distance": result.diagnostics["upper_distance"],
+            "upper_distance": min_mod.upper_distance(result.field, theta_band),
             "birkhoff": bk["passed"], "birkhoff_worst": bk["worst_cells"],
             "classA_improvement": ca["max_improvement"],
             "classA_passed": ca["passed"],
@@ -390,7 +385,7 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
     domain, = cfg.strip_domains()
     potential, weights, result = _solve_one(cfg, domain)
     kernel = weights.kernel
-    eps = cfg.solve_options().epsilon
+    eps = cfg.get("solver", "epsilon")
     s, n = kernel.s, kernel.dim
     center = (0.5 * domain.n_p * domain.h, geom.interface_height(result.field))
     rows = []
@@ -467,7 +462,7 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
              domain.t_hi - slide_R - domain.h)
     slide = barrier_mod.barrier_slide_test(
         weights, potential, result.field, sbar,
-        (0.5 * domain.n_p * domain.h, t0), cfg.solve_options().epsilon)
+        (0.5 * domain.n_p * domain.h, t0), cfg.get("solver", "epsilon"))
     verdicts.append(_verdict("barrier-slide", slide["relative_defect"],
                              slide["relative_defect"] >= -1e-8))
     return {**entries, "slide": slide}, verdicts
@@ -479,8 +474,7 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
     eps_list = cfg.get("experiment", "eps_list")
     weights = _weights(cfg, domain)
     sweep = per_mod.gamma_sweep(weights, cfg.potential_spec(tau),
-                                cfg.constraints(), eps_list,
-                                options=cfg.solve_options())
+                                cfg.constraints(), eps_list)
     write_csv(out / "gamma_sweep.csv",
               "eps,E_eps,G_threshold,sym_diff,converged",
               [(r["eps"], r["E_eps"], r["G_threshold"], r["sym_diff"],

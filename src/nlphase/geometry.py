@@ -84,36 +84,34 @@ def ball_count(mask: SetMask, center, radius: float) -> int:
     return int(np.count_nonzero(grid & ball.contains(*d.rect_centers(rect))))
 
 
-def density_profile(mask: SetMask, center, radii, xi: float | None = None) -> list:
-    """Rows (R, |mask ∩ B_R| / R^n, tag) for each requested radius."""
+def _ball_profile(mask: SetMask, center, radii, k: int, xi_bound,
+                  xi_tag: str) -> list:
+    """Rows (R, |mask ∩ B_R| / R^k, tag); radii above ``xi_bound`` (None:
+    no bound) carry ``xi_tag``."""
     d = mask.domain
     rows = []
     for R in radii:
         tags = []
         if center[1] - R < d.t_lo or center[1] + R > d.t_hi:
             tags.append("exceeds-slab")
-        if xi is not None and R > xi / 3.0:
-            tags.append("R>xi/3")
-        val = ball_count(mask, center, R) * d.cell_volume / R ** d.dim
+        if xi_bound is not None and R > xi_bound:
+            tags.append(xi_tag)
+        val = ball_count(mask, center, R) * d.cell_volume / R ** k
         rows.append((float(R), float(val), "+".join(tags) if tags else "ok"))
     return rows
+
+
+def density_profile(mask: SetMask, center, radii, xi: float | None = None) -> list:
+    """Rows (R, |mask ∩ B_R| / R^n, tag) for each requested radius."""
+    return _ball_profile(mask, center, radii, mask.domain.dim,
+                         None if xi is None else xi / 3.0, "R>xi/3")
 
 
 def interface_profile(field: Field, theta: float, center, radii,
                       xi: float | None = None) -> list:
     """Rows (R, |{|u| < theta} ∩ B_R| / R^(n-1), tag)."""
-    band = level_mask(field, theta, "band")
-    d = field.domain
-    rows = []
-    for R in radii:
-        tags = []
-        if center[1] - R < d.t_lo or center[1] + R > d.t_hi:
-            tags.append("exceeds-slab")
-        if xi is not None and R > xi:
-            tags.append("R>xi")
-        val = ball_count(band, center, R) * d.cell_volume / R ** (d.dim - 1)
-        rows.append((float(R), float(val), "+".join(tags) if tags else "ok"))
-    return rows
+    return _ball_profile(level_mask(field, theta, "band"), center, radii,
+                         field.domain.dim - 1, xi, "R>xi")
 
 
 def boundary_cells(mask: SetMask, rect) -> np.ndarray:

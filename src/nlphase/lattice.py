@@ -204,12 +204,7 @@ class StripDomain:
 
     def world_centers(self) -> np.ndarray:
         """Cell centers in world coordinates, shape (n_p, n_t, dim)."""
-        F = self.direction.frame()
-        if self.dim == 1:
-            T = self.t_centers()[None, :]
-            return (T * F[0, 0])[..., None]
-        P, T = self.frame_centers()
-        return P[..., None] * F[:, 0] + T[..., None] * F[:, 1]
+        return self.world_of_frame(*self.frame_centers())
 
     def world_of_frame(self, p, t) -> np.ndarray:
         F = self.direction.frame()

@@ -12,7 +12,8 @@ frozen-boundary ball re-solves (local minimality in the plane, not just per
 period), whose class-A improvement is an anchored energy difference, exact
 to a few ulp of the change of the ball's values rather than of the energy
 itself; the ``planelike`` pipeline reports both, with the upper distance.
-The solver tolerances and the certificate ball radii are module constants.
+The solver tolerances, the iteration cap and the certificate ball radii are
+module constants.
 The period-doubling consistency check `doubling_check` is a library check
 that no pipeline runs, as is multi-start agreement (a second solve from
 another seed field).
@@ -21,7 +22,7 @@ another seed field).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize as sopt
@@ -29,9 +30,11 @@ from scipy import optimize as sopt
 from .energy import BallWindow, ConfigurationError, WeightTable, build_weights
 from .lattice import Field, StripDomain, birkhoff_shift
 
-# L-BFGS-B stopping tolerances: projected gradient, relative decrease of F
+# L-BFGS-B stopping rules: projected-gradient and relative-decrease-of-F
+# tolerances, and the iteration cap
 GRAD_TOL = 1e-8
 REL_DECREASE_TOL = 1e-15
+MAX_ITERS = 40000
 # certificate balls have radii in [2h, 2tau]: (factor of h, factor of tau)
 CERT_RADII = (2.0, 2.0)
 
@@ -59,20 +62,14 @@ class Constraints:
 
 
 @dataclass
-class SolveOptions:
-    max_iters: int = 40000
-    epsilon: float | None = None
-    record_trace: bool = True
-
-
-@dataclass
 class SolveResult:
     field: Field
     F_value: float
     iterations: int
     grad_norm: float
     converged: bool
-    diagnostics: dict = dfield(default_factory=dict)
+    stop_reason: str
+    nfev: int
     trace: np.ndarray | None = None
 
 
@@ -100,35 +97,34 @@ def check_strip_height(domain: StripDomain) -> None:
 
 
 def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
-                   options: SolveOptions | None = None,
-                   seed_field: Field | None = None) -> SolveResult:
+                   seed_field: Field | None = None, epsilon=None,
+                   record_trace: bool = True) -> SolveResult:
     """L-BFGS-B on the per-period functional over the obstacle box
     `Constraints.bounds`, started from its lower corner (the minimal seed)
     or from ``seed_field`` clipped into the box; the far values are the
-    planelike +1 below and -1 above.
+    planelike +1 below and -1 above.  ``epsilon`` scales the potential
+    (None: unscaled).
 
     The problem is the one ``weights`` discretizes: its kernel, strip
     domain and cutoff.  The kernel and potential hypotheses are the
     caller's to check with `nlphase.model.validate_hypotheses`; the command
     line does so once per run.
 
-    Accepted iterations never increase the objective.
-    ``diagnostics["stop_reason"]`` is ``grad_tol`` (largest projected-gradient
-    entry below `GRAD_TOL`), ``stall`` (relative reduction of F in one
-    iteration below `REL_DECREASE_TOL`), ``no_descent`` (no admissible
-    descent left at machine precision) or ``iteration_cap`` (``max_iters``
-    reached, the only exit with ``converged=False``);
-    ``diagnostics["nfev"]`` counts oracle evaluations.  Trace rows are
-    (iteration, F, projected-gradient norm, ||x_k - x_{k-1}||).
+    Accepted iterations never increase the objective.  ``stop_reason`` is
+    ``grad_tol`` (largest projected-gradient entry below `GRAD_TOL`),
+    ``stall`` (relative reduction of F in one iteration below
+    `REL_DECREASE_TOL`), ``no_descent`` (no admissible descent left at
+    machine precision) or ``iteration_cap`` (`MAX_ITERS` reached, the only
+    exit with ``converged=False``); ``nfev`` counts oracle evaluations.
+    With ``record_trace`` the trace rows are (iteration, F,
+    projected-gradient norm, ||x_k - x_{k-1}||).
     """
-    options = options or SolveOptions()
     domain = weights.domain
     check_strip_height(domain)
     lo, hi = constraints.bounds(domain)
     u0 = lo if seed_field is None else np.clip(seed_field.values, lo, hi)
     lo, hi = lo.ravel(), hi.ravel()
-    eps = options.epsilon
-    oracle = weights.objective(1.0, -1.0, potential, eps)
+    oracle = weights.objective(1.0, -1.0, potential, epsilon)
     last = {}
 
     def fun(x):
@@ -153,24 +149,22 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
 
     res = sopt.minimize(
         fun, x_prev, jac=True, method="L-BFGS-B", bounds=sopt.Bounds(lo, hi),
-        callback=record if options.record_trace else None,
-        options={"maxiter": options.max_iters, "maxfun": math.inf,
+        callback=record if record_trace else None,
+        options={"maxiter": MAX_ITERS, "maxfun": math.inf,
                  "ftol": REL_DECREASE_TOL, "gtol": GRAD_TOL})
     reason = _stop_reason(res.message)
 
     fld = Field(domain, np.clip(res.x, lo, hi).reshape(domain.shape))
-    result = SolveResult(
+    return SolveResult(
         field=fld,
-        F_value=weights.period_value(fld, potential, eps),
+        F_value=weights.period_value(fld, potential, epsilon),
         iterations=int(res.nit),
         grad_norm=projected_norm(res.x, res.jac),
         converged=reason != "iteration_cap",
-        trace=np.array(trace) if options.record_trace else None,
+        stop_reason=reason,
+        nfev=int(res.nfev),
+        trace=np.array(trace) if record_trace else None,
     )
-    result.diagnostics.update(
-        theta=constraints.theta, stop_reason=reason, nfev=int(res.nfev),
-        upper_distance=upper_distance(fld, constraints.theta))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +317,17 @@ def check_class_A(weights: WeightTable, potential, field: Field,
     }
 
 
-def doubling_check(weights: WeightTable, potential, result: SolveResult,
-                   m: int, options: SolveOptions | None = None) -> dict:
+def doubling_check(weights: WeightTable, potential, constraints: Constraints,
+                   result: SolveResult, m: int, epsilon=None) -> dict:
     """Re-solve on the m-fold fundamental domain from the tiled seed.
 
-    ``weights`` is the table ``result`` was solved with; the m-fold table
-    is built from its kernel and cutoff.
+    ``weights``, ``constraints`` and ``epsilon`` are those ``result`` was
+    solved with; the m-fold table is built from the kernel and cutoff.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     base = result.field
     d = base.domain
-    constraints = Constraints(result.diagnostics["theta"])
     if m == 1:
         return {"m": 1, "l1_gap_per_period": 0.0, "F_gap": 0.0}
     dom2 = StripDomain(tau=d.tau, direction=d.direction, M=d.M, h=d.h,
@@ -342,8 +335,8 @@ def doubling_check(weights: WeightTable, potential, result: SolveResult,
     tiled = Field(dom2, np.tile(base.values, (m, 1)),
                   base.far_below, base.far_above)
     res2 = minimize_strip(build_weights(weights.kernel, dom2, weights.r_cut),
-                          potential, constraints, options=options,
-                          seed_field=tiled)
+                          potential, constraints, seed_field=tiled,
+                          epsilon=epsilon)
     gap = float(np.abs(res2.field.values - tiled.values).sum()
                 * d.cell_volume / m)
     return {

@@ -15,13 +15,14 @@ periodicity, and stability under small indicator flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import PERIOD, PeriodWindow, WeightTable
-from .geometry import SetMask, level_mask, symmetric_difference_measure
-from .minimize import CERT_RADII, Constraints, SolveOptions, minimize_strip
+from .geometry import (SetMask, ball_count, boundary_cells, level_mask,
+                       symmetric_difference_measure)
+from .minimize import CERT_RADII, Constraints, minimize_strip
 
 
 class RegimeError(ValueError):
@@ -98,13 +99,13 @@ def indicator_energy(weights: WeightTable, mask: SetMask, window) -> float:
 
 
 def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,
-                eps_list, options: SolveOptions | None = None) -> dict:
+                eps_list) -> dict:
     """Sharp-interface sweep: solve the scaled problem that ``weights``
     discretizes for each epsilon.
 
     Solutions continue from the previous epsilon; each record carries the
-    per-period scaled energy, the perimeter of the thresholded set and the
-    symmetric difference to the final threshold set.
+    solve's per-period scaled energy F, the perimeter of the thresholded set
+    and the symmetric difference to the final threshold set.
     """
     _require_subcritical(weights)   # every record thresholds to a K-perimeter
     eps_list = list(eps_list)
@@ -112,19 +113,16 @@ def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,
         raise ValueError("eps_list must be strictly decreasing")
     if any(not 0.0 < e <= weights.domain.tau for e in eps_list):
         raise ValueError("epsilon values must lie in (0, tau]")
-    base = options or SolveOptions()
     records = []
     seed = None
     for eps in eps_list:
-        opt = replace(base, epsilon=eps, record_trace=False)
-        res = minimize_strip(weights, potential, constraints, options=opt,
-                             seed_field=seed)
+        res = minimize_strip(weights, potential, constraints, seed_field=seed,
+                             epsilon=eps, record_trace=False)
         seed = res.field
         mask = level_mask(res.field, 0.0, "above")
-        e_eps = weights.period_value(res.field, potential, eps)
         g_thr = 4.0 * per_K(weights, mask, PERIOD).per_K
         records.append({
-            "eps": float(eps), "E_eps": e_eps, "G_threshold": g_thr,
+            "eps": float(eps), "E_eps": res.F_value, "G_threshold": g_thr,
             "converged": bool(res.converged), "mask": mask,
             "field": res.field,
         })
@@ -180,7 +178,6 @@ def minimal_surface_extract(sweep: dict, m0_ref: float | None = None,
         shifted = np.roll(mask.inside, dp, axis=0)
         periodic = bool(dt == 0 and np.array_equal(shifted, mask.inside))
 
-    from .geometry import ball_count, boundary_cells
     bnd = boundary_cells(mask, (0, d.n_p, 0, d.n_t))
     P, T = d.frame_centers()
     density_rows = []

@@ -29,8 +29,8 @@ from nlphase.geometry import (SetMask, boundary_cube_family, ball_count,
                               grid_boundary_count, interface_height,
                               interface_width, level_mask)
 from nlphase.lattice import Direction, Field, StripDomain
-from nlphase.minimize import (Constraints, SolveOptions, check_birkhoff,
-                              check_class_A, minimize_strip)
+from nlphase.minimize import (Constraints, check_birkhoff, check_class_A,
+                              minimize_strip)
 from nlphase.model import KernelSpec, PotentialSpec
 from nlphase.perimeter import (gamma_sweep, indicator_energy,
                                minimal_surface_extract, per_K,
@@ -71,16 +71,14 @@ def _strip(s, tau, Mf, cpt, dirn=(0, 1), Bf=4.0):
     return StripDomain(tau=tau, direction=d, M=M, h=h, buffer=B)
 
 
-def _solve(s, tau, Mf, cpt, dirn=(0, 1), eps=None, r_cut=None,
-           max_iters=60000, theta=0.9):
+def _solve(s, tau, Mf, cpt, dirn=(0, 1), eps=None, r_cut=None, theta=0.9):
     kernel = KernelSpec(dim=2, s=s, tau=tau, family="modulated")
     potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True)
     domain = _strip(s, tau, Mf, cpt, dirn)
     weights = build_weights(kernel, domain,
                             8.0 * tau if r_cut is None else r_cut)
-    result = minimize_strip(
-        weights, potential, Constraints(theta),
-        options=SolveOptions(max_iters=max_iters, epsilon=eps))
+    result = minimize_strip(weights, potential, Constraints(theta),
+                            epsilon=eps)
     return dict(kernel=kernel, potential=potential, domain=domain,
                 weights=weights, result=result, eps=eps)
 
@@ -129,7 +127,7 @@ def scaling_runs():
     out = {}
     for s, cfg in SCALING_CFG.items():
         run = _solve(s, 1.0, cfg["Mf"], cfg["cpt"], eps=cfg["eps"],
-                     r_cut=cfg["r_cut"], max_iters=30000)
+                     r_cut=cfg["r_cut"])
         dom = run["domain"]
         # centred at the interface height, as the scaling pipeline does
         run["center"] = (0.5 * dom.n_p * dom.h,
@@ -152,8 +150,7 @@ def gamma_run():
     domain = _strip(0.25, 1.0, 8.0, 6)
     weights = build_weights(kernel, domain, 8.0)
     sweep = gamma_sweep(weights, potential, Constraints(0.9),
-                        [1.0, 0.5, 0.25, 0.125],
-                        options=SolveOptions(max_iters=40000))
+                        [1.0, 0.5, 0.25, 0.125])
     m0_ref = interface_width(sweep["records"][0]["field"], 0.9) / domain.tau
     extract = minimal_surface_extract(sweep, m0_ref=m0_ref,
                                       density_radii=[2.0, 3.0],

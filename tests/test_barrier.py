@@ -9,7 +9,7 @@ from nlphase.barrier import (BarrierRangeError, _assemble, _measure_c3,
                              barrier_slide_test, build_barrier, verify_barrier)
 from nlphase.energy import build_weights
 from nlphase.lattice import Direction, Field, build_domain
-from nlphase.minimize import Constraints, SolveOptions, minimize_strip
+from nlphase.minimize import Constraints, minimize_strip
 from nlphase.model import KernelSpec, PotentialSpec
 
 
@@ -44,8 +44,7 @@ def strip_three_quarter():
     domain = build_domain(1.0, Direction((0, 1), 1.0), M=36.0, h=0.5,
                           buffer=4.0)
     weights = build_weights(kernel, domain, 8.0)
-    result = minimize_strip(weights, potential, Constraints(0.9),
-                            options=SolveOptions(max_iters=40000))
+    result = minimize_strip(weights, potential, Constraints(0.9))
     probe = build_barrier(kernel, R=1e6, delta=1.0)
     bar = build_barrier(kernel, R=18.0, delta=probe.c3 * 1.05)
     return kernel, potential, domain, weights, result, bar

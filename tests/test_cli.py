@@ -22,7 +22,7 @@ def base_config(**adjust):
         "geometry": {"tau": 1.0, "direction": [0, 1], "M_factor": 4.0,
                      "cells_per_tau": 6, "buffer_factor": 2.0,
                      "r_cut_factor": 4.0},
-        "solver": {"max_iters": 8000, "theta": 0.9},
+        "solver": {"theta": 0.9},
         "experiment": {},
         "tolerances": {},
         "seed": 7,
@@ -61,8 +61,8 @@ class TestConfig:
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         # former keys among them: geometry is given only in units of tau,
         # the certificate levels, radii and reference level are fixed, the
-        # model constants are derived, the solver tolerances are constants
-        # and the pipeline is named on the command line
+        # model constants are derived, the solver tolerances and iteration
+        # cap are constants and the pipeline is named on the command line
         for section, key in (("geometry", "mesh"), ("solver", "theta0"),
                              ("tolerances", "decomposition_rel"),
                              ("tolerances", "identity_rel"),
@@ -76,6 +76,7 @@ class TestConfig:
                              ("kernel", "gamma_reg"), ("potential", "kappa"),
                              ("solver", "grad_tol"),
                              ("solver", "rel_decrease_tol"),
+                             ("solver", "max_iters"),
                              ("experiment", "kind")):
             raw = base_config()
             raw[section][key] = 1
@@ -123,7 +124,6 @@ class TestConfig:
     def test_whole_number_floats_accepted(self, tmp_path):
         raw = base_config(kernel={"dim": 2.0},
                           geometry={"cells_per_tau": 6.0, "direction": [0.0, 1]},
-                          solver={"max_iters": 8000.0},
                           experiment={"trials": 2.0}, seed=7.0)
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.seed == 7 and isinstance(cfg.seed, int)
@@ -131,7 +131,6 @@ class TestConfig:
         path = write_config(tmp_path, base_config(kernel={"dim": 2.0}))
         assert main(["validate", "--config", path,
                      "--out", str(tmp_path / "out")]) == 0
-        assert cfg.solve_options().max_iters == 8000
         assert cfg.domain().n_p == 6 and cfg.domain().direction.p == (0, 1)
         # whole components with a common factor are a domain error, not a
         # config error
@@ -284,7 +283,7 @@ class TestPipelines:
             ("planelike", "geometry", {"direction": [1.5, 1]}),
             ("planelike", "geometry", {"cells_per_tau": 6.7}),
             ("validate", "geometry", {"cells_per_tau": "6"}),
-            ("planelike", "solver", {"max_iters": 12.9}),
+            ("planelike", "solver", {"epsilon": "0.25"}),
             ("planelike", "experiment", {"trials": 2.9}),
             ("validate", "seed", 7.9),
             ("validate", "geometry", {"direction": [1.5, 1]}),
@@ -316,9 +315,9 @@ class TestPipelines:
             ("scaling", "experiment", {"radii": []}, "experiment.radii"),
             ("gamma", "experiment", {"eps_list": []}, "experiment.eps_list"),
             ("planelike", "experiment", {"trials": 0}, "experiment.trials"),
-            ("planelike", "solver", {"max_iters": 0}, "solver.max_iters"),
-            ("planelike", "solver", {"max_iters": -5}, "solver.max_iters"),
             # ranges checked before --out exists, not in the pipeline
+            ("planelike", "solver", {"epsilon": 0.0}, "epsilon"),
+            ("planelike", "solver", {"epsilon": math.nan}, "epsilon"),
             ("planelike", "solver", {"theta": 1.5}, "solver.theta"),
             ("planelike", "solver", {"theta": 0.0}, "solver.theta"),
             ("gamma", "experiment", {"eps_list": [0.5, 1.0]},
@@ -502,7 +501,7 @@ class TestPipelines:
 
     def test_scaling_pipeline_synthetic_fit(self, tmp_path):
         raw = base_config(experiment={"radii": [1.0, 1.5, 2.0, 2.5]},
-                          solver={"max_iters": 4000, "epsilon": 0.25})
+                          solver={"epsilon": 0.25})
         path = write_config(tmp_path, raw)
         main(["scaling", "--config", path, "--out", str(tmp_path / "out")])
         rep = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -4,9 +4,10 @@ import pytest
 from nlphase.energy import (BallWindow, ConfigurationError, PERIOD,
                             build_weights)
 from nlphase.lattice import Direction, Field, build_domain
-from nlphase.minimize import (Constraints, SolveOptions, ball_improvement,
-                              check_birkhoff, check_class_A, doubling_check,
-                              minimize_strip, upper_distance)
+from nlphase import minimize
+from nlphase.minimize import (Constraints, ball_improvement, check_birkhoff,
+                              check_class_A, doubling_check, minimize_strip,
+                              upper_distance)
 from nlphase.model import KernelSpec, PotentialSpec
 
 
@@ -18,8 +19,7 @@ def solved():
                           buffer=2.0)
     weights = build_weights(kernel, domain, 4.0)
     cons = Constraints(0.9)
-    res = minimize_strip(weights, potential, cons,
-                         options=SolveOptions(max_iters=20000))
+    res = minimize_strip(weights, potential, cons)
     return kernel, potential, domain, weights, cons, res
 
 
@@ -75,8 +75,8 @@ class TestMinimalSeed:
     def test_cold_start_is_minimal_seed(self, solved):
         kernel, potential, domain, weights, cons, res = solved
         lo, _ = cons.bounds(domain)
-        warm = minimize_strip(weights, potential, cons, seed_field=Field(
-            domain, lo), options=SolveOptions(max_iters=20000))
+        warm = minimize_strip(weights, potential, cons,
+                              seed_field=Field(domain, lo))
         assert np.array_equal(warm.field.values, res.field.values)
 
 
@@ -106,16 +106,15 @@ class TestMinimizeStrip:
         t = domain.t_centers()
         ramp = np.clip(1.0 - 2.0 * t / domain.M, -1.0, 1.0)
         seed2 = Field(domain, np.tile(ramp, (domain.n_p, 1)))
-        res2 = minimize_strip(weights, potential, cons, seed_field=seed2,
-                              options=SolveOptions(max_iters=20000))
+        res2 = minimize_strip(weights, potential, cons, seed_field=seed2)
         assert res2.F_value == pytest.approx(res.F_value, rel=1e-6)
 
-    def test_iteration_cap_not_converged(self, solved):
+    def test_iteration_cap_not_converged(self, solved, monkeypatch):
         kernel, potential, domain, weights, cons, _ = solved
-        res = minimize_strip(weights, potential, cons,
-                             options=SolveOptions(max_iters=3))
+        monkeypatch.setattr(minimize, "MAX_ITERS", 3)
+        res = minimize_strip(weights, potential, cons)
         assert not res.converged
-        assert res.diagnostics["stop_reason"] == "iteration_cap"
+        assert res.stop_reason == "iteration_cap"
         assert res.iterations == 3 and len(res.trace) == 3
         # the last trace row describes the returned iterate
         assert res.trace[-1, 1] == pytest.approx(res.F_value, rel=1e-12)
@@ -269,13 +268,12 @@ class TestBallOperator:
 class TestDoubling:
     def test_identity_at_one(self, solved):
         kernel, potential, domain, weights, cons, res = solved
-        rep = doubling_check(weights, potential, res, 1)
+        rep = doubling_check(weights, potential, cons, res, 1)
         assert rep["l1_gap_per_period"] == 0.0
 
     def test_two_periods_consistent(self, solved):
         kernel, potential, domain, weights, cons, res = solved
         # F_gap is this small only if the doubled table keeps the cutoff 4.0
-        rep = doubling_check(weights, potential, res, 2,
-                             options=SolveOptions(max_iters=20000))
+        rep = doubling_check(weights, potential, cons, res, 2)
         assert rep["l1_gap_per_period"] <= 1e-4
         assert abs(rep["F_gap"]) <= 1e-8

@@ -7,7 +7,7 @@ from scipy import integrate, special
 from nlphase.energy import BallWindow, BoxWindow, PERIOD, build_weights
 from nlphase.geometry import SetMask, level_mask
 from nlphase.lattice import Direction, Field, build_domain
-from nlphase.minimize import Constraints, SolveOptions
+from nlphase.minimize import Constraints
 from nlphase.model import KernelSpec, PotentialSpec
 from nlphase.perimeter import (RegimeError, flip_gains, gamma_sweep,
                                indicator_energy, minimal_surface_extract,
@@ -197,16 +197,20 @@ def sweep_weights():
 @pytest.fixture(scope="module")
 def sweep(sweep_weights):
     return gamma_sweep(sweep_weights, PotentialSpec(family="quartic"),
-                       Constraints(0.9), [1.0, 0.5, 0.25, 0.125],
-                       options=SolveOptions(max_iters=20000))
+                       Constraints(0.9), [1.0, 0.5, 0.25, 0.125])
 
 
 class TestGammaSweep:
-    def test_records_complete(self, sweep):
+    def test_records_complete(self, sweep, sweep_weights):
         recs = sweep["records"]
         assert len(recs) == 4
         assert all(r["converged"] for r in recs)
         assert recs[-1]["sym_diff"] == 0.0
+        # E_eps is the solve's own F, the scaled energy of the record's field
+        potential = PotentialSpec(family="quartic")
+        for rec in recs:
+            assert rec["E_eps"] == sweep_weights.period_value(
+                rec["field"], potential, rec["eps"])
 
     def test_recovery_identity_exact(self, sweep):
         assert sweep["recovery_identity_gap"] <= 1e-10
