@@ -52,6 +52,7 @@ from .model import KernelSpec, PotentialSpec, validate_hypotheses
 
 
 SCHEMA_VERSION = 1
+M0_SPREAD = 0.25   # largest relative spread of M0_emp over one direction
 
 
 # kinds of value: (JSON type, what it is called, cast); a kind in a list is
@@ -92,13 +93,9 @@ _KEYS = {
         "eps_list": ([_NUMBER], None, (1.0, 0.5, 0.25, 0.125)),
         "trials": (_WHOLE, _POSITIVE, None),
         "barrier_R": (_NUMBER, _POSITIVE, 16.0),
-        "barrier_delta": (_NUMBER, _POSITIVE, 0.1),
-        "density_floor": (_NUMBER, _NONNEGATIVE, None),
-        "m0_spread": (_NUMBER, _NONNEGATIVE, 0.25)},
-    "tolerances": {"classA_rel": (_NUMBER, _NONNEGATIVE, None),
-                   "flip_rel": (_NUMBER, _NONNEGATIVE, None)},
-    None: {"seed": (_WHOLE, _NONNEGATIVE, 20240808),
-           "output": (_STRING, None, "out")},
+        "barrier_delta": (_NUMBER, _POSITIVE, 0.1)},
+    "tolerances": {},   # bounds are constants; kept so {} stays valid
+    None: {"seed": (_WHOLE, _NONNEGATIVE, 20240808)},
 }
 
 
@@ -126,7 +123,6 @@ def _check(name: str, kind, bounds, value, entry: str = ""):
 @dataclass
 class ExperimentConfig:
     sections: dict               # section -> the keys the config gives
-    output: str = _KEYS[None]["output"][2]
     seed: int = _KEYS[None]["seed"][2]
     kind: str | None = None      # the pipeline the config is resolved for
     threads: int = 1             # planelike jobs solved at once
@@ -327,8 +323,7 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
         ca = min_mod.check_class_A(
             weights, potential, result.field, seed=cfg.seed,
             epsilon=cfg.get("solver", "epsilon"),
-            **cfg.given("experiment", trials="trials"),
-            **cfg.given("tolerances", tol_rel="classA_rel"))
+            **cfg.given("experiment", trials="trials"))
         return {
             "tau": domain.tau, "direction": list(domain.direction.p),
             "F_value": result.F_value, "iterations": result.iterations,
@@ -375,7 +370,7 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
             spread = (max(m0s) - mid) / mid if mid > 0 else math.inf
             verdicts.append(_verdict(
                 "tauPLcond-M0-spread", spread,
-                spread <= cfg.get("experiment", "m0_spread"),
+                spread <= M0_SPREAD,
                 f"direction {d}, M0_emp={m0s}"))
     return {"rows": rows}, verdicts
 
@@ -428,7 +423,7 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
     R = cfg.get("experiment", "barrier_R")
     delta = cfg.get("experiment", "barrier_delta")
     bar = barrier_mod.build_barrier(kernel, R, delta)
-    ver = barrier_mod.verify_barrier(kernel, bar, n_samples=200, seed=cfg.seed)
+    ver = barrier_mod.verify_barrier(kernel, bar, seed=cfg.seed)
     rho = np.linspace(0.0, 1.2 * R, 512)
     write_csv(out / "barrier_profile.csv", "radius,w,grad_w",
               zip(rho, bar.w_radial(rho), bar.grad_w_radial(rho)))
@@ -481,14 +476,11 @@ def run_gamma(cfg: ExperimentConfig, out: Path) -> tuple:
                 int(r["converged"])) for r in sweep["records"]])
     m0_ref = geom.interface_width(sweep["records"][0]["field"],
                                   cfg.constraints().theta) / tau
-    extract = per_mod.minimal_surface_extract(
-        sweep, m0_ref=m0_ref,
-        **cfg.given("experiment", density_floor="density_floor"))
+    extract = per_mod.minimal_surface_extract(sweep, m0_ref=m0_ref)
     extract["mask"].dump_csv(out / "limit_mask.csv")
     flips = per_mod.surface_local_min_check(
         weights, extract["mask"], seed=cfg.seed,
-        **cfg.given("experiment", trials="trials"),
-        **cfg.given("tolerances", tol_rel="flip_rel"))
+        **cfg.given("experiment", trials="trials"))
     verdicts = [
         _verdict("Gamma-recovery", sweep["recovery_identity_gap"],
                  sweep["recovery_identity_gap"] <= 1e-10),
@@ -566,7 +558,7 @@ def main(argv=None) -> int:
     for name in _PIPELINES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", default="out")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
@@ -578,7 +570,7 @@ def main(argv=None) -> int:
             cfg.seed = _check("--seed", *_KEYS[None]["seed"][:2], args.seed)
         cfg.threads = _check("--threads", _WHOLE, _POSITIVE, args.threads)
         hyp = validate_hypotheses(cfg.kernel_spec(), cfg.potential_spec(),
-                                  samples=256, seed=cfg.seed)
+                                  seed=cfg.seed)
         if not hyp.passed:
             print("hypothesis rejection: " + ", ".join(hyp.failing_tags()),
                   file=sys.stderr)
@@ -587,7 +579,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as err:   # also bad spec values and types
         return _rejected(err)
 
-    out = Path(args.out or cfg.output)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         bundle = run_pipeline(args.command, cfg, out)

@@ -608,7 +608,7 @@ class WeightTable:
         if isinstance(window, PeriodWindow):
             return self.period_report(field, potential, epsilon)
         d = self.domain
-        _, V, G, P, T, tp, tm = self.window_cells(field, window)
+        V, G, P, T, tp, tm = self.window_cells(field, window)
         if transform is not None:
             V = transform(V, P, T)
         inside = window.contains(P, T)
@@ -638,7 +638,7 @@ class WeightTable:
         return EnergyReport(kin_in, kin_cross, pot, total, tail)
 
     def window_cells(self, field: Field, window) -> tuple:
-        """(rect, values, g, P, T, tp, tm) over the cell-index rectangle that
+        """(values, g, P, T, tp, tm) over the cell-index rectangle that
         covers a box or ball window grown by the stencil radius: a single
         copy of the plane, not folded by the periodicity; (tp, tm) are the
         far tail weights of its rows, shaped to broadcast over it."""
@@ -651,7 +651,7 @@ class WeightTable:
         rect = d.cover(bounds, self.k_cells)
         V = d.unroll(field.values, field.far_below, field.far_above, rect)
         tp, tm = self._tails_for(np.arange(rect[2], rect[3]))
-        return (rect, V, self._g_rect(rect), *d.rect_centers(rect),
+        return (V, self._g_rect(rect), *d.rect_centers(rect),
                 tp[None, :], tm[None, :])
 
     @staticmethod

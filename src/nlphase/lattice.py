@@ -33,11 +33,11 @@ class GeometryError(ValueError):
     pass
 
 
-def whole_number(value, what: str, error=None) -> int:
+def whole_number(value, what: str) -> int:
     """``value`` as an int; a string or a number that is not whole raises
-    ``error`` (default `GeometryError`) naming ``what``."""
+    `GeometryError` naming ``what``."""
     if isinstance(value, (str, bytes)) or not float(value).is_integer():
-        raise (error or GeometryError)(
+        raise GeometryError(
             f"{what} must be a whole number, got {value!r}")
     return int(value)
 

@@ -24,6 +24,9 @@ from .geometry import (SetMask, ball_count, boundary_cells, level_mask,
                        symmetric_difference_measure)
 from .minimize import CERT_RADII, Constraints, minimize_strip
 
+DENSITY_FLOOR = 0.02   # least phase volume in a boundary ball, over R^n
+FLIP_REL = 1e-10       # largest flip gain, as a fraction of per-period Per_K
+
 
 class RegimeError(ValueError):
     """Operation requires the strongly nonlocal regime s < 1/2."""
@@ -48,8 +51,7 @@ def per_K(weights: WeightTable, mask: SetMask, window) -> PerimeterResult:
     _require_subcritical(weights)
     if isinstance(window, PeriodWindow):
         return _per_K_period(weights, mask)
-    _, V, G, P, T, tp, tm = weights.window_cells(mask.indicator_field(),
-                                                 window)
+    V, G, P, T, tp, tm = weights.window_cells(mask.indicator_field(), window)
     chiE = V > 0.0
     chiW = window.contains(P, T)
     X1 = (chiE & chiW).astype(float)
@@ -149,12 +151,15 @@ def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,
 
 
 def minimal_surface_extract(sweep: dict, m0_ref: float | None = None,
-                            density_radii=None, density_floor: float = 0.02) -> dict:
+                            density_radii=None) -> dict:
     """Limit-set surrogate from a completed sweep, with its certificates.
 
     Verifies the two half-space inclusions (against tau * m0_ref when a
-    reference width constant is supplied), measures phase densities in
-    balls centered at boundary cells, and confirms exact periodicity.
+    reference width constant is supplied), measures phase densities (at
+    least `DENSITY_FLOOR`) in balls centered at boundary cells, and
+    confirms exact periodicity.  Two hold by construction: the lower
+    inclusion (the obstacle keeps u >= theta on t <= 0) and, on one
+    period, periodicity (the generator (-p2, p1) shifts by (n_p, 0) cells).
     """
     records = sweep["records"]
     good = [r for r in records if r["converged"]]
@@ -193,7 +198,7 @@ def minimal_surface_extract(sweep: dict, m0_ref: float | None = None,
             out_d = ball_count(mask.complement(), center, R) * d.cell_volume / vol
             density_rows.append({"center": center, "R": float(R),
                                  "inside": in_d, "outside": out_d})
-            dens_ok &= (in_d >= density_floor) and (out_d >= density_floor)
+            dens_ok &= min(in_d, out_d) >= DENSITY_FLOOR
     return {
         "mask": mask,
         "m0_emp": m0_emp,
@@ -233,13 +238,12 @@ def flip_gains(weights: WeightTable, mask: SetMask) -> tuple:
 
 
 def surface_local_min_check(weights: WeightTable, mask: SetMask,
-                            trials: int = 20, seed: int = 0,
-                            tol_rel: float = 1e-10) -> dict:
+                            trials: int = 20, seed: int = 0) -> dict:
     """Search balls for improving {1,2}-cell indicator flips.
 
     Radii are drawn in `nlphase.minimize.CERT_RADII`.  Balls wrap
     periodically in p, so a ball near the period boundary also holds the
-    cells it reaches across it.
+    cells it reaches across it.  The bound is `FLIP_REL`.
     """
     d = weights.domain
     rng = np.random.default_rng(seed)
@@ -274,5 +278,5 @@ def surface_local_min_check(weights: WeightTable, mask: SetMask,
         "rows": rows,
         "max_improvement": improvement,
         "per_K": total,
-        "passed": improvement <= tol_rel * abs(total),
+        "passed": improvement <= FLIP_REL * abs(total),
     }

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import integrate, ndimage
 
+from nlphase import cli, minimize, perimeter
 from nlphase.barrier import build_barrier, barrier_slide_test, verify_barrier
 from nlphase.cli import fit_exponent
 from nlphase.energy import (BallWindow, PERIOD, build_weights,
@@ -45,6 +46,7 @@ TOL = {
     "m0_spread": 0.25,             # criterion 3
     "classA_rel": 1e-8,            # criterion 5
     "density_floor": 0.02,         # criteria 6, 12
+    "flip_rel": 1e-10,             # criterion 12
     "interface_thickness": 10.0,   # criterion 7
     "exponent_abs": 0.15,          # criterion 8
     "log_ratio_spread": 3.0,       # criterion 8, s = 1/2
@@ -55,6 +57,15 @@ TOL = {
     "gamma_trend_slack": 1.10,     # criterion 11
     "gradient_rel": 1e-6,          # criterion 13
 }
+
+
+def test_verdict_bounds_are_the_acceptance_bounds():
+    # the library judges its verdicts by constants; they are the bounds the
+    # criteria below are pinned to
+    assert minimize.CLASS_A_REL == TOL["classA_rel"]
+    assert perimeter.DENSITY_FLOOR == TOL["density_floor"]
+    assert perimeter.FLIP_REL == TOL["flip_rel"]
+    assert cli.M0_SPREAD == TOL["m0_spread"]
 
 
 def _report(num, name, passed, detail=""):
@@ -153,10 +164,9 @@ def gamma_run():
                         [1.0, 0.5, 0.25, 0.125])
     m0_ref = interface_width(sweep["records"][0]["field"], 0.9) / domain.tau
     extract = minimal_surface_extract(sweep, m0_ref=m0_ref,
-                                      density_radii=[2.0, 3.0],
-                                      density_floor=TOL["density_floor"])
+                                      density_radii=[2.0, 3.0])
     flips = surface_local_min_check(weights, extract["mask"],
-                                    trials=30, seed=SEED, tol_rel=1e-10)
+                                    trials=30, seed=SEED)
     return dict(sweep=sweep, extract=extract, flips=flips, m0_ref=m0_ref)
 
 
@@ -296,8 +306,7 @@ def test_criterion_04_birkhoff(planelike_runs):
 def test_criterion_05_class_A(planelike_runs):
     run = planelike_runs[(0.5, (0, 1), 1.0)]
     rep = check_class_A(run["weights"], run["potential"],
-                        run["result"].field, trials=50, seed=SEED,
-                        tol_rel=TOL["classA_rel"])
+                        run["result"].field, trials=50, seed=SEED)
     _report(5, "50 frozen-boundary ball re-solves improve F by <= 1e-8 |F|",
             rep["passed"],
             f"max improvement {rep['max_improvement']:.2e}, "

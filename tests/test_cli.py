@@ -61,8 +61,10 @@ class TestConfig:
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         # former keys among them: geometry is given only in units of tau,
         # the certificate levels, radii and reference level are fixed, the
-        # model constants are derived, the solver tolerances and iteration
-        # cap are constants and the pipeline is named on the command line
+        # model constants are derived, the solver tolerances, iteration cap
+        # and verdict bounds are constants, the pipeline is named on the
+        # command line and the output directory by --out (section None:
+        # the top level)
         for section, key in (("geometry", "mesh"), ("solver", "theta0"),
                              ("tolerances", "decomposition_rel"),
                              ("tolerances", "identity_rel"),
@@ -77,9 +79,13 @@ class TestConfig:
                              ("solver", "grad_tol"),
                              ("solver", "rel_decrease_tol"),
                              ("solver", "max_iters"),
-                             ("experiment", "kind")):
+                             ("tolerances", "classA_rel"),
+                             ("tolerances", "flip_rel"),
+                             ("experiment", "density_floor"),
+                             ("experiment", "m0_spread"),
+                             ("experiment", "kind"), (None, "output")):
             raw = base_config()
-            raw[section][key] = 1
+            (raw[section] if section else raw)[key] = 1
             with pytest.raises(ConfigurationError) as err:
                 ExperimentConfig.from_dict(raw)
             assert key in str(err.value)
@@ -172,6 +178,76 @@ def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+# configs that exit 2 before --out exists, by case id; a case with a fourth
+# entry names that key on stderr.  The ids are fixed strings, not row
+# numbers, so deleting a row renames no other case
+BAD_CONFIGS = {
+    "planelike-geometry0": ("planelike", "geometry", {"r_cut_factor": 0.1}),
+    "planelike-geometry1": ("planelike", "geometry", {"M_factor": 0.5}),
+    "barrier-kernel2": ("barrier", "kernel", {"family": "modulated"}),
+    "scaling-experiment3": ("scaling", "experiment",
+                            {"radii": [2.0, 3.0, 4.0]}),
+    # counts and lattice components must be whole numbers
+    "planelike-geometry4": ("planelike", "geometry", {"direction": [1.5, 1]}),
+    "planelike-geometry5": ("planelike", "geometry", {"cells_per_tau": 6.7}),
+    "validate-geometry6": ("validate", "geometry", {"cells_per_tau": "6"}),
+    "planelike-solver7": ("planelike", "solver", {"epsilon": "0.25"}),
+    "planelike-experiment8": ("planelike", "experiment", {"trials": 2.9}),
+    "validate-seed9": ("validate", "seed", 7.9),
+    "validate-geometry10": ("validate", "geometry", {"direction": [1.5, 1]}),
+    "validate-experiment11": ("validate", "experiment",
+                              {"directions": [[0, 1], [1, 0.5]]}),
+    # barrier radius and bound: finite and positive
+    "barrier-experiment12": ("barrier", "experiment", {"barrier_R": math.nan}),
+    "barrier-experiment13": ("barrier", "experiment", {"barrier_R": -5.0}),
+    "barrier-experiment14": ("barrier", "experiment",
+                             {"barrier_delta": math.nan}),
+    "barrier-experiment15": ("barrier", "experiment",
+                             {"barrier_delta": math.inf}),
+    "barrier-experiment16": ("barrier", "experiment", {"barrier_delta": 0.0}),
+    # geometry numbers: finite, positive, the buffer also 0
+    "planelike-geometry17": ("planelike", "geometry", {"cells_per_tau": 0}),
+    "planelike-geometry18": ("planelike", "geometry", {"M_factor": math.inf}),
+    "planelike-geometry19": ("planelike", "geometry",
+                             {"buffer_factor": math.inf}),
+    "planelike-geometry20": ("planelike", "geometry", {"buffer_factor": -1.0}),
+    "planelike-geometry21": ("planelike", "geometry",
+                             {"r_cut_factor": math.inf}),
+    "planelike-geometry22": ("planelike", "geometry", {"tau": math.inf}),
+    "perimeter-geometry23": ("perimeter", "geometry", {"tau": 0.0}),
+    "perimeter-geometry24": ("perimeter", "geometry", {"tau": math.nan}),
+    # ball radii: every entry finite and positive
+    "scaling-experiment25": ("scaling", "experiment",
+                             {"radii": [2.0, 3.0, math.nan, 5.0]}),
+    "scaling-experiment26": ("scaling", "experiment",
+                             {"radii": [2.0, 3.0, -4.0, 5.0]}),
+    "scaling-experiment27": ("scaling", "experiment",
+                             {"radii": [0.0, 3.0, 4.0, 5.0]}),
+    # no vacuous pass: lists are non-empty, counts at least 1
+    "planelike-experiment28": ("planelike", "experiment",
+                               {"tau_list": []}, "experiment.tau_list"),
+    "planelike-experiment29": ("planelike", "experiment",
+                               {"directions": []}, "experiment.directions"),
+    "scaling-experiment30": ("scaling", "experiment",
+                             {"radii": []}, "experiment.radii"),
+    "gamma-experiment31": ("gamma", "experiment",
+                           {"eps_list": []}, "experiment.eps_list"),
+    "planelike-experiment32": ("planelike", "experiment",
+                               {"trials": 0}, "experiment.trials"),
+    # ranges checked before --out exists, not in the pipeline
+    "planelike-solver33": ("planelike", "solver", {"epsilon": 0.0}, "epsilon"),
+    "planelike-solver34": ("planelike", "solver",
+                           {"epsilon": math.nan}, "epsilon"),
+    "planelike-solver35": ("planelike", "solver",
+                           {"theta": 1.5}, "solver.theta"),
+    "planelike-solver36": ("planelike", "solver",
+                           {"theta": 0.0}, "solver.theta"),
+    "gamma-experiment37": ("gamma", "experiment",
+                           {"eps_list": [0.5, 1.0]}, "experiment.eps_list"),
+    "validate-seed42": ("validate", "seed", -1, "seed"),
+}
 
 
 class TestPipelines:
@@ -270,68 +346,9 @@ class TestPipelines:
         assert err.startswith("runtime failure: boom\nTraceback")
         assert "exploding_pipeline" in err
 
-    # a case with a fourth entry names that key on stderr
     @pytest.mark.parametrize("command,section,values,named", [
-        pytest.param(command, section, values, (named or [""])[0],
-                     id=f"{command}-{section}{i}")
-        for i, (command, section, values, *named) in enumerate([
-            ("planelike", "geometry", {"r_cut_factor": 0.1}),
-            ("planelike", "geometry", {"M_factor": 0.5}),
-            ("barrier", "kernel", {"family": "modulated"}),
-            ("scaling", "experiment", {"radii": [2.0, 3.0, 4.0]}),
-            # counts and lattice components must be whole numbers
-            ("planelike", "geometry", {"direction": [1.5, 1]}),
-            ("planelike", "geometry", {"cells_per_tau": 6.7}),
-            ("validate", "geometry", {"cells_per_tau": "6"}),
-            ("planelike", "solver", {"epsilon": "0.25"}),
-            ("planelike", "experiment", {"trials": 2.9}),
-            ("validate", "seed", 7.9),
-            ("validate", "geometry", {"direction": [1.5, 1]}),
-            ("validate", "experiment", {"directions": [[0, 1], [1, 0.5]]}),
-            # barrier radius and bound: finite and positive
-            ("barrier", "experiment", {"barrier_R": math.nan}),
-            ("barrier", "experiment", {"barrier_R": -5.0}),
-            ("barrier", "experiment", {"barrier_delta": math.nan}),
-            ("barrier", "experiment", {"barrier_delta": math.inf}),
-            ("barrier", "experiment", {"barrier_delta": 0.0}),
-            # geometry numbers: finite, positive, the buffer also 0
-            ("planelike", "geometry", {"cells_per_tau": 0}),
-            ("planelike", "geometry", {"M_factor": math.inf}),
-            ("planelike", "geometry", {"buffer_factor": math.inf}),
-            ("planelike", "geometry", {"buffer_factor": -1.0}),
-            ("planelike", "geometry", {"r_cut_factor": math.inf}),
-            ("planelike", "geometry", {"tau": math.inf}),
-            ("perimeter", "geometry", {"tau": 0.0}),
-            ("perimeter", "geometry", {"tau": math.nan}),
-            # ball radii: every entry finite and positive
-            ("scaling", "experiment", {"radii": [2.0, 3.0, math.nan, 5.0]}),
-            ("scaling", "experiment", {"radii": [2.0, 3.0, -4.0, 5.0]}),
-            ("scaling", "experiment", {"radii": [0.0, 3.0, 4.0, 5.0]}),
-            # no vacuous pass: lists are non-empty, counts at least 1
-            ("planelike", "experiment", {"tau_list": []},
-             "experiment.tau_list"),
-            ("planelike", "experiment", {"directions": []},
-             "experiment.directions"),
-            ("scaling", "experiment", {"radii": []}, "experiment.radii"),
-            ("gamma", "experiment", {"eps_list": []}, "experiment.eps_list"),
-            ("planelike", "experiment", {"trials": 0}, "experiment.trials"),
-            # ranges checked before --out exists, not in the pipeline
-            ("planelike", "solver", {"epsilon": 0.0}, "epsilon"),
-            ("planelike", "solver", {"epsilon": math.nan}, "epsilon"),
-            ("planelike", "solver", {"theta": 1.5}, "solver.theta"),
-            ("planelike", "solver", {"theta": 0.0}, "solver.theta"),
-            ("gamma", "experiment", {"eps_list": [0.5, 1.0]},
-             "experiment.eps_list"),
-            ("planelike", "tolerances", {"classA_rel": -1e-8},
-             "tolerances.classA_rel"),
-            ("gamma", "tolerances", {"flip_rel": -1e-10},
-             "tolerances.flip_rel"),
-            ("planelike", "experiment", {"m0_spread": -0.25},
-             "experiment.m0_spread"),
-            ("gamma", "experiment", {"density_floor": -0.02},
-             "experiment.density_floor"),
-            ("validate", "seed", -1, "seed"),
-        ])])
+        pytest.param(command, section, values, (named or [""])[0], id=case)
+        for case, (command, section, values, *named) in BAD_CONFIGS.items()])
     def test_bad_geometry_exits_two_before_output(self, tmp_path, capsys,
                                                   command, section, values,
                                                   named):
@@ -375,7 +392,6 @@ class TestPipelines:
          "potential.Q_modulation must be true or false, got 'no'"),
         ("validate", "potential", {"Q_modulation": 0.5},
          "potential.Q_modulation must be true or false, got 0.5"),
-        ("validate", "output", 5, "output must be a string, got 5"),
         # section None: the value is the whole configuration
         ("validate", None, [], "the configuration's top level must be an "
                                "object, got []"),
@@ -383,7 +399,7 @@ class TestPipelines:
             "radii-entry", "eps_list-entry", "trials-list", "radii-number",
             "direction-number", "directions-flat", "kernel-list", "dim-bool",
             "family-number", "Q_modulation-string", "Q_modulation-number",
-            "output-number", "top-level-list"])
+            "top-level-list"])
     def test_wrong_kind_of_value_names_key(self, tmp_path, capsys, command,
                                            section, values, shown):
         raw = values if section is None else base_config(**{section: values})
@@ -507,3 +523,24 @@ class TestPipelines:
         rep = json.loads((tmp_path / "out" / "report.json").read_text())
         assert rep["fit"] is not None
         assert (tmp_path / "out" / "scaling.csv").exists()
+
+    def test_barrier_pipeline_end_to_end(self, tmp_path, capsys):
+        # at the default radius the assembled threshold R0 is far above R
+        # (about 1.8e6 at s = 0.75), so the run is rejected; at R = 4e6 the
+        # chain verifies and the slide is skipped, since the slide ball of
+        # a desk-sized strip is far below R0
+        raw = base_config(kernel={"s": 0.75})
+        path = write_config(tmp_path, raw)
+        assert main(["barrier", "--config", path,
+                     "--out", str(tmp_path / "default")]) == 2
+        assert "below the assembled threshold" in capsys.readouterr().err
+        raw["experiment"] = {"barrier_R": 4e6}
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["barrier", "--config", path, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert {v["tag"]: v["passed"] for v in rep["verdicts"]} == {
+            "LKwbar": True, "wbarest-lower": True, "wbarest-upper": True}
+        assert rep["constants"]["R0"] > 1e6
+        assert "below assembled threshold" in rep["slide"]["skipped"]
+        assert (out / "barrier_profile.csv").exists()
