@@ -257,6 +257,8 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
     nonlocal range are checked against the Lambda-envelope bound
     Lambda * int |w(x)-w(y)| |x-y|^(-n-2s) dy instead.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     n, s, R = barrier.n, barrier.s, barrier.R
     rng = np.random.default_rng(seed)
     rho = np.unique(np.concatenate([

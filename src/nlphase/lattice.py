@@ -52,13 +52,6 @@ def write_csv(path, header: str, rows) -> None:
                 v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(int(v)))
-    return g
-
-
 @dataclass(frozen=True)
 class Direction:
     """Rational direction omega = tau * p with integer p, gcd(p) = 1."""
@@ -70,7 +63,7 @@ class Direction:
         p = tuple(whole_number(v, "direction component") for v in self.p)
         if all(v == 0 for v in p):
             raise GeometryError("direction must be nonzero")
-        if _gcd_all(p) != 1:
+        if math.gcd(*p) != 1:
             raise GeometryError(f"integer components of {p} must have gcd 1")
         object.__setattr__(self, "p", p)
 
@@ -105,36 +98,27 @@ class Direction:
 
 @dataclass(frozen=True)
 class StripDomain:
-    """Discretized fundamental domain of the periodic strip.
-
-    ``periods`` > 1 selects the weaker equivalence relation whose
-    fundamental domain spans that many copies of the base period (used by
-    the doubling diagnostic).
-    """
+    """Discretized fundamental domain of the periodic strip: one period
+    |z| = tau*|p| across it, so n_p*h is that period in 2D."""
 
     tau: float
     direction: Direction
     M: float
     h: float
     buffer: float
-    periods: int = 1
     n_p: int = field(init=False)
     n_t: int = field(init=False)
-    L: float = field(init=False)
 
     def __post_init__(self):
-        if self.M <= 0 or self.h <= 0 or self.buffer < 0:
-            raise GeometryError("require M > 0, h > 0, buffer >= 0")
-        if self.periods < 1:
-            raise GeometryError("periods must be >= 1")
-        if self.direction.dim == 1:
-            L = self.h
-            n_p = 1
-        else:
-            L = self.periods * self.tau * self.direction.norm_p
-            n_p = _divide_exactly(L, self.h, "period length")
+        for what, v in (("tau", self.tau), ("M", self.M), ("h", self.h)):
+            if not 0.0 < v < math.inf:
+                raise GeometryError(f"{what} must be finite and positive, got {v!r}")
+        if not 0.0 <= self.buffer < math.inf:
+            raise GeometryError(
+                f"buffer must be finite and nonnegative, got {self.buffer!r}")
+        n_p = 1 if self.direction.dim == 1 else _divide_exactly(
+            self.tau * self.direction.norm_p, self.h, "period length")
         n_t = _divide_exactly(self.M + 2.0 * self.buffer, self.h, "strip depth M+2B")
-        object.__setattr__(self, "L", L)
         object.__setattr__(self, "n_p", n_p)
         object.__setattr__(self, "n_t", n_t)
 
@@ -234,9 +218,8 @@ class StripDomain:
         else:
             p1, p2 = self.direction.p
             psq = self.direction.p_sq
-            base = self.n_p / self.periods
-            dp = base * (k[1] * p1 - k[0] * p2) / psq
-            dt = base * (k[0] * p1 + k[1] * p2) / psq
+            dp = self.n_p * (k[1] * p1 - k[0] * p2) / psq
+            dt = self.n_p * (k[0] * p1 + k[1] * p2) / psq
         dpi, dti = round(dp), round(dt)
         if abs(dp - dpi) > 1e-9 or abs(dt - dti) > 1e-9:
             raise GeometryError(

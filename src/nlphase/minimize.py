@@ -14,9 +14,10 @@ to a few ulp of the change of the ball's values rather than of the energy
 itself; the ``planelike`` pipeline reports both, with the upper distance.
 The solver tolerances, the iteration cap, the certificate ball radii and the
 class-A bound are module constants.
-The period-doubling consistency check `doubling_check` is a library check
-that no pipeline runs, as is multi-start agreement (a second solve from
-another seed field).
+Every solve is on a one-period strip; the ball re-solves are where the
+period is broken, since each one changes a single world copy.  Multi-start
+agreement (a second solve from another seed field) is a library check that
+no pipeline runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as sopt
 
-from .energy import BallWindow, ConfigurationError, WeightTable, build_weights
+from .energy import BallWindow, ConfigurationError, WeightTable
 from .lattice import Field, StripDomain, birkhoff_shift
 
 # L-BFGS-B stopping rules: projected-gradient and relative-decrease-of-F
@@ -288,6 +289,8 @@ def check_class_A(weights: WeightTable, potential, field: Field,
     regions themselves, so balls crossing them would test a property that
     only holds asymptotically.  The bound is `CLASS_A_REL`.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     d = weights.domain
     rng = np.random.default_rng(seed)
     r_lo, r_hi = CERT_RADII[0] * d.h, CERT_RADII[1] * d.tau
@@ -314,34 +317,4 @@ def check_class_A(weights: WeightTable, potential, field: Field,
         "F_reference": F_ref,
         "tolerance": CLASS_A_REL * F_ref,
         "passed": worst <= CLASS_A_REL * F_ref,
-    }
-
-
-def doubling_check(weights: WeightTable, potential, constraints: Constraints,
-                   result: SolveResult, m: int, epsilon=None) -> dict:
-    """Re-solve on the m-fold fundamental domain from the tiled seed.
-
-    ``weights``, ``constraints`` and ``epsilon`` are those ``result`` was
-    solved with; the m-fold table is built from the kernel and cutoff.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    base = result.field
-    d = base.domain
-    if m == 1:
-        return {"m": 1, "l1_gap_per_period": 0.0, "F_gap": 0.0}
-    dom2 = StripDomain(tau=d.tau, direction=d.direction, M=d.M, h=d.h,
-                       buffer=d.buffer, periods=d.periods * m)
-    tiled = Field(dom2, np.tile(base.values, (m, 1)),
-                  base.far_below, base.far_above)
-    res2 = minimize_strip(build_weights(weights.kernel, dom2, weights.r_cut),
-                          potential, constraints, seed_field=tiled,
-                          epsilon=epsilon)
-    gap = float(np.abs(res2.field.values - tiled.values).sum()
-                * d.cell_volume / m)
-    return {
-        "m": m,
-        "l1_gap_per_period": gap,
-        "F_gap": res2.F_value / m - result.F_value / d.periods,
-        "converged": res2.converged,
     }

@@ -245,6 +245,8 @@ def surface_local_min_check(weights: WeightTable, mask: SetMask,
     periodically in p, so a ball near the period boundary also holds the
     cells it reaches across it.  The bound is `FLIP_REL`.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     d = weights.domain
     rng = np.random.default_rng(seed)
     single, pair_t, pair_p = flip_gains(weights, mask)

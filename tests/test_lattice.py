@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nlphase.cli import ExperimentConfig
 from nlphase.lattice import (Direction, Field, GeometryError, birkhoff_shift,
                              build_domain)
 
@@ -49,7 +50,7 @@ class TestBuildDomain:
         d = Direction((1, 1), tau)
         h = tau * math.sqrt(2.0) / 8
         dom = build_domain(tau, d, M=8 * h, h=h, buffer=4 * h)
-        assert dom.L == pytest.approx(math.sqrt(2.0))
+        assert dom.n_p * dom.h == pytest.approx(math.sqrt(2.0))
         assert dom.n_p == 8
 
     def test_indivisible_h_rejected(self):
@@ -61,6 +62,14 @@ class TestBuildDomain:
         dom = build_domain(2.0, Direction((0, 1), 2.0), M=8.0, h=0.5)
         assert dom.buffer == 8.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["tau", "M", "h", "buffer"])
+    def test_non_finite_extent_rejected(self, name, value):
+        extents = {"tau": 1.0, "M": 4.0, "h": 0.25, "buffer": 2.0, name: value}
+        with pytest.raises(GeometryError, match=f"{name} must be finite"):
+            build_domain(extents["tau"], Direction((0, 1), 1.0), extents["M"],
+                         extents["h"], extents["buffer"])
+
     def test_world_centers_roundtrip(self):
         dom = diag_domain()
         xy = dom.world_centers()
@@ -71,12 +80,20 @@ class TestBuildDomain:
 
 
 class TestBirkhoffShift:
-    def test_orthogonal_generator_is_identity(self):
-        dom = axis_domain()
+    @pytest.mark.parametrize("cells_per_tau", [3, 6])
+    @pytest.mark.parametrize("p", [(0, 1), (1, 1), (1, 2), (2, 3), (1, 0)],
+                             ids=lambda p: f"w{p[0]}{p[1]}")
+    def test_orthogonal_generator_is_identity(self, p, cells_per_tau):
+        # the strip spans one period, so every state is periodic under the
+        # generator (-p2, p1) orthogonal to omega by construction
+        cfg = ExperimentConfig.from_dict(
+            {"schema_version": 1, "geometry": {"cells_per_tau": cells_per_tau}})
+        dom = cfg.domain(direction=p)
+        k = (-p[1], p[0])
+        assert dom.lattice_shift_cells(k) == (dom.n_p, 0)
         rng = np.random.default_rng(2)
         f = Field(dom, rng.uniform(-1, 1, dom.shape))
-        g = birkhoff_shift(f, (1, 0))  # omega=(0,1): e1 orthogonal
-        assert np.array_equal(g.values, f.values)
+        assert np.array_equal(birkhoff_shift(f, k).values, f.values)
 
     def test_zero_is_identity(self):
         dom = diag_domain()
@@ -187,7 +204,7 @@ class TestCellGrid:
         P, T = dom.rect_centers((0, dom.n_p, 0, dom.n_t))
         P2, T2 = dom.rect_centers((dom.n_p, 2 * dom.n_p, -1, dom.n_t - 1))
         assert np.array_equal(T[0], dom.t_centers())
-        assert np.allclose(P2, P + dom.L) and np.allclose(T2, T - dom.h)
+        assert np.allclose(P2, P + dom.n_p * dom.h) and np.allclose(T2, T - dom.h)
 
 
 class TestField:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from nlphase.barrier import build_barrier, verify_barrier
 from nlphase.energy import (BallWindow, ConfigurationError, PERIOD,
                             build_weights)
+from nlphase.geometry import level_mask
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase import minimize
 from nlphase.minimize import (Constraints, ball_improvement, check_birkhoff,
-                              check_class_A, doubling_check, minimize_strip,
-                              upper_distance)
+                              check_class_A, minimize_strip, upper_distance)
 from nlphase.model import KernelSpec, PotentialSpec
+from nlphase.perimeter import surface_local_min_check
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +248,7 @@ class TestBallOperator:
                                    it[None, :] - it[:, None],
                                    g[:, None], g[None, :])
         cols = np.mod(ip + rect[0], domain.n_p)
-        if dim == 2 and 2 * radius > domain.L:
+        if dim == 2 and 2 * radius > domain.n_p * domain.h:
             cells = np.stack([cols, it], axis=1)
             assert len(np.unique(cells, axis=0)) < len(cells)
         rng = np.random.default_rng(5)
@@ -265,15 +267,21 @@ class TestBallOperator:
         assert gain >= 0.0
 
 
-class TestDoubling:
-    def test_identity_at_one(self, solved):
-        kernel, potential, domain, weights, cons, res = solved
-        rep = doubling_check(weights, potential, cons, res, 1)
-        assert rep["l1_gap_per_period"] == 0.0
-
-    def test_two_periods_consistent(self, solved):
-        kernel, potential, domain, weights, cons, res = solved
-        # F_gap is this small only if the doubled table keeps the cutoff 4.0
-        rep = doubling_check(weights, potential, cons, res, 2)
-        assert rep["l1_gap_per_period"] <= 1e-4
-        assert abs(rep["F_gap"]) <= 1e-8
+@pytest.mark.parametrize("check,count", [
+    ("check_class_A", "trials"),
+    ("surface_local_min_check", "trials"),
+    ("verify_barrier", "n_samples"),
+])
+def test_certificate_needs_a_sample(solved, check, count):
+    # a certificate over no samples would pass vacuously
+    kernel, potential, domain, weights, cons, res = solved
+    calls = {
+        "check_class_A": lambda: check_class_A(
+            weights, potential, res.field, trials=0),
+        "surface_local_min_check": lambda: surface_local_min_check(
+            weights, level_mask(res.field, 0.0), trials=0),
+        "verify_barrier": lambda: verify_barrier(
+            kernel, build_barrier(kernel, R=1e9, delta=0.1), n_samples=0),
+    }
+    with pytest.raises(ValueError, match=count):
+        calls[check]()

@@ -4,8 +4,10 @@ The benchmark wraps library functions and methods by name
 (``perfbench/tracing.py``) and its slow oracle calls two entry queries of
 `WeightTable`; the demos drive the public API end to end.  A deletion or
 rename that breaks either shows up here instead of in a benchmark run.
+The library has no public function or class without a caller.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -67,6 +69,28 @@ def test_workloads_drive_the_config_api(tmp_path):
     (op_name, op), = sweep.ops(tmp_path / "pass")
     failures, _, _ = sweep.check(tmp_path / "pass", {op_name: op()})
     assert failures == {"perimeter_w11": []}
+
+
+def test_every_public_name_has_a_caller():
+    # a reference is a name or attribute in the library, the demos or the
+    # benchmark, or a name in the benchmark's tracing tables; the package's
+    # __all__ strings do not count
+    tracing = _perfbench("tracing")
+    refs = {name for row in tracing.FUNCTIONS + tracing.METHODS for name in row}
+    sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    uncalled = [f"{path.stem}.{node.name}"
+                for path in sorted((ROOT / "src" / "nlphase").glob("*.py"))
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and node.name not in refs]
+    assert uncalled == []
 
 
 def test_oracle_entry_queries_exist():
