@@ -16,9 +16,7 @@ operator constant c3 so that |L_K w| <= delta (1 + w) holds on B_R with
     R0 = (c3 / delta)^(1/(1 - nu_bar)) r1,
     nu_bar = 1 - 2s  (s < 1/2)  or the kernel regularity exponent nu.
 
-L_K pairs +-z; in 2D the half-circle angle nodes are mirrored bitwise,
-cos phi_(N-1-k) = -cos phi_k, so the profile at |x - z| is the profile at
-|x + z| in reverse angle order, and each node is evaluated once.
+In 2D, L_K is a radial integral against a closed-form angular kernel.
 
 The operator constant c3 is measured, not proved: it is the sampled
 supremum of |L v| / (v + 16 r^(-2s)) times a 1.2 safety factor, clamped
@@ -34,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, hyp2f1
 
 from .energy import BallWindow, WeightTable
 from .lattice import Field
@@ -43,21 +42,10 @@ class BarrierRangeError(ValueError):
     """Requested outer radius below the assembled threshold."""
 
 
-# _lk_radial: Gauss-Legendre on geometric radial panels, midpoint in angle
-_N_PANELS, _N_PHI = 96, 96
+# _lk_radial: Gauss-Legendre on radial panels geometric in the offset, per dim
+_N_PANELS = {1: 96, 2: 32}
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_COS_PHI = np.cos((np.arange(_N_PHI // 2) + 0.5) * (math.pi / _N_PHI))
-_COS_PHI = np.concatenate([_COS_PHI, -_COS_PHI[::-1]])
-
-
-def _smoothstep(x):
-    x = np.clip(x, 0.0, 1.0)
-    return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
-
-
-def _smoothstep_d(x):
-    x = np.clip(x, 0.0, 1.0)
-    return 30.0 * x * x * (1.0 - x) ** 2
+_S_GAP = 2.0 ** -13     # _angular_kernel interpolates in s within this of 1/2
 
 
 @dataclass
@@ -86,13 +74,15 @@ class BarrierFn:
         return 2.0 * self.s * (self.r - np.asarray(t, dtype=float)) \
             ** (-2.0 * self.s - 1.0)
 
-    def eta(self, t):
-        return 1.0 - _smoothstep((np.asarray(t, dtype=float)
-                                  - (self.r - 1.75)) / 0.5)
+    def eta(self, t):       # 1 - smoothstep over [r - 7/4, r - 5/4]
+        x = np.clip((np.asarray(t, dtype=float) - (self.r - 1.75)) / 0.5,
+                    0.0, 1.0)
+        return 1.0 - x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
     def eta_d(self, t):
-        return -_smoothstep_d((np.asarray(t, dtype=float)
-                               - (self.r - 1.75)) / 0.5) / 0.5
+        x = np.clip((np.asarray(t, dtype=float) - (self.r - 1.75)) / 0.5,
+                    0.0, 1.0)
+        return -30.0 * x * x * (1.0 - x) ** 2 / 0.5
 
     def _h_mid(self, t):
         half = 0.5 * self.r
@@ -123,8 +113,6 @@ class BarrierFn:
             self.eta_d(t) * (self._h_mid(t) - 1.0)
             + e * (self.gamma_r * (self.ell_d(t) - self.ell_d(0.5 * self.r)))))
 
-    # -- the scaled barrier -------------------------------------------------
-
     def w_radial(self, rho):
         rho = np.asarray(rho, dtype=float)
         return (2.0 - self.beta) * self.g_profile(self.r * rho / self.R) \
@@ -135,59 +123,80 @@ class BarrierFn:
         return (2.0 - self.beta) * (self.r / self.R) \
             * self.g_profile_d(self.r * rho / self.R)
 
+    def knots(self, scale):
+        """Profile knots at outer radius ``scale``: r/2, r - t geometric to
+        the eta band (ell is singular at r), the band edges, ``scale``."""
+        r = self.r
+        t = r - np.geomspace(0.5 * r, 1.75, math.ceil(math.log2(r / 3.5)) + 1)
+        return np.append(np.append(t, r - 1.25) * (scale / r), scale)
+
     @property
     def floor(self) -> float:
         """Guaranteed lower bound -1 + C^(-1) R^(-2s)."""
         return -1.0 + self.R ** (-2.0 * self.s) / self.C
 
 
-def _lk_radial(profile, rho, s, n, r_inner, r_outer, absolute=False):
+def _angular_kernel(rho, d, s):
+    """int_0^2pi (rho^2 + t^2 - 2 rho t cos phi)^(-1-s) dphi at t = rho + d,
+    2 pi |d|^(-1-2s) (rho + t)^(-1) 2F1(-s, 1/2; 1; 1 - y), y = (d/(rho + t))^2;
+    for y < 1/2, the 1 - x connection formula (interpolated in s near 1/2)."""
+    if abs(s - 0.5) < _S_GAP:
+        lo, hi = (_angular_kernel(rho, d, 0.5 + e) for e in (-_S_GAP, _S_GAP))
+        return lo + (hi - lo) * (s - 0.5 + _S_GAP) / (2.0 * _S_GAP)
+    y = (d / (2.0 * rho + d)) ** 2
+    f, near = np.empty_like(y), y < 0.5
+    f[~near] = hyp2f1(-s, 0.5, 1.0, 1.0 - y[~near])
+    y = y[near]
+    f[near] = (gamma(0.5 + s) / gamma(1.0 + s) * hyp2f1(-s, 0.5, 0.5 - s, y)
+               + gamma(-0.5 - s) / gamma(-s) * y ** (0.5 + s)
+               * hyp2f1(1.0 + s, 0.5, 1.5 + s, y)) / math.sqrt(math.pi)
+    return 2.0 * math.pi * np.abs(d) ** (-1.0 - 2.0 * s) / (2.0 * rho + d) * f
+
+
+def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
     """L_K at radius rho for a radial profile, standard kernel.
 
-    Antisymmetric +-z pairing over the half circle cancels the odd singular
-    part exactly; the region beyond r_outer, where the profile equals 1,
-    is added in closed form.  With ``absolute`` each
-    difference enters by its modulus, which gives the envelope integral
-    int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite for s < 1/2) instead.
+    ``knots``: array of ascending radii where the profile changes formula
+    or length scale; beyond the last it is flat, added in closed form.  The
+    Gauss-Legendre panels are geometric in the offset z from rho, from
+    r_inner on, and pair rho +- z, which cancels the odd singular part.  In
+    2D, L_K = int (w(rho) - w(t)) t A(rho, t) dt: the panels also break at
+    the knots, and t is one-sided beyond 2 rho.  With ``absolute``, the
+    envelope int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite for s < 1/2).
     """
-    rho = float(rho)
-    edges = np.geomspace(r_inner, r_outer, _N_PANELS + 1)
-    a, b = edges[:-1], edges[1:]
-    rr = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GAUSS_X).ravel()
-    ww = (0.5 * (b - a)[:, None] * _GAUSS_W).ravel()
     w0 = float(profile(rho))
-    gap = abs(w0 - 1.0) if absolute else w0 - 1.0
-
-    def pair(w_plus, w_minus):
-        if absolute:
-            return np.abs(w0 - w_plus) + np.abs(w0 - w_minus)
-        return 2.0 * w0 - w_plus - w_minus
-
+    diff = (lambda w: np.abs(w0 - w)) if absolute else (lambda w: w0 - w)
+    gap = diff(float(profile(knots[-1])))
+    top = rho + knots[-1] if n == 1 else max(knots[-1], 2.0 * rho)
+    z = np.geomspace(r_inner, top - rho if n == 2 else top, _N_PANELS[n] + 1)
     if n == 2:
-        sq = rho * rho + rr[:, None] ** 2
-        cross = 2.0 * rho * rr[:, None] * _COS_PHI[None, :]
-        w_plus = profile(np.sqrt(sq + cross))
-        # sq - cross is sq + cross at the mirrored angle, bitwise
-        ang = pair(w_plus, w_plus[:, ::-1]).sum(axis=1) * (math.pi / _N_PHI)
-        val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * ang))
-        tail = gap * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s)
-    else:
-        val = float(np.sum(ww * rr ** (-1.0 - 2.0 * s)
-                           * pair(profile(np.abs(rho + rr)),
-                                  profile(np.abs(rho - rr)))))
-        tail = gap * 2.0 * r_outer ** (-2.0 * s) / (2.0 * s)
-    return val + tail
+        z = np.concatenate([z, [rho], np.abs(knots - rho)])
+        z = np.unique(z[(z >= r_inner) & (z <= top - rho)])
+    a, b = z[:-1, None], z[1:, None]
+    z = (0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_X).ravel()
+    wz = (0.5 * (b - a) * _GAUSS_W).ravel()
+    if n == 1:
+        wp, wm = profile(np.abs(rho + z)), profile(np.abs(rho - z))
+        pair = diff(wp) + diff(wm) if absolute else 2.0 * w0 - wp - wm
+        return float(np.sum(wz * z ** (-1.0 - 2.0 * s) * pair)) \
+            + gap * 2.0 * top ** (-2.0 * s) / (2.0 * s)
+    z = (rho + z) - rho             # so that rho +- z are exact: exact pairs
+    d = np.concatenate([z, -z[z < rho]])
+    f = diff(profile(rho + d)) * (rho + d) * _angular_kernel(rho, d, s)
+    f[:z.size][z < rho] += f[z.size:]
+    # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
+    return float(np.sum(wz * f[:z.size])) + gap * math.pi / s \
+        * top ** (-2.0 * s) * hyp2f1(1.0 + s, s, 1.0, (rho / top) ** 2)
 
 
 def _assemble(n, s, r, R=math.nan, delta=math.nan, nu_bar=math.nan):
     """Barrier at working radius r; build_barrier sets R0, c3 and C."""
-    ell = lambda t: (r - t) ** (-2.0 * s)
-    ell_d = lambda t: 2.0 * s * (r - t) ** (-2.0 * s - 1.0)
-    gamma_r = 1.0 / (ell(r - 1.0) - ell(r / 2.0)
-                     - ell_d(r / 2.0) * (r / 2.0 - 1.0))
-    return BarrierFn(n=n, s=s, R=R, delta=delta, r1=2.0 ** (3.0 / s),
-                     R0=math.nan, r=r, beta=32.0 * r ** (-2.0 * s),
-                     gamma_r=gamma_r, c3=math.nan, nu_bar=nu_bar, C=math.nan)
+    bar = BarrierFn(n=n, s=s, R=R, delta=delta, r1=2.0 ** (3.0 / s),
+                    R0=math.nan, r=r, beta=32.0 * r ** (-2.0 * s),
+                    gamma_r=math.nan, c3=math.nan, nu_bar=nu_bar, C=math.nan)
+    bar.gamma_r = 1.0 / (bar.ell(r - 1.0) - bar.ell(r / 2.0)
+                         - bar.ell_d(r / 2.0) * (r / 2.0 - 1.0))
+    return bar
 
 
 @functools.lru_cache(maxsize=64)
@@ -195,22 +204,21 @@ def _measure_c3(n, s, r) -> float:
     """Sampled sup of |L v| / (v + 16 r^(-2s)) over B_r, with 1.2 safety."""
     proto = _assemble(n, s, r)
     # dense radial samples concentrated near the profile features
-    base = np.concatenate([
-        np.linspace(0.0, r, 80),
-        r - np.geomspace(1e-3, max(r / 2.0, 1e-2), 80),
-    ])
-    base = np.unique(np.clip(base, 0.0, r * (1.0 - 1e-9)))
-    denom_floor = 16.0 * r ** (-2.0 * s)
-    worst = 0.0
-    for rho in base:
-        lk = _lk_radial(proto.g_profile, rho, s, n, 1e-6, rho + r)
-        ratio = abs(lk) / (float(proto.g_profile(rho)) + denom_floor)
-        worst = max(worst, ratio)
-    return 1.2 * worst
+    base = np.unique(np.clip(np.concatenate([
+        np.linspace(0.0, r, 80), r - np.geomspace(1e-3, max(r / 2.0, 1e-2), 80),
+    ]), 0.0, r * (1.0 - 1e-9)))
+    knots = proto.knots(r)
+    lk = [_lk_radial(proto.g_profile, rho, s, n, 1e-6, knots) for rho in base]
+    return 1.2 * float(np.max(np.abs(lk) / (proto.g_profile(base)
+                                            + 16.0 * r ** (-2.0 * s))))
 
 
 def build_barrier(kernel, R: float, delta: float) -> BarrierFn:
-    """Assemble the barrier at outer radius R with operator bound delta."""
+    """Assemble the barrier at outer radius R with operator bound delta.
+
+    R0 depends on R through the two-step fixed point for r = r1 R / R0, so
+    a probe's R0 does not guarantee that a build at R >= R0 clears its own.
+    """
     for name, value in (("R", R), ("delta", delta)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive: {value}")
@@ -252,8 +260,8 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
                    seed: int = 0) -> dict:
     """Check the operator and envelope inequalities at radial samples.
 
-    For the standard kernel the principal value is evaluated with the
-    antisymmetric radial quadrature; heterogeneous kernels in the strongly
+    For the standard kernel the principal value is the paired radial
+    quadrature of `_lk_radial`; heterogeneous kernels in the strongly
     nonlocal range are checked against the Lambda-envelope bound
     Lambda * int |w(x)-w(y)| |x-y|^(-n-2s) dy instead.
     """
@@ -269,28 +277,20 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
     envelope_only = kernel.family != "standard"
     if envelope_only and s >= 0.5:
         raise ValueError("envelope verification requires s < 1/2")
-    worst_op = 0.0
-    worst_lo = math.inf
-    worst_hi = 0.0
-    prof = barrier.w_radial
-    for p in rho:
-        lk = _lk_radial(prof, float(p), s, n, 1e-7 * max(R, 1.0), p + R,
-                        absolute=envelope_only)
-        lk = kernel.Lam * lk if envelope_only else abs(lk)
-        wv = float(prof(p))
-        worst_op = max(worst_op, lk / (barrier.delta * (1.0 + wv)))
-        ratio = (1.0 + wv) / (R + 1.0 - p) ** (-2.0 * s)
-        worst_lo = min(worst_lo, ratio * barrier.C)      # need >= 1
-        worst_hi = max(worst_hi, ratio / barrier.C)      # need <= 1
-    return {
-        "worst_LKw_ratio": worst_op,
-        "worst_lower_C": worst_lo,
-        "worst_upper_C": worst_hi,
-        "samples": int(rho.size),
-        "envelope_only": envelope_only,
-        "passed": bool(worst_op <= 1.05 and worst_lo >= 1.0 - 1e-9
-                       and worst_hi <= 1.0 + 1e-9),
-    }
+    knots = barrier.knots(R)
+    lk = np.array([_lk_radial(barrier.w_radial, p, s, n, 1e-7 * max(R, 1.0),
+                              knots, absolute=envelope_only) for p in rho])
+    lk = kernel.Lam * lk if envelope_only else np.abs(lk)
+    wv = barrier.w_radial(rho)
+    worst_op = float(np.max(lk / (barrier.delta * (1.0 + wv))))
+    ratio = (1.0 + wv) / (R + 1.0 - rho) ** (-2.0 * s)
+    worst_lo = float(np.min(ratio)) * barrier.C         # need >= 1
+    worst_hi = float(np.max(ratio)) / barrier.C         # need <= 1
+    return {"worst_LKw_ratio": worst_op, "worst_lower_C": worst_lo,
+            "worst_upper_C": worst_hi, "samples": int(rho.size),
+            "envelope_only": envelope_only,
+            "passed": bool(worst_op <= 1.05 and worst_lo >= 1.0 - 1e-9
+                           and worst_hi <= 1.0 + 1e-9)}
 
 
 def barrier_slide_test(weights: WeightTable, potential, field: Field,

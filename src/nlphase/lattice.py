@@ -65,15 +65,13 @@ class Direction:
             raise GeometryError("direction must be nonzero")
         if math.gcd(*p) != 1:
             raise GeometryError(f"integer components of {p} must have gcd 1")
+        if not 0.0 < self.tau < math.inf:
+            raise GeometryError(f"tau must be finite and positive, got {self.tau!r}")
         object.__setattr__(self, "p", p)
 
     @property
     def dim(self) -> int:
         return len(self.p)
-
-    @property
-    def omega(self) -> np.ndarray:
-        return self.tau * np.asarray(self.p, dtype=float)
 
     @property
     def norm_p(self) -> float:
@@ -116,6 +114,8 @@ class StripDomain:
         if not 0.0 <= self.buffer < math.inf:
             raise GeometryError(
                 f"buffer must be finite and nonnegative, got {self.buffer!r}")
+        if (dir_tau := self.direction.tau) != self.tau:
+            raise GeometryError(f"direction tau {dir_tau!r} != tau {self.tau!r}")
         n_p = 1 if self.direction.dim == 1 else _divide_exactly(
             self.tau * self.direction.norm_p, self.h, "period length")
         n_t = _divide_exactly(self.M + 2.0 * self.buffer, self.h, "strip depth M+2B")

@@ -185,20 +185,20 @@ def check_birkhoff(field: Field,
     d = field.domain
     generators = ([(1,), (-1,)] if d.dim == 1
                   else [(1, 0), (-1, 0), (0, 1), (0, -1)])
-    omega = d.direction.omega
     rows = []
     worst = 0
     for k in generators:
-        wk = float(np.dot(omega, d.tau * np.asarray(k, dtype=float)))
+        # omega.(tau k) = tau^2 p.k, and tau > 0: the integer p.k has its sign
+        wk = int(np.dot(d.direction.p, k))
         shifted = birkhoff_shift(field, k).values
         for eta in theta_levels:
             for sign in (1.0, -1.0):
-                if sign * wk > 1e-12:
+                if sign * wk > 0:
                     continue  # inclusion asserted only for sign*omega.k <= 0
                 sv = sign * shifted
                 uv = sign * field.values
                 bad = int(np.count_nonzero((sv > eta) & ~(uv > eta)))
-                if abs(wk) <= 1e-12:
+                if wk == 0:
                     # orthogonal shift: require exact set equality
                     bad = int(np.count_nonzero((sv > eta) != (uv > eta)))
                 rows.append({"k": tuple(k), "eta": float(eta),

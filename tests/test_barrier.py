@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
 
 from nlphase import barrier as barrier_mod
-from nlphase.barrier import (BarrierRangeError, _assemble, _measure_c3,
-                             barrier_slide_test, build_barrier, verify_barrier)
+from nlphase.barrier import (BarrierRangeError, _angular_kernel, _assemble,
+                             _lk_radial, _measure_c3, barrier_slide_test,
+                             build_barrier, verify_barrier)
 from nlphase.energy import build_weights
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase.minimize import Constraints, minimize_strip
@@ -38,15 +41,21 @@ def barrier_quarter():
 
 
 @pytest.fixture(scope="module")
-def strip_three_quarter():
+def slide_barrier():
+    # the s = 0.75 barrier of criterion 9's slide test
     kernel = KernelSpec(dim=2, s=0.75)
+    probe = build_barrier(kernel, R=1e6, delta=1.0)
+    return kernel, build_barrier(kernel, R=18.0, delta=probe.c3 * 1.05)
+
+
+@pytest.fixture(scope="module")
+def strip_three_quarter(slide_barrier):
+    kernel, bar = slide_barrier
     potential = PotentialSpec(family="quartic")
     domain = build_domain(1.0, Direction((0, 1), 1.0), M=36.0, h=0.5,
                           buffer=4.0)
     weights = build_weights(kernel, domain, 8.0)
     result = minimize_strip(weights, potential, Constraints(0.9))
-    probe = build_barrier(kernel, R=1e6, delta=1.0)
-    bar = build_barrier(kernel, R=18.0, delta=probe.c3 * 1.05)
     return kernel, potential, domain, weights, result, bar
 
 
@@ -167,57 +176,120 @@ class TestProfileBand:
         assert np.isnan(bar.g_profile(np.array([math.nan]))).all()
 
 
-def _lk_two_sided(profile, rho, s, r_inner, r_outer, absolute):
-    """The 2D radial L_K with the profile evaluated at both |x + z| and
-    |x - z| over the same nodes: the reference for the one-sided path."""
-    edges = np.geomspace(r_inner, r_outer, barrier_mod._N_PANELS + 1)
+def _lk_two_sided(profile, rho, s, r_inner, r_outer, n_panels, n_phi):
+    """The 2D L_K by quadrature over the offset z = y - x, summed over +-z:
+    Gauss-Legendre on n_panels panels geometric in |z| from r_inner to
+    r_outer, the midpoint rule on n_phi angles of the half circle, and the
+    closed-form tail beyond r_outer.  The angles are mirrored bitwise, so the
+    profile at |x - z| is the profile at |x + z| in reverse angle order.
+    The reference for the radial quadrature of `_lk_radial`."""
+    edges = np.geomspace(r_inner, r_outer, n_panels + 1)
     a, b = edges[:-1], edges[1:]
     rr = (0.5 * (a + b)[:, None]
           + 0.5 * (b - a)[:, None] * barrier_mod._GAUSS_X).ravel()
     ww = (0.5 * (b - a)[:, None] * barrier_mod._GAUSS_W).ravel()
+    cos_phi = np.cos((np.arange(n_phi // 2) + 0.5) * (math.pi / n_phi))
+    cos_phi = np.concatenate([cos_phi, -cos_phi[::-1]])
     w0 = float(profile(rho))
-    sq = rho * rho + rr[:, None] ** 2
-    cross = 2.0 * rho * rr[:, None] * barrier_mod._COS_PHI[None, :]
-    w_plus, w_minus = profile(np.sqrt(sq + cross)), profile(np.sqrt(sq - cross))
-    if absolute:
-        pair, gap = np.abs(w0 - w_plus) + np.abs(w0 - w_minus), abs(w0 - 1.0)
-    else:
-        pair, gap = 2.0 * w0 - w_plus - w_minus, w0 - 1.0
-    ang = pair.sum(axis=1) * (math.pi / barrier_mod._N_PHI)
-    return (float(np.sum(ww * rr ** (-1.0 - 2.0 * s) * ang))
-            + gap * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s))
+    val = 0.0
+    for rows in np.array_split(np.arange(rr.size), max(1, rr.size // 256)):
+        w_plus = profile(np.sqrt(rho * rho + rr[rows, None] ** 2 + 2.0 * rho
+                                 * rr[rows, None] * cos_phi[None, :]))
+        pair = 2.0 * w0 - w_plus - w_plus[:, ::-1]
+        val += float(np.sum(ww[rows] * rr[rows] ** (-1.0 - 2.0 * s)
+                            * pair.sum(axis=1))) * (math.pi / n_phi)
+    return val + (w0 - 1.0) * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s)
+
+
+def _quad_angular(u, s):
+    """int_0^2pi (1 + u^2 - 2 u cos phi)^(-1-s) dphi by adaptive quadrature
+    at its tightest relative tolerance, which a smooth integrand meets up
+    to rounding (quad then warns of roundoff; its estimate stays small)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(
+            lambda phi: (1.0 + u * u - 2.0 * u * math.cos(phi)) ** (-1.0 - s),
+            0.0, 2.0 * math.pi, points=[0.0, 2.0 * math.pi], epsabs=0.0,
+            epsrel=50.0 * np.finfo(float).eps, limit=200)
+    assert err <= 1e-12 * val
+    return val
 
 
 class TestRadialQuadrature:
-    def test_angle_nodes_mirrored(self):
-        c = barrier_mod._COS_PHI
-        assert c.size == barrier_mod._N_PHI
-        assert c.tobytes() == (-c[::-1]).tobytes()
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    @pytest.mark.parametrize("u", [0.1, 0.3, 0.9, 0.97, 1.03, 3.0, 10.0])
+    def test_angular_kernel_matches_quad(self, s, u):
+        # 0.3 ... 3 take the 1 - x connection formula, 0.1 and 10 the
+        # direct series; homogeneity puts rho = 1 without loss
+        got = _angular_kernel(1.0, np.array([u - 1.0]), s)[0]
+        want = _quad_angular(u, s)
+        assert abs(got - want) <= 1e-11 * want, (got, want)
 
+    def test_angular_kernel_interpolated_at_one_half(self):
+        # the connection formula's poles cancel at s = 1/2; there the
+        # kernel is linear in s between 1/2 -+ 2^-13
+        for u in (0.1, 0.3, 0.9, 0.97, 1.03, 3.0, 10.0):
+            got = _angular_kernel(1.0, np.array([u - 1.0]), 0.5)[0]
+            want = _quad_angular(u, 0.5)
+            assert abs(got - want) <= 1e-6 * want, (u, got, want)
+
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_matches_refined_two_sided(self, barrier_quarter, slide_barrier,
+                                       s):
+        # the unscaled g at r1 (the c3 measurement) and a built barrier's
+        # w_radial (verify_barrier), against the 2D quadrature refined to
+        # 384 panels x 1536 angles
+        _, bar = barrier_quarter if s == 0.25 else slide_barrier
+        proto = _assemble(2, s, 2.0 ** (3.0 / s))
+        for profile, R, r_inner, knots in (
+                (proto.g_profile, proto.r, 1e-6, proto.knots(proto.r)),
+                (bar.w_radial, bar.R, 1e-7 * bar.R, bar.knots(bar.R))):
+            for frac in (0.0, 0.3, 0.7, 0.9, 0.97, 0.999):
+                rho = frac * R
+                got = _lk_radial(profile, rho, s, 2, r_inner, knots)
+                want = _lk_two_sided(profile, rho, s, r_inner, rho + R,
+                                     384, 1536)
+                assert abs(got - want) <= 1e-3 * abs(want), (frac, got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("absolute", [False, True])
-    def test_one_sided_matches_two_sided(self, barrier_quarter, absolute):
-        # bitwise, for the barrier (verify_barrier) and for the unscaled
-        # profile at r1 (the c3 measurement), with one profile value per
-        # quadrature node and one at rho
+    def test_constant_profile_gives_zero(self, n, absolute):
+        knots = np.array([0.5, 2.0, 3.0])
+        for c in (1.0, -0.3):
+            for rho in (0.0, 0.7, 2.5, 9.0):
+                assert _lk_radial(lambda t: np.full_like(t, c), rho, 0.25, n,
+                                  1e-6, knots, absolute=absolute) == 0.0
+
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_scaling(self, s):
+        # L[p(./lam)](lam rho) = lam^(-2s) L[p](rho) with r_inner and the
+        # knots scaled by lam; r_inner = r/1000 keeps the rounding of the
+        # profile differences next to the diagonal, which the kernel
+        # amplifies like r_inner^(-2s), below the bound
+        proto = _assemble(2, s, 2.0 ** (3.0 / s))
+        r, knots = proto.r, proto.knots(proto.r)
+        for lam in (1e-3, 7.0, 1e4):
+            def scaled(t):
+                return proto.g_profile(np.asarray(t) / lam)
+
+            for frac in (0.0, 0.3, 0.55, 0.7, 0.9, 0.97, 0.999, 1.5):
+                want = _lk_radial(proto.g_profile, frac * r, s, 2, r / 1000,
+                                  knots)
+                got = _lk_radial(scaled, lam * frac * r, s, 2,
+                                 lam * r / 1000, lam * knots)
+                assert abs(got * lam ** (2.0 * s) - want) \
+                    <= 1e-12 * abs(want), (lam, frac)
+
+    def test_envelope_dominates_signed(self, barrier_quarter):
         _, bar = barrier_quarter
         proto = _assemble(2, bar.s, bar.r1)
-        nodes = barrier_mod._N_PANELS * len(barrier_mod._GAUSS_X) \
-            * barrier_mod._N_PHI
-        for profile, R, r_inner in ((bar.w_radial, bar.R, 1e-7 * bar.R),
-                                    (proto.g_profile, proto.r, 1e-6)):
-            for rho in (0.0, 0.3 * R, 0.97 * R, R - 1e-3):
-                sizes = []
-
-                def counted(x):
-                    sizes.append(np.size(x))
-                    return profile(x)
-
-                got = barrier_mod._lk_radial(counted, rho, bar.s, 2, r_inner,
-                                             rho + R, absolute=absolute)
-                assert sum(sizes) == 768 * 96 + 1 == nodes + 1
-                want = _lk_two_sided(profile, rho, bar.s, r_inner, rho + R,
-                                     absolute)
-                assert got == want, (rho, got, want)
+        for profile, R, r_inner, knots in (
+                (proto.g_profile, proto.r, 1e-6, proto.knots(proto.r)),
+                (bar.w_radial, bar.R, 1e-7 * bar.R, bar.knots(bar.R))):
+            for frac in np.linspace(0.0, 1.2, 25):
+                args = (profile, frac * R, bar.s, 2, r_inner, knots)
+                assert _lk_radial(*args, absolute=True) \
+                    >= abs(_lk_radial(*args))
 
 
 class TestVerification:
@@ -237,11 +309,10 @@ class TestVerification:
 
     def test_far_region_quiet(self, barrier_quarter):
         # w is locally constant far outside the support
-        from nlphase.barrier import _lk_radial
         kernel, bar = barrier_quarter
         rho = 3.0 * bar.R
         val = _lk_radial(bar.w_radial, rho, bar.s, 2, 1e-4 * bar.R,
-                         rho + bar.R)
+                         bar.knots(bar.R))
         tail_scale = bar.R ** (-2 * bar.s)
         assert abs(val) <= 4.0 * math.pi * tail_scale
 

@@ -37,6 +37,23 @@ class TestDirection:
         F = Direction((1, 1), 2.0).frame()
         assert np.allclose(F.T @ F, np.eye(2))
 
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, -0.0, math.nan, math.inf,
+                                     -math.inf])
+    def test_bad_tau_rejected(self, tau):
+        # omega = tau p sets the sign of every Birkhoff shift, so a
+        # nonpositive or non-finite tau is refused where it enters
+        with pytest.raises(GeometryError,
+                           match=f"tau must be finite and positive, got {tau!r}"):
+            Direction((0, 1), tau)
+
+    @pytest.mark.parametrize("tau,direction_tau", [(1.0, 2.0), (2.0, 1.0),
+                                                   (1.0, 1.0 + 2e-16)])
+    def test_strip_tau_must_match_direction(self, tau, direction_tau):
+        with pytest.raises(GeometryError, match=(
+                f"direction tau {direction_tau!r} != tau {tau!r}")):
+            build_domain(tau, Direction((0, 1), direction_tau), M=4.0,
+                         h=0.25, buffer=2.0)
+
 
 class TestBuildDomain:
     def test_cell_count_axis(self):
