@@ -293,7 +293,8 @@ def _verdict(tag: str, value, passed: bool, note: str = "") -> dict:
 def run_validate(cfg: ExperimentConfig, out: Path) -> tuple:
     rep = validate_hypotheses(cfg.kernel_spec(), cfg.potential_spec(),
                               samples=512, seed=cfg.seed)
-    return {"hypotheses": rep.as_dict(), "passed": rep.passed}, None
+    return {"hypotheses": {**asdict(rep), "passed": rep.passed},
+            "passed": rep.passed}, None
 
 
 def _weights(cfg, domain) -> energy_mod.WeightTable:

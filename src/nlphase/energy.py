@@ -7,9 +7,12 @@ The kinetic part of the energy is realized as a lattice quadratic form
 
 with weights assembled from a translation-structured stencil:
 
-* offsets up to ``NEAR_EXACT_CELLS`` cells use the exact cell-pair integral
-  of the radial envelope, computed by reducing the double integral to the
-  kernel against the cell autocorrelation ("tent") profile; each class of
+* offsets up to ``NEAR_EXACT_CELLS`` cells use the cell-pair integral of
+  the radial envelope against the cell autocorrelation ("tent") profile:
+  in closed form in 1D, in 2D summed over Gauss-Legendre radii and 512
+  midpoint angles (1024 for touching cells), whose relative error against
+  split adaptive quadrature is -4.5e-4 at offset (6,0), +3.0e-5 at (2,1)
+  and at most 4.3e-6 near the diagonal; each class of
   offsets under the 8 lattice symmetries is integrated once, and its
   angular tent profile, which does not depend on s, is shared across s;
   the tent sum runs only over the angles whose ray meets the square
@@ -45,8 +48,9 @@ primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
 All sums evaluate through FFTs, so the cutoff radius can be taken
 comparable to the simulated region at negligible cost.  The far weights
 (Fb, Fa) and the row sums are attributes built once with the table; the
-per-period value, its parts, its gradient, L_K and the solver oracle share
-one kinetic pass (`WeightTable._kinetic`).
+per-period value, its parts, its gradient and L_K share one kinetic pass
+(`WeightTable._kinetic`), which is also the kinetic gradient of the strip
+solver (`nlphase.minimize._descend`).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from scipy.special import gamma as _gamma_fn, hyp2f1 as _hyp2f1
 
 from .lattice import Field, StripDomain
 
-NEAR_EXACT_CELLS = 6          # exact pair integrals out to this many cells
+NEAR_EXACT_CELLS = 6          # pair integrals out to this many cells
 CORE_FRACTION = 1.0 / 16.0    # singular-core exclusion radius, in cells
 R_CUT_FACTOR = 8.0            # default cutoff radius, in units of tau
 
@@ -79,7 +83,7 @@ class WindowError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact unit-cell pair integrals (h = 1)
+# unit-cell pair integrals (h = 1)
 
 
 def _gauss_panels(edges, order=16):
@@ -180,10 +184,11 @@ def pair_core_exclusion(n: int, s: float, d1: int, d2: int = 0) -> float:
 
 
 def unit_pair_integral(n: int, s: float, d1: int, d2: int = 0) -> float:
-    """Exact envelope integral for unit cells at an integer offset, with
-    the singular-core convention of `pair_core_exclusion`.  The offset is
-    folded onto 0 <= d2 <= d1 before the cache lookup, so each lattice
-    symmetry class is integrated once per s."""
+    """Envelope integral for unit cells at an integer offset (closed form
+    in 1D, quadrature in 2D), with the singular-core convention of
+    `pair_core_exclusion`.  The offset is folded onto 0 <= d2 <= d1 before
+    the cache lookup, so each lattice symmetry class is integrated once
+    per s."""
     d1, d2 = abs(int(d1)), abs(int(d2))
     if d2 > d1:
         d1, d2 = d2, d1
@@ -337,6 +342,9 @@ class WeightTable:
         check_r_cut(r_cut, domain)
         if kernel.dim != domain.dim:
             raise ConfigurationError("kernel and domain dimension differ")
+        if kernel.tau != domain.tau:
+            raise ConfigurationError(
+                f"kernel tau={kernel.tau} differs from strip tau={domain.tau}")
         self.kernel = kernel
         self.domain = domain
         self.r_cut = float(r_cut)
@@ -521,22 +529,15 @@ class WeightTable:
                 * self._pscale(epsilon))
 
     def _kinetic(self, u, far_below, far_above) -> tuple:
-        """Gradient, value and slab sum of the kinetic part of the
-        per-period functional at slab values ``u``.
-
-        With the slab sum S_in = sum_{j in slab} w_ij u_j the gradient is
-        2 (row_sums u - S_in - f_b Fb - f_a Fa); the form is quadratic in u
-        with the far values fixed, so its value is
-        sum [u grad / 2 - f_b (u - f_b) Fb - f_a (u - f_a) Fa].
-        """
+        """Gradient and slab sum of the kinetic part of the per-period
+        functional at slab values ``u``: with the slab sum
+        S_in = sum_{j in slab} w_ij u_j the gradient is
+        2 (row_sums u - S_in - f_b Fb - f_a Fa)."""
         s_in = self._weighted_sum(u, self._g_slab)
         Fb, Fa = self.far_weights
         grad = 2.0 * (u * self.row_sums
                       - (s_in + far_below * Fb + far_above * Fa))
-        value = float(np.sum(0.5 * u * grad
-                             - far_below * (u - far_below) * Fb
-                             - far_above * (u - far_above) * Fa))
-        return grad, value, s_in
+        return grad, s_in
 
     def period_value(self, field: Field, potential, epsilon=None) -> float:
         return self.period_report(field, potential, epsilon).total
@@ -552,8 +553,11 @@ class WeightTable:
         ``kinetic_cross`` the far pairs plus the analytic beyond-cutoff tail.
         """
         u, fb, fa = field.values, field.far_below, field.far_above
-        _, kin, s_in = self._kinetic(u, fb, fa)
+        grad, s_in = self._kinetic(u, fb, fa)
         Fb, Fa = self.far_weights
+        # the kinetic form is quadratic in u with the far values fixed
+        kin = float(np.sum(0.5 * u * grad - fb * (u - fb) * Fb
+                           - fa * (u - fa) * Fa))
         tp, tm = self._slab_tails
         kin_cross = float(np.sum((u - fb) ** 2 * Fb + (u - fa) ** 2 * Fa))
         tail = float(np.sum((u - fb) ** 2 * tp + (u - fa) ** 2 * tm))
@@ -570,22 +574,6 @@ class WeightTable:
             grad = grad + (self._potential_weights(potential, epsilon)
                            * potential.profile_derivative(u))
         return grad
-
-    def objective(self, far_below: float, far_above: float, potential,
-                  epsilon=None):
-        """Fused oracle ``fun(x) -> (value, gradient)`` of the per-period
-        functional on the flat slab values, with the far rows fixed; the
-        value is `period_report`'s total and the gradient `gradient`'s."""
-        shape = self.domain.shape
-        qv = self._potential_weights(potential, epsilon)
-
-        def fun(x):
-            u = x.reshape(shape)
-            grad, kin, _ = self._kinetic(u, far_below, far_above)
-            value = kin + float(np.sum(qv * potential.profile(u)))
-            return value, (grad + qv * potential.profile_derivative(u)).ravel()
-
-        return fun
 
     def apply_lk(self, field: Field) -> np.ndarray:
         """Discrete L_K u = sum_j (u_i - u_j) w_ij / h^n (tails included),

@@ -5,15 +5,16 @@ class of periodic states that are >= theta below the strip (t <= 0) and
 <= -theta above it (t >= M), with values in [-1, 1].  These obstacles are
 box bounds, so the deterministic surrogate for the minimal minimizer is
 scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995)
-started from the pointwise-smallest admissible state and driven by the
-fused value-and-gradient oracle `WeightTable.objective`.  Its quality is
+started from the pointwise-smallest admissible state.  Its quality is
 certified a posteriori by the Birkhoff monotonicity of level sets and by
 frozen-boundary ball re-solves (local minimality in the plane, not just per
-period), whose class-A improvement is an anchored energy difference, exact
-to a few ulp of the change of the ball's values rather than of the energy
-itself; the ``planelike`` pipeline reports both, with the upper distance.
-The solver tolerances, the iteration cap, the certificate ball radii and the
-class-A bound are module constants.
+period); the ``planelike`` pipeline reports both, with the upper distance.
+The strip solve and the ball re-solves go through one driver, `_descend`,
+which minimizes the energy anchored at the start point: the start energy
+plus an energy difference exact to a few ulp of the change of the values
+rather than of the energy itself, so a ball's class-A improvement is that
+difference.  The solver tolerances and iteration caps of both, the
+certificate ball radii and the class-A bound are module constants.
 Every solve is on a one-period strip; the ball re-solves are where the
 period is broken, since each one changes a single world copy.  Multi-start
 agreement (a second solve from another seed field) is a library check that
@@ -36,6 +37,8 @@ from .lattice import Field, StripDomain, birkhoff_shift
 GRAD_TOL = 1e-8
 REL_DECREASE_TOL = 1e-15
 MAX_ITERS = 40000
+# the same for a ball re-solve, whose F is an energy difference near 0
+BALL_GRAD_TOL, BALL_REL_DECREASE_TOL, BALL_MAX_ITERS = 1e-12, 1e-18, 400
 # certificate balls have radii in [2h, 2tau]: (factor of h, factor of tau)
 CERT_RADII = (2.0, 2.0)
 CLASS_A_REL = 1e-8   # largest ball re-solve gain, as a fraction of |F|
@@ -98,6 +101,40 @@ def check_strip_height(domain: StripDomain) -> None:
             f"strip height M={domain.M} must be at least tau={domain.tau}")
 
 
+def _descend(kinetic_grad, qv, potential, x0, F0, bounds, options,
+             on_iterate=None):
+    """L-BFGS-B on F(v) = F0 + [E(v) - E(x0)] over the box ``bounds``,
+    started from ``x0``; returns scipy's result.
+
+    E is the kinetic quadratic form with gradient ``kinetic_grad`` plus the
+    potential sum(qv w0(v)).  The difference is anchored at x0, exact to a
+    few ulp of v - x0 rather than of E: its kinetic part is
+    (v - x0).(g(v) + g(x0))/2, exact for a quadratic form with gradient g,
+    and its potential part sums `PotentialSpec.profile_difference`.  The
+    offset F0 keeps F at the scale of E, so that scipy's relative-decrease
+    test stays relative.  ``on_iterate(x, F, grad)`` sees each accepted
+    iterate with its value and gradient.
+    """
+    g0 = kinetic_grad(x0)
+    last = {}
+
+    def fun(v):
+        g = kinetic_grad(v)
+        value = (F0 + 0.5 * float((v - x0) @ (g + g0))
+                 + float(np.sum(qv * potential.profile_difference(v, x0))))
+        last["grad"] = g + qv * potential.profile_derivative(v)
+        return value, last["grad"]
+
+    # scipy passes the iterate by this parameter name; the accepted iterate
+    # is the point of the oracle's last evaluation
+    callback = None if on_iterate is None else (
+        lambda intermediate_result: on_iterate(
+            intermediate_result.x, float(intermediate_result.fun),
+            last["grad"]))
+    return sopt.minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                         callback=callback, options=options)
+
+
 def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
                    seed_field: Field | None = None, epsilon=None,
                    record_trace: bool = True) -> SolveResult:
@@ -112,6 +149,7 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
     caller's to check with `nlphase.model.validate_hypotheses`; the command
     line does so once per run.
 
+    The solver minimizes the energy anchored at the start (`_descend`).
     Accepted iterations never increase the objective.  ``stop_reason`` is
     ``grad_tol`` (largest projected-gradient entry below `GRAD_TOL`),
     ``stall`` (relative reduction of F in one iteration below
@@ -124,36 +162,34 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
     domain = weights.domain
     check_strip_height(domain)
     lo, hi = constraints.bounds(domain)
-    u0 = lo if seed_field is None else np.clip(seed_field.values, lo, hi)
+    start = Field(domain, lo if seed_field is None
+                  else np.clip(seed_field.values, lo, hi))
     lo, hi = lo.ravel(), hi.ravel()
-    oracle = weights.objective(1.0, -1.0, potential, epsilon)
-    last = {}
 
-    def fun(x):
-        value, last["grad"] = oracle(x)
-        return value, last["grad"]
+    def kinetic_grad(x):
+        return weights._kinetic(x.reshape(domain.shape), start.far_below,
+                                start.far_above)[0].ravel()
 
     def projected_norm(x, g):
         return float(np.linalg.norm(x - np.clip(x - g, lo, hi)))
 
     trace = []
-    x_prev = u0.ravel()
+    x_prev = start.values.ravel()
 
-    def record(intermediate_result):
-        # scipy passes the iterate by this parameter name; the accepted
-        # iterate is the point of the oracle's last evaluation
+    def record(x, F, grad):
         nonlocal x_prev
-        x = intermediate_result.x.copy()
-        trace.append((len(trace) + 1, float(intermediate_result.fun),
-                      projected_norm(x, last["grad"]),
+        x = x.copy()
+        trace.append((len(trace) + 1, F, projected_norm(x, grad),
                       float(np.linalg.norm(x - x_prev))))
         x_prev = x
 
-    res = sopt.minimize(
-        fun, x_prev, jac=True, method="L-BFGS-B", bounds=sopt.Bounds(lo, hi),
-        callback=record if record_trace else None,
-        options={"maxiter": MAX_ITERS, "maxfun": math.inf,
-                 "ftol": REL_DECREASE_TOL, "gtol": GRAD_TOL})
+    res = _descend(
+        kinetic_grad, weights._potential_weights(potential, epsilon).ravel(),
+        potential, x_prev, weights.period_value(start, potential, epsilon),
+        sopt.Bounds(lo, hi),
+        {"maxiter": MAX_ITERS, "maxfun": math.inf,
+         "ftol": REL_DECREASE_TOL, "gtol": GRAD_TOL},
+        record if record_trace else None)
     reason = _stop_reason(res.message)
 
     fld = Field(domain, np.clip(res.x, lo, hi).reshape(domain.shape))
@@ -229,12 +265,9 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     the ball itself, stays frozen at the current state.  The ball's cells
     are single copies (`WeightTable.ball_operator`).
 
-    L-BFGS-B minimizes the anchored difference f(v) = E(v) - E(u) from the
-    current values u, and the gain is -min f, nonnegative by construction
-    since f(u) = 0.  f is exact to a few ulp of v - u, not of E: its
-    kinetic part is (v - u).(g(v) + g(u))/2, exact for a quadratic form
-    with gradient g, and its potential part sums
-    `PotentialSpec.profile_difference`.  A value at solver scale
+    `_descend` minimizes the anchored difference f(v) = E(v) - E(u) from
+    the current values u (start energy 0), and the gain is -min f,
+    nonnegative by construction since f(u) = 0.  A value at solver scale
     certifies local minimality.
     """
     d = weights.domain
@@ -261,21 +294,10 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     qv = (potential.q(d.world_of_frame(P[idx], T[idx])) * d.cell_volume
           * weights._pscale(epsilon))
 
-    def kinetic_grad(v):
-        return 2.0 * (R_tot * v - op(v) - C_out)
-
-    g_anchor = kinetic_grad(u_ball)
-
-    def fun(v):
-        g = kinetic_grad(v)
-        value = (0.5 * float((v - u_ball) @ (g + g_anchor))
-                 + float(np.sum(qv * potential.profile_difference(v, u_ball))))
-        return value, g + qv * potential.profile_derivative(v)
-
-    res = sopt.minimize(fun, u_ball, jac=True, method="L-BFGS-B",
-                        bounds=sopt.Bounds(-1.0, 1.0),
-                        options={"maxiter": 400, "ftol": 1e-18,
-                                 "gtol": 1e-12})
+    res = _descend(lambda v: 2.0 * (R_tot * v - op(v) - C_out), qv,
+                   potential, u_ball, 0.0, sopt.Bounds(-1.0, 1.0),
+                   {"maxiter": BALL_MAX_ITERS, "ftol": BALL_REL_DECREASE_TOL,
+                    "gtol": BALL_GRAD_TOL})
     return max(0.0, -float(res.fun))
 
 

@@ -114,9 +114,6 @@ class KernelSpec:
 
     def amplitude(self, x, y):
         """Symmetric factor a(x, y) multiplying the radial envelope."""
-        if self.family == "standard":
-            x = np.asarray(x, dtype=float)
-            return np.ones(x.shape[:-1])
         return 1.0 + 0.25 * (self.modulation(x) + self.modulation(y))
 
 
@@ -302,17 +299,6 @@ class ValidationReport:
             if c.tag == tag:
                 return c
         raise KeyError(tag)
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "seed": self.seed,
-            "checks": [
-                {"tag": c.tag, "passed": c.passed, "worst": c.worst,
-                 "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 def _sample_points(rng, n, dim, scale):

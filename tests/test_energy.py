@@ -4,9 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
-from nlphase import energy
+from nlphase import energy, minimize
 from nlphase.energy import (BallWindow, BoxWindow, PERIOD, ConfigurationError,
                             WindowError, build_weights, unit_pair_integral)
 from nlphase.geometry import level_mask
@@ -158,6 +158,13 @@ class TestPairWeights:
             build_weights(kernel, dom, 0.5)  # < 4h
         with pytest.raises(ConfigurationError):
             wt.offset_weight((0, 0), 0, dom.n_t - 1)  # beyond r_cut
+
+    def test_kernel_tau_must_match_strip(self):
+        # a modulation of another period would wrap onto the strip lattice
+        _, dom, _ = axis_setup()
+        kernel = KernelSpec(dim=2, s=0.25, tau=2.0, family="modulated")
+        with pytest.raises(ConfigurationError, match=r"tau=2\.0.*tau=1\.0"):
+            build_weights(kernel, dom, 2.0)
 
     def test_tails_decrease_with_rcut(self):
         # strictly smaller once the cutoff bites (distance to the far plane
@@ -783,62 +790,44 @@ class TestOperatorAndGradient:
                   - wt.period_value(Field(dom, um), pot, eps)) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=1e-6)
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("family", ["standard", "modulated"])
-    @pytest.mark.parametrize("eps", [None, 0.25])
-    def test_objective_matches_report_and_gradient(self, dim, family, eps):
-        direction = (0, 1) if dim == 2 else (1,)
-        kernel = KernelSpec(dim=dim, s=0.3, tau=1.0, family=family)
-        dom = build_domain(1.0, Direction(direction, 1.0), M=4.0, h=0.25,
-                           buffer=2.0)
-        wt = build_weights(kernel, dom, 2.0)
-        pot = PotentialSpec(family="quartic", Q_modulation=True)
-        far_below, far_above = 0.7, -0.4
-        rng = np.random.default_rng(11)
-        u = rng.uniform(-0.8, 0.8, dom.shape)
-        fun = wt.objective(far_below, far_above, pot, eps)
-        value, grad = fun(u.ravel())
-        grad = grad.reshape(dom.shape)
-        fld = Field(dom, u, far_below, far_above)
-        assert value == pytest.approx(wt.period_report(fld, pot, eps).total,
-                                      rel=1e-12)
-        ref = wt.gradient(fld, pot, eps)
-        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
-        step = 1e-6
-        for _ in range(10):
-            i = (int(rng.integers(0, dom.n_p)), int(rng.integers(0, dom.n_t)))
-            up = u.copy()
-            up[i] += step
-            um = u.copy()
-            um[i] -= step
-            fd = (wt.period_value(Field(dom, up, far_below, far_above), pot, eps)
-                  - wt.period_value(Field(dom, um, far_below, far_above),
-                                    pot, eps)) / (2 * step)
-            assert grad[i] == pytest.approx(fd, rel=1e-6)
-
     @settings(max_examples=30)
     @given(dim=st.sampled_from([1, 2]),
            family=st.sampled_from(["standard", "modulated"]),
            s=st.floats(0.05, 0.95), eps=st.none() | st.floats(0.25, 1.0),
            far=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_objective_is_period_report(self, dim, family, s, eps, far,
-                                        seed):
-        # the solver oracle, the report and the gradient share one kinetic
-        # pass, so they agree bitwise
+    def test_descent_driver_is_period_report(self, dim, family, s, eps, far,
+                                             seed):
+        # at every accepted iterate, the solver driver's gradient is
+        # `gradient`'s bitwise and its anchored value the period value, to
+        # the rounding of the start energy F0 that it carries (F may fall
+        # to 0 from there); the gradient matches centred differences of the
+        # period value
         wt, pot = strip_setup(dim, family, s)
+        shape = wt.domain.shape
         rng = np.random.default_rng(seed)
-        u = rng.uniform(-0.8, 0.8, wt.domain.shape)
-        fld = Field(wt.domain, u, *far)
-        fun = wt.objective(*far, pot, eps)
-        value, grad = fun(u.ravel())
-        assert value == wt.period_report(fld, pot, eps).total
-        assert np.array_equal(grad, wt.gradient(fld, pot, eps).ravel())
-        step, x = 1e-6, u.ravel()
-        for k in rng.choice(x.size, 5, replace=False):
-            e = np.zeros(x.size)
+        x0 = rng.uniform(-0.8, 0.8, shape).ravel()
+
+        def field(x):
+            return Field(wt.domain, x.reshape(shape), *far)
+
+        F0, seen = wt.period_value(field(x0), pot, eps), []
+        minimize._descend(
+            lambda x: wt._kinetic(x.reshape(shape), *far)[0].ravel(),
+            wt._potential_weights(pot, eps).ravel(), pot, x0, F0,
+            optimize.Bounds(-1.0, 1.0), {"maxiter": 5},
+            lambda x, F, grad: seen.append((x.copy(), F, grad)))
+        assert seen
+        for x, F, grad in seen:
+            assert np.array_equal(grad, wt.gradient(field(x), pot, eps).ravel())
+            assert F == pytest.approx(wt.period_value(field(x), pot, eps),
+                                      rel=1e-13, abs=1e-13 * abs(F0))
+        grad, step = wt.gradient(field(x0), pot, eps).ravel(), 1e-6
+        for k in rng.choice(x0.size, 5, replace=False):
+            e = np.zeros(x0.size)
             e[k] = step
-            fd = (fun(x + e)[0] - fun(x - e)[0]) / (2 * step)
+            fd = (wt.period_value(field(x0 + e), pot, eps)
+                  - wt.period_value(field(x0 - e), pot, eps)) / (2 * step)
             assert fd == pytest.approx(
                 grad[k], rel=1e-6, abs=1e-6 * np.max(np.abs(grad)))
 
