@@ -16,12 +16,12 @@ from nlphase.model import KernelSpec, PotentialSpec
 
 tau = 1.0
 kernel = KernelSpec(dim=2, s=0.25, tau=tau, family="modulated")
-potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True)
+potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True,
+                          epsilon=1.0 / 32.0)
 domain = build_domain(tau, Direction((0, 1), tau), M=24.0, h=0.125,
                       buffer=4.0)
 weights = build_weights(kernel, domain, 8.0)
-result = minimize_strip(weights, potential, Constraints(0.9),
-                        epsilon=1.0 / 32.0)
+result = minimize_strip(weights, potential, Constraints(0.9))
 
 center = (0.5 * domain.n_p * domain.h, interface_height(result.field))
 print(f"interface-centered at frame point ({center[0]:.2f}, {center[1]:.2f})")

@@ -1,6 +1,6 @@
 """Windowed energies, the per-period functional, and the operator L_K."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ rep = weights.window_report(field, ball, potential)
 print(f"\nball window (R=2): total {rep.total:.6f} = "
       f"{rep.kinetic_in:.6f} + {rep.kinetic_cross:.6f} + {rep.potential:.6f}")
 
-scaled = weights.window_report(field, ball, potential, epsilon=0.25)
+scaled = weights.window_report(field, ball, replace(potential, epsilon=0.25))
 print(f"scaled functional (eps=1/4): potential x {scaled.potential / rep.potential:.4f}")
 
 lk = weights.apply_lk(field)

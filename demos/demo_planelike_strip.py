@@ -30,7 +30,7 @@ print(f"band width at level 0.9:  {width:.3f}  (width/tau = {width / tau:.2f})")
 print(f"distance to upper plane:  "
       f"{upper_distance(result.field, 0.9):.3f} (want >= tau = {tau})")
 
-birkhoff = check_birkhoff(result.field, [-0.9, -0.5, 0.0, 0.5, 0.9])
+birkhoff = check_birkhoff(result.field)
 print(f"Birkhoff violations:      {birkhoff['worst_cells']} cells")
 
 stability = check_class_A(weights, potential, result.field, trials=10, seed=3)

@@ -294,7 +294,7 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
 
 
 def barrier_slide_test(weights: WeightTable, potential, field: Field,
-                       barrier: BarrierFn, center, epsilon=None) -> dict:
+                       barrier: BarrierFn, center) -> dict:
     """Energy comparison against v = min(u, w(. - center)).
 
     For a minimizer the defect E(v; B_R) - E(u; B_R) cannot be negative
@@ -313,9 +313,8 @@ def barrier_slide_test(weights: WeightTable, potential, field: Field,
         rho = np.hypot(P - p0, T - t0)
         return np.minimum(V, barrier.w_radial(rho))
 
-    base = weights.window_report(field, window, potential, epsilon)
-    slid = weights.window_report(field, window, potential, epsilon,
-                                 transform=clipped)
+    base = weights.window_report(field, window, potential)
+    slid = weights.window_report(field, window, potential, transform=clipped)
     defect = slid.total - base.total
     return {
         "E_u": base.total,

@@ -70,7 +70,8 @@ _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 # range test, default).  A None default leaves the key to the spec field or
 # the keyword default that takes it; tau_list and directions default to the
 # one strip of the geometry.  The kernel and potential keys are the spec
-# fields but tau, which the geometry gives.
+# fields but tau, which the geometry gives, and the potential's epsilon,
+# which solver.epsilon gives.
 _KEYS = {
     "kernel": {"dim": (_WHOLE, None, None), "s": (_NUMBER, None, None),
                "family": (_STRING, None, None)},
@@ -202,7 +203,8 @@ class ExperimentConfig:
 
     def potential_spec(self, tau=None) -> PotentialSpec:
         return PotentialSpec(**self.sections["potential"],
-                             tau=self.tau if tau is None else tau)
+                             tau=self.tau if tau is None else tau,
+                             epsilon=self.get("solver", "epsilon"))
 
     def domain(self, tau=None, direction=None) -> StripDomain:
         tau = self.tau if tau is None else tau
@@ -305,8 +307,7 @@ def _weights(cfg, domain) -> energy_mod.WeightTable:
 def _solve_one(cfg, domain):
     weights = _weights(cfg, domain)
     potential = cfg.potential_spec(domain.tau)
-    result = min_mod.minimize_strip(weights, potential, cfg.constraints(),
-                                    epsilon=cfg.get("solver", "epsilon"))
+    result = min_mod.minimize_strip(weights, potential, cfg.constraints())
     return potential, weights, result
 
 
@@ -323,7 +324,6 @@ def run_planelike(cfg: ExperimentConfig, out: Path) -> tuple:
         bk = min_mod.check_birkhoff(result.field)
         ca = min_mod.check_class_A(
             weights, potential, result.field, seed=cfg.seed,
-            epsilon=cfg.get("solver", "epsilon"),
             **cfg.given("experiment", trials="trials"))
         return {
             "tau": domain.tau, "direction": list(domain.direction.p),
@@ -381,14 +381,13 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
     domain, = cfg.strip_domains()
     potential, weights, result = _solve_one(cfg, domain)
     kernel = weights.kernel
-    eps = cfg.get("solver", "epsilon")
     s, n = kernel.s, kernel.dim
     center = (0.5 * domain.n_p * domain.h, geom.interface_height(result.field))
     rows = []
     for R in radii:
         rep = weights.window_report(result.field,
                                     energy_mod.BallWindow(center, R),
-                                    potential, eps)
+                                    potential)
         rows.append((R, rep.total, rep.kinetic_in, rep.kinetic_cross,
                      rep.potential, rep.tail_estimate, "enest"))
     write_csv(out / "scaling.csv",
@@ -415,8 +414,8 @@ def run_scaling(cfg: ExperimentConfig, out: Path) -> tuple:
                              f"target {target}"),
                     _verdict("enestbelow", const, const > 0.0,
                              "positive fitted constant")]
-    return {"center": list(center), "epsilon": eps, "fit": fitted,
-            "F_value": result.F_value}, verdicts
+    return {"center": list(center), "epsilon": potential.epsilon,
+            "fit": fitted, "F_value": result.F_value}, verdicts
 
 
 def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
@@ -458,7 +457,7 @@ def run_barrier(cfg: ExperimentConfig, out: Path) -> tuple:
              domain.t_hi - slide_R - domain.h)
     slide = barrier_mod.barrier_slide_test(
         weights, potential, result.field, sbar,
-        (0.5 * domain.n_p * domain.h, t0), cfg.get("solver", "epsilon"))
+        (0.5 * domain.n_p * domain.h, t0))
     verdicts.append(_verdict("barrier-slide", slide["relative_defect"],
                              slide["relative_defect"] >= -1e-8))
     return {**entries, "slide": slide}, verdicts

@@ -519,14 +519,17 @@ class WeightTable:
 
     # -- per-period functional, gradient, operator ----------------------------
 
-    def _pscale(self, epsilon) -> float:
-        return 1.0 if epsilon is None else float(epsilon) ** (-2.0 * self.kernel.s)
-
-    def _potential_weights(self, potential, epsilon) -> np.ndarray:
-        """Per-cell factor Q(x) h^n eps^(-2s) of the potential profile."""
-        d = self.domain
-        return (potential.q(d.world_centers()) * d.cell_volume
-                * self._pscale(epsilon))
+    def _potential_weights(self, potential, x=None) -> np.ndarray:
+        """Per-cell factor Q(x) h^n eps^(-2s), eps = ``potential.epsilon``,
+        of the potential profile at world points ``x`` (default: slab
+        centres); the one evaluation of Q outside `nlphase.model`."""
+        d, eps = self.domain, potential.epsilon
+        if potential.Q_modulation and potential.tau != d.tau:
+            raise ConfigurationError(
+                f"potential tau={potential.tau} differs from strip tau={d.tau}")
+        scale = 1.0 if eps is None else float(eps) ** (-2.0 * self.kernel.s)
+        return (potential.q(d.world_centers() if x is None else x)
+                * d.cell_volume * scale)
 
     def _kinetic(self, u, far_below, far_above) -> tuple:
         """Gradient and slab sum of the kinetic part of the per-period
@@ -539,11 +542,10 @@ class WeightTable:
                       - (s_in + far_below * Fb + far_above * Fa))
         return grad, s_in
 
-    def period_value(self, field: Field, potential, epsilon=None) -> float:
-        return self.period_report(field, potential, epsilon).total
+    def period_value(self, field: Field, potential) -> float:
+        return self.period_report(field, potential).total
 
-    def period_report(self, field: Field, potential=None,
-                      epsilon=None) -> EnergyReport:
+    def period_report(self, field: Field, potential=None) -> EnergyReport:
         """Per-period energy, decomposed.
 
         Pairs are counted once per equivalence class of ~, so the kinetic
@@ -562,16 +564,16 @@ class WeightTable:
         kin_cross = float(np.sum((u - fb) ** 2 * Fb + (u - fa) ** 2 * Fa))
         tail = float(np.sum((u - fb) ** 2 * tp + (u - fa) ** 2 * tm))
         pot = 0.0 if potential is None else float(np.sum(
-            self._potential_weights(potential, epsilon) * potential.profile(u)))
+            self._potential_weights(potential) * potential.profile(u)))
         kin_in = float(np.sum(u * (u * self._r_in - s_in)))
         return EnergyReport(kin_in, kin_cross, pot, kin + pot, tail)
 
-    def gradient(self, field: Field, potential, epsilon=None) -> np.ndarray:
+    def gradient(self, field: Field, potential) -> np.ndarray:
         """Gradient of the per-period functional in the cell values."""
         u = field.values
         grad = self._kinetic(u, field.far_below, field.far_above)[0]
         if potential is not None:
-            grad = grad + (self._potential_weights(potential, epsilon)
+            grad = grad + (self._potential_weights(potential)
                            * potential.profile_derivative(u))
         return grad
 
@@ -584,7 +586,7 @@ class WeightTable:
     # -- windowed energies ------------------------------------------------------
 
     def window_report(self, field: Field, window, potential=None,
-                      epsilon=None, transform=None) -> EnergyReport:
+                      transform=None) -> EnergyReport:
         """Energy over a window; ``transform(V, P, T)`` may edit the values
         of the materialized (single copy, non-periodic) grid first.
 
@@ -594,8 +596,7 @@ class WeightTable:
         cross term once per world copy.
         """
         if isinstance(window, PeriodWindow):
-            return self.period_report(field, potential, epsilon)
-        d = self.domain
+            return self.period_report(field, potential)
         V, G, P, T, tp, tm = self.window_cells(field, window)
         if transform is not None:
             V = transform(V, P, T)
@@ -617,11 +618,9 @@ class WeightTable:
                                    + (V - field.far_above) ** 2 * tm)))
         kin_cross += tail
 
-        pot = 0.0
-        if potential is not None:
-            x = d.world_of_frame(P[inside], T[inside])
-            pot = float(np.sum(potential.q(x) * potential.profile(V[inside]))) \
-                * d.cell_volume * self._pscale(epsilon)
+        pot = 0.0 if potential is None else float(np.sum(
+            self._potential_weights(potential, self.domain.world_of_frame(
+                P[inside], T[inside])) * potential.profile(V[inside])))
         total = kin_in + kin_cross + pot
         return EnergyReport(kin_in, kin_cross, pot, total, tail)
 

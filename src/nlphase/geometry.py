@@ -41,11 +41,6 @@ class SetMask:
         return SetMask(self.domain, ~self.inside,
                        not self.far_below, not self.far_above)
 
-    @property
-    def measure(self) -> float:
-        """Measure of the mask within the fundamental slab."""
-        return float(np.count_nonzero(self.inside)) * self.domain.cell_volume
-
     def indicator_field(self) -> Field:
         """chi_E - chi_(complement) as a field."""
         vals = np.where(self.inside, 1.0, -1.0)

@@ -266,8 +266,10 @@ class Field:
         if self.values.shape != self.domain.shape:
             raise GeometryError(
                 f"values shape {self.values.shape} != domain {self.domain.shape}")
-        if np.any(np.abs(self.values) > 1.0 + 1e-12):
-            raise GeometryError("field values must lie in [-1, 1]")
+        u = np.append(self.values, (self.far_below, self.far_above))
+        if (bad := u[~(np.abs(u) <= 1.0 + 1e-12)]).size:    # NaN fails too
+            raise GeometryError(f"field and far values must lie in [-1, 1], "
+                                f"got {float(bad[0])!r}")
 
     @classmethod
     def full(cls, domain: StripDomain, value: float,

@@ -14,11 +14,11 @@ which minimizes the energy anchored at the start point: the start energy
 plus an energy difference exact to a few ulp of the change of the values
 rather than of the energy itself, so a ball's class-A improvement is that
 difference.  The solver tolerances and iteration caps of both, the
-certificate ball radii and the class-A bound are module constants.
-Every solve is on a one-period strip; the ball re-solves are where the
-period is broken, since each one changes a single world copy.  Multi-start
-agreement (a second solve from another seed field) is a library check that
-no pipeline runs.
+certificate ball radii, the Birkhoff levels and the class-A bound are
+module constants.  Every solve is on a one-period strip; the ball
+re-solves are where the period is broken, since each one changes a single
+world copy.  Multi-start agreement (a second seed field reaches the same
+F) is a test of the solver, not a check that a pipeline runs.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ MAX_ITERS = 40000
 BALL_GRAD_TOL, BALL_REL_DECREASE_TOL, BALL_MAX_ITERS = 1e-12, 1e-18, 400
 # certificate balls have radii in [2h, 2tau]: (factor of h, factor of tau)
 CERT_RADII = (2.0, 2.0)
+# the levels eta of the Birkhoff certificate's sets {u > eta}, {-u > eta}
+BIRKHOFF_LEVELS = (-0.9, -0.5, 0.0, 0.5, 0.9)
 CLASS_A_REL = 1e-8   # largest ball re-solve gain, as a fraction of |F|
 
 
@@ -136,13 +138,13 @@ def _descend(kinetic_grad, qv, potential, x0, F0, bounds, options,
 
 
 def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
-                   seed_field: Field | None = None, epsilon=None,
+                   seed_field: Field | None = None,
                    record_trace: bool = True) -> SolveResult:
     """L-BFGS-B on the per-period functional over the obstacle box
     `Constraints.bounds`, started from its lower corner (the minimal seed)
     or from ``seed_field`` clipped into the box; the far values are the
-    planelike +1 below and -1 above.  ``epsilon`` scales the potential
-    (None: unscaled).
+    planelike +1 below and -1 above; ``potential.epsilon`` scales the
+    potential sum.
 
     The problem is the one ``weights`` discretizes: its kernel, strip
     domain and cutoff.  The kernel and potential hypotheses are the
@@ -184,8 +186,8 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
         x_prev = x
 
     res = _descend(
-        kinetic_grad, weights._potential_weights(potential, epsilon).ravel(),
-        potential, x_prev, weights.period_value(start, potential, epsilon),
+        kinetic_grad, weights._potential_weights(potential).ravel(),
+        potential, x_prev, weights.period_value(start, potential),
         sopt.Bounds(lo, hi),
         {"maxiter": MAX_ITERS, "maxfun": math.inf,
          "ftol": REL_DECREASE_TOL, "gtol": GRAD_TOL},
@@ -195,7 +197,7 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
     fld = Field(domain, np.clip(res.x, lo, hi).reshape(domain.shape))
     return SolveResult(
         field=fld,
-        F_value=weights.period_value(fld, potential, epsilon),
+        F_value=weights.period_value(fld, potential),
         iterations=int(res.nit),
         grad_norm=projected_norm(res.x, res.jac),
         converged=reason != "iteration_cap",
@@ -209,14 +211,13 @@ def minimize_strip(weights: WeightTable, potential, constraints: Constraints,
 # certificates
 
 
-def check_birkhoff(field: Field,
-                   theta_levels=(-0.9, -0.5, 0.0, 0.5, 0.9)) -> dict:
+def check_birkhoff(field: Field) -> dict:
     """Discrete Birkhoff monotonicity of super/sublevel sets under tau-shifts.
 
-    For each level, each axis generator +-e_i of the lattice with a definite
-    sign of omega.k, and both set families {u > eta} and {-u > eta}, counts
-    the cells violating the required inclusion.  Generators orthogonal to
-    omega must reproduce the sets exactly.
+    For each level in `BIRKHOFF_LEVELS`, each lattice axis generator +-e_i
+    with a definite sign of omega.k, and both set families {u > eta} and
+    {-u > eta}, counts the cells violating the required inclusion.
+    Generators orthogonal to omega must reproduce the sets exactly.
     """
     d = field.domain
     generators = ([(1,), (-1,)] if d.dim == 1
@@ -227,7 +228,7 @@ def check_birkhoff(field: Field,
         # omega.(tau k) = tau^2 p.k, and tau > 0: the integer p.k has its sign
         wk = int(np.dot(d.direction.p, k))
         shifted = birkhoff_shift(field, k).values
-        for eta in theta_levels:
+        for eta in BIRKHOFF_LEVELS:
             for sign in (1.0, -1.0):
                 if sign * wk > 0:
                     continue  # inclusion asserted only for sign*omega.k <= 0
@@ -257,7 +258,7 @@ def upper_distance(field: Field, theta: float) -> float:
 
 
 def ball_improvement(weights: WeightTable, potential, field: Field,
-                     center, radius: float, epsilon=None) -> float:
+                     center, radius: float) -> float:
     """Energy gained by re-solving inside a frozen-boundary ball.
 
     The constraint obstacles are dropped inside the ball (only the box
@@ -291,8 +292,8 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
     C_out -= op(u_ball)
 
     P, T = d.rect_centers(rect)
-    qv = (potential.q(d.world_of_frame(P[idx], T[idx])) * d.cell_volume
-          * weights._pscale(epsilon))
+    qv = weights._potential_weights(potential,
+                                    d.world_of_frame(P[idx], T[idx]))
 
     res = _descend(lambda v: 2.0 * (R_tot * v - op(v) - C_out), qv,
                    potential, u_ball, 0.0, sopt.Bounds(-1.0, 1.0),
@@ -302,7 +303,7 @@ def ball_improvement(weights: WeightTable, potential, field: Field,
 
 
 def check_class_A(weights: WeightTable, potential, field: Field,
-                  trials: int = 12, seed: int = 0, epsilon=None) -> dict:
+                  trials: int = 12, seed: int = 0) -> dict:
     """Frozen-boundary ball re-solves on random balls inside the open strip.
 
     Radii are drawn in `CERT_RADII`, and balls compactly inside
@@ -316,7 +317,7 @@ def check_class_A(weights: WeightTable, potential, field: Field,
     d = weights.domain
     rng = np.random.default_rng(seed)
     r_lo, r_hi = CERT_RADII[0] * d.h, CERT_RADII[1] * d.tau
-    F_ref = abs(weights.period_value(field, potential, epsilon))
+    F_ref = abs(weights.period_value(field, potential))
     rows = []
     worst = 0.0
     for _ in range(trials):
@@ -329,8 +330,7 @@ def check_class_A(weights: WeightTable, potential, field: Field,
             continue
         t0 = rng.uniform(t_min, t_max)
         p0 = rng.uniform(0.0, d.n_p * d.h)
-        gain = ball_improvement(weights, potential, field, (p0, t0), r,
-                                epsilon)
+        gain = ball_improvement(weights, potential, field, (p0, t0), r)
         rows.append({"center": (p0, t0), "radius": r, "improvement": gain})
         worst = max(worst, gain)
     return {

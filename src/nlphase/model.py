@@ -76,8 +76,8 @@ class KernelSpec:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0,1), got {self.s}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
@@ -133,21 +133,26 @@ class PotentialSpec:
 
     ``kappa`` is derived from the family so that the uniform bounds W,
     |W_r| <= 1/kappa hold with a 5% margin even at the strongest modulation
-    Q = 2; it lies in (0, 1/3].
+    Q = 2; it lies in (0, 1/3].  ``epsilon`` scales the potential sum by
+    eps^(-2s), s the kernel's, as in E_eps (None: unscaled).
     """
 
     family: str = "quartic"
     d: float = 1.5                # exponent for power_d only
     tau: float = 1.0
     Q_modulation: bool = False
+    epsilon: float | None = None
 
     def __post_init__(self):
         if self.family not in POTENTIAL_FAMILIES:
             raise ValueError(f"unknown potential family {self.family!r}")
         if self.family == "power_d" and not 1.0 < self.d < 2.0:
             raise ValueError(f"power_d requires d in (1,2), got {self.d}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau!r}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(
+                f"epsilon must be finite and positive, got {self.epsilon!r}")
 
     @property
     def kappa(self) -> float:

@@ -15,7 +15,7 @@ periodicity, and stability under small indicator flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def indicator_energy(weights: WeightTable, mask: SetMask, window) -> float:
 def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,
                 eps_list) -> dict:
     """Sharp-interface sweep: solve the scaled problem that ``weights``
-    discretizes for each epsilon.
+    discretizes for each epsilon, under ``potential`` at that epsilon.
 
     Solutions continue from the previous epsilon; each record carries the
     solve's per-period scaled energy F, the perimeter of the thresholded set
@@ -115,11 +115,12 @@ def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,
         raise ValueError("eps_list must be strictly decreasing")
     if any(not 0.0 < e <= weights.domain.tau for e in eps_list):
         raise ValueError("epsilon values must lie in (0, tau]")
+    scaled = [replace(potential, epsilon=eps) for eps in eps_list]
     records = []
     seed = None
-    for eps in eps_list:
-        res = minimize_strip(weights, potential, constraints, seed_field=seed,
-                             epsilon=eps, record_trace=False)
+    for eps, pot in zip(eps_list, scaled):
+        res = minimize_strip(weights, pot, constraints, seed_field=seed,
+                             record_trace=False)
         seed = res.field
         mask = level_mask(res.field, 0.0, "above")
         g_thr = 4.0 * per_K(weights, mask, PERIOD).per_K
@@ -133,10 +134,9 @@ def gamma_sweep(weights: WeightTable, potential, constraints: Constraints,
         rec["sym_diff"] = symmetric_difference_measure(rec["mask"], final)
 
     # recovery identity: on indicator data the scaled energy is epsilon-free
-    ident_gap = 0.0
-    for eps in eps_list:
-        e_ind = weights.period_value(final.indicator_field(), potential, eps)
-        ident_gap = max(ident_gap, abs(e_ind - records[-1]["G_threshold"]))
+    ind, g_final = final.indicator_field(), records[-1]["G_threshold"]
+    ident_gap = max(abs(weights.period_value(ind, pot) - g_final)
+                    for pot in scaled)
     gaps = [abs(r["E_eps"] - r["G_threshold"]) for r in records]
     trend_ok = all(g2 <= g1 * 1.10 for g1, g2 in zip(gaps, gaps[1:]))
     sym_ok = all(r1["sym_diff"] >= r2["sym_diff"] - 1e-12

@@ -84,14 +84,14 @@ def _strip(s, tau, Mf, cpt, dirn=(0, 1), Bf=4.0):
 
 def _solve(s, tau, Mf, cpt, dirn=(0, 1), eps=None, r_cut=None, theta=0.9):
     kernel = KernelSpec(dim=2, s=s, tau=tau, family="modulated")
-    potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True)
+    potential = PotentialSpec(family="quartic", tau=tau, Q_modulation=True,
+                              epsilon=eps)
     domain = _strip(s, tau, Mf, cpt, dirn)
     weights = build_weights(kernel, domain,
                             8.0 * tau if r_cut is None else r_cut)
-    result = minimize_strip(weights, potential, Constraints(theta),
-                            epsilon=eps)
+    result = minimize_strip(weights, potential, Constraints(theta))
     return dict(kernel=kernel, potential=potential, domain=domain,
-                weights=weights, result=result, eps=eps)
+                weights=weights, result=result)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,7 @@ def planelike_runs():
                         if cols.any() else (0.0, 0.0))
                 run["band"] = band
                 run["width"] = interface_width(run["result"].field, 0.9)
-                run["birkhoff"] = check_birkhoff(
-                    run["result"].field, [-0.9, -0.5, 0.0, 0.5, 0.9])
+                run["birkhoff"] = check_birkhoff(run["result"].field)
                 out[(s, dirn, tau)] = run
     return out
 
@@ -148,7 +147,7 @@ def scaling_runs():
         for R in cfg["radii"]:
             reports.append(run["weights"].window_report(
                 run["result"].field, BallWindow(run["center"], R),
-                run["potential"], cfg["eps"]))
+                run["potential"]))
         run["reports"] = reports
         out[s] = run
     return out
@@ -407,7 +406,7 @@ def test_criterion_09_barrier(barrier_quarter, scaling_runs):
              dom.t_hi - sbar.R - dom.h)
     slide = barrier_slide_test(run["weights"], run["potential"],
                                run["result"].field, sbar,
-                               (0.5 * dom.n_p * dom.h, t0), run["eps"])
+                               (0.5 * dom.n_p * dom.h, t0))
     slide_ok = slide["relative_defect"] >= TOL["slide_rel"]
     ok = op_ok and env_ok and slide_ok
     _report(9, "|L_K w| <= 1.05 d(1+w); envelope bounds; slide defect >= 0",
@@ -506,11 +505,11 @@ def test_criterion_13_gradient_correctness():
     for family, qmod, eps in combos:
         kernel = KernelSpec(dim=2, s=0.25, tau=1.0, family=family)
         potential = PotentialSpec(family="quartic", tau=1.0,
-                                  Q_modulation=qmod)
+                                  Q_modulation=qmod, epsilon=eps)
         domain = _strip(0.25, 1.0, 4.0, 4, Bf=2.0)
         weights = build_weights(kernel, domain, 2.0)
         u = rng.uniform(-0.8, 0.8, domain.shape)
-        grad = weights.gradient(Field(domain, u), potential, eps)
+        grad = weights.gradient(Field(domain, u), potential)
         step = 1e-5  # keeps the round-off share of the quotient below 1e-7
         for _ in range(100):
             i = (int(rng.integers(0, domain.n_p)),
@@ -519,8 +518,8 @@ def test_criterion_13_gradient_correctness():
             up[i] += step
             um = u.copy()
             um[i] -= step
-            fd = (weights.period_value(Field(domain, up), potential, eps)
-                  - weights.period_value(Field(domain, um), potential, eps)
+            fd = (weights.period_value(Field(domain, up), potential)
+                  - weights.period_value(Field(domain, um), potential)
                   ) / (2 * step)
             worst = max(worst, abs(grad[i] - fd) / max(abs(fd), 1e-12))
     ok = worst <= TOL["gradient_rel"]

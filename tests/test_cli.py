@@ -161,11 +161,14 @@ class TestConfig:
                 assert readme[name] == f"`{json.dumps(default)}`", name
 
     def test_spec_keys_are_the_spec_fields(self):
-        # tau comes from the geometry
-        for section, spec in (("kernel", KernelSpec),
-                              ("potential", PotentialSpec)):
+        # tau comes from the geometry, the potential's epsilon from the
+        # solver section
+        for section, spec, elsewhere in (
+                ("kernel", KernelSpec, {"tau"}),
+                ("potential", PotentialSpec, {"tau", "epsilon"})):
             assert set(cli._KEYS[section]) == (
-                {f.name for f in fields(spec)} - {"tau"})
+                {f.name for f in fields(spec)} - elsewhere)
+        assert "epsilon" in cli._KEYS["solver"]
 
     def test_domain_snaps_to_grid(self):
         cfg = ExperimentConfig.from_dict(base_config())

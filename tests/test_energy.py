@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -668,14 +668,26 @@ class TestWindowEnergies:
 
     def test_epsilon_scales_potential_only(self):
         _, dom, wt = axis_setup()
-        pot = PotentialSpec(family="quartic")
+        pot = PotentialSpec(family="quartic", Q_modulation=True)
         rng = np.random.default_rng(4)
         fld = Field(dom, rng.uniform(-1, 1, dom.shape))
-        r1 = wt.window_report(fld, PERIOD, pot)
-        r2 = wt.window_report(fld, PERIOD, pot, epsilon=0.5)
-        assert r2.kinetic_in == r1.kinetic_in
-        assert r2.potential == pytest.approx(
-            r1.potential * 0.5 ** (-0.5), rel=1e-12)
+        for window in (PERIOD, BallWindow((0.5, 2.0), 1.5)):
+            r1 = wt.window_report(fld, window, pot)
+            r2 = wt.window_report(fld, window, replace(pot, epsilon=0.5))
+            assert (r2.kinetic_in, r2.kinetic_cross) == (r1.kinetic_in,
+                                                         r1.kinetic_cross)
+            assert r2.potential == pytest.approx(
+                r1.potential * 0.5 ** (-0.5), rel=1e-12)
+
+    def test_q_modulated_potential_tau_must_match_strip(self):
+        _, dom, wt = axis_setup()
+        fld = Field(dom, np.zeros(dom.shape))
+        # an unmodulated well does not depend on tau
+        wt.period_value(fld, PotentialSpec(tau=2.0))
+        with pytest.raises(ConfigurationError,
+                           match="potential tau=2.0 differs from strip tau=1.0"):
+            wt.window_report(fld, BallWindow((0.5, 2.0), 1.5),
+                             PotentialSpec(tau=2.0, Q_modulation=True))
 
 
 def _direct_period(wt, fld):
@@ -774,11 +786,11 @@ class TestOperatorAndGradient:
     ])
     def test_gradient_matches_finite_differences(self, family, pf, eps):
         _, dom, wt = axis_setup(family=family)
-        pot = PotentialSpec(family=pf, Q_modulation=True)
+        pot = PotentialSpec(family=pf, Q_modulation=True, epsilon=eps)
         rng = np.random.default_rng(5)
         u = rng.uniform(-0.8, 0.8, dom.shape)
         fld = Field(dom, u)
-        grad = wt.gradient(fld, pot, eps)
+        grad = wt.gradient(fld, pot)
         step = 1e-6
         for _ in range(20):
             i = (int(rng.integers(0, dom.n_p)), int(rng.integers(0, dom.n_t)))
@@ -786,8 +798,8 @@ class TestOperatorAndGradient:
             up[i] += step
             um = u.copy()
             um[i] -= step
-            fd = (wt.period_value(Field(dom, up), pot, eps)
-                  - wt.period_value(Field(dom, um), pot, eps)) / (2 * step)
+            fd = (wt.period_value(Field(dom, up), pot)
+                  - wt.period_value(Field(dom, um), pot)) / (2 * step)
             assert grad[i] == pytest.approx(fd, rel=1e-6)
 
     @settings(max_examples=30)
@@ -804,6 +816,7 @@ class TestOperatorAndGradient:
         # to 0 from there); the gradient matches centred differences of the
         # period value
         wt, pot = strip_setup(dim, family, s)
+        pot = replace(pot, epsilon=eps)
         shape = wt.domain.shape
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-0.8, 0.8, shape).ravel()
@@ -811,23 +824,23 @@ class TestOperatorAndGradient:
         def field(x):
             return Field(wt.domain, x.reshape(shape), *far)
 
-        F0, seen = wt.period_value(field(x0), pot, eps), []
+        F0, seen = wt.period_value(field(x0), pot), []
         minimize._descend(
             lambda x: wt._kinetic(x.reshape(shape), *far)[0].ravel(),
-            wt._potential_weights(pot, eps).ravel(), pot, x0, F0,
+            wt._potential_weights(pot).ravel(), pot, x0, F0,
             optimize.Bounds(-1.0, 1.0), {"maxiter": 5},
             lambda x, F, grad: seen.append((x.copy(), F, grad)))
         assert seen
         for x, F, grad in seen:
-            assert np.array_equal(grad, wt.gradient(field(x), pot, eps).ravel())
-            assert F == pytest.approx(wt.period_value(field(x), pot, eps),
+            assert np.array_equal(grad, wt.gradient(field(x), pot).ravel())
+            assert F == pytest.approx(wt.period_value(field(x), pot),
                                       rel=1e-13, abs=1e-13 * abs(F0))
-        grad, step = wt.gradient(field(x0), pot, eps).ravel(), 1e-6
+        grad, step = wt.gradient(field(x0), pot).ravel(), 1e-6
         for k in rng.choice(x0.size, 5, replace=False):
             e = np.zeros(x0.size)
             e[k] = step
-            fd = (wt.period_value(field(x0 + e), pot, eps)
-                  - wt.period_value(field(x0 - e), pot, eps)) / (2 * step)
+            fd = (wt.period_value(field(x0 + e), pot)
+                  - wt.period_value(field(x0 - e), pot)) / (2 * step)
             assert fd == pytest.approx(
                 grad[k], rel=1e-6, abs=1e-6 * np.max(np.abs(grad)))
 
@@ -869,7 +882,7 @@ class TestRescale:
         scaled = Field(wt_eps.domain, fld.values, fld.far_below,
                        fld.far_above)
         a = asdict(wt.period_report(fld, pot))
-        b = asdict(wt_eps.period_report(scaled, pot_eps, eps))
+        b = asdict(wt_eps.period_report(scaled, replace(pot_eps, epsilon=eps)))
         for key in ("kinetic_in", "kinetic_cross", "potential", "total",
                     "tail_estimate"):
             assert b[key] == pytest.approx(eps ** (dim - 2 * s) * a[key],

@@ -15,6 +15,11 @@ def axis_domain(M=4.0, h=0.125, B=2.0):
     return build_domain(1.0, Direction((0, 1), 1.0), M=M, h=h, buffer=B)
 
 
+def measure(mask):
+    """Measure of the mask within the fundamental slab."""
+    return np.count_nonzero(mask.inside) * mask.domain.cell_volume
+
+
 def step_field(domain, level=2.0):
     t = domain.t_centers()
     vals = np.where(t < level, 1.0, -1.0)
@@ -26,18 +31,18 @@ class TestLevelMask:
         dom = axis_domain()
         mask = level_mask(Field.full(dom, 1.0, matching_far=True), 0.0)
         assert mask.inside.all() and mask.far_below and mask.far_above
-        assert mask.measure == pytest.approx(dom.n_p * dom.n_t * dom.cell_volume)
+        assert measure(mask) == pytest.approx(dom.n_p * dom.n_t * dom.cell_volume)
 
     def test_step_half(self):
         dom = axis_domain()
         mask = level_mask(step_field(dom), 0.0)
-        frac = mask.measure / (dom.n_p * dom.n_t * dom.cell_volume)
+        frac = measure(mask) / (dom.n_p * dom.n_t * dom.cell_volume)
         assert abs(frac - 0.5) <= 1.0 / dom.n_t
 
     def test_band_of_sharp_step_is_empty(self):
         dom = axis_domain()
         mask = level_mask(step_field(dom), 0.9, "band")
-        assert mask.measure == 0.0
+        assert measure(mask) == 0.0
 
     def test_complement_algebra(self):
         dom = axis_domain()
@@ -45,7 +50,7 @@ class TestLevelMask:
         f = Field(dom, rng.uniform(-1, 1, dom.shape))
         mask = level_mask(f, 0.2)
         total = dom.n_p * dom.n_t * dom.cell_volume
-        assert mask.measure + mask.complement().measure == pytest.approx(total)
+        assert measure(mask) + measure(mask.complement()) == pytest.approx(total)
 
     def test_strict_inequalities(self):
         dom = axis_domain()

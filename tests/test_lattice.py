@@ -230,6 +230,23 @@ class TestField:
         with pytest.raises(GeometryError):
             Field(dom, np.full(dom.shape, 1.5))
 
+    @pytest.mark.parametrize("value", [math.nan, 3.0, -1.5, math.inf])
+    def test_bad_cell_value_named(self, value):
+        dom = axis_domain()
+        values = np.zeros(dom.shape)
+        values[1, 2] = value
+        with pytest.raises(GeometryError, match=(
+                rf"field and far values must lie in \[-1, 1\], got {value!r}")):
+            Field(dom, values)
+
+    @pytest.mark.parametrize("far", ["far_below", "far_above"])
+    @pytest.mark.parametrize("value", [math.nan, 3.0, -1.5, -math.inf])
+    def test_bad_far_value_named(self, far, value):
+        dom = axis_domain()
+        with pytest.raises(GeometryError, match=(
+                rf"field and far values must lie in \[-1, 1\], got {value!r}")):
+            Field(dom, np.zeros(dom.shape), **{far: value})
+
     def test_dump_csv(self, tmp_path):
         dom = axis_domain(M=1.0, h=0.5, B=0.5)
         f = Field.full(dom, 0.25)

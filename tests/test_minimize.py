@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nlphase.barrier import build_barrier, verify_barrier
 from nlphase.energy import (BallWindow, ConfigurationError, PERIOD,
                             build_weights)
-from nlphase.geometry import level_mask
+from nlphase.geometry import interface_height, level_mask
 from nlphase.lattice import Direction, Field, build_domain
 from nlphase import minimize
 from nlphase.minimize import (Constraints, ball_improvement, check_birkhoff,
@@ -141,15 +143,15 @@ class TestMinimizeStrip:
 class TestBirkhoff:
     def test_solution_passes_all_levels(self, solved):
         *_, res = solved
-        rep = check_birkhoff(res.field, [-0.9, -0.5, 0.0, 0.5, 0.9])
+        rep = check_birkhoff(res.field)
         assert rep["passed"] and rep["worst_cells"] == 0
 
     def test_orthogonal_generator_equality(self, solved):
         # e_1 is orthogonal to omega = e_2: the shifted sets must be equal
         *_, res = solved
-        rep = check_birkhoff(res.field, [0.0])
+        rep = check_birkhoff(res.field)
         orth = [r for r in rep["rows"] if r["k"] in ((1, 0), (-1, 0))]
-        assert len(orth) == 4
+        assert len(orth) == 4 * len(minimize.BIRKHOFF_LEVELS)
         assert all(r["violating_cells"] == 0 for r in orth)
 
     def test_constructed_violation_detected(self, solved):
@@ -160,7 +162,7 @@ class TestBirkhoff:
         it = int((4.5 - domain.t_lo) / domain.h)
         assert bad.values[1, it] < 0.0
         bad.values[1, it] = 0.5
-        rep = check_birkhoff(bad, [0.0])
+        rep = check_birkhoff(bad)
         assert not rep["passed"]
         assert rep["worst_cells"] > 0
         measures = [r["violation_measure"] for r in rep["rows"]]
@@ -199,6 +201,19 @@ class TestClassA:
                                 ((domain.n_p * domain.h) / 2,
                                  0.5 * (domain.t_lo + domain.t_hi)), 1.0)
         assert gain > 1e-4
+
+    def test_ball_resolve_takes_the_solve_epsilon(self, solved):
+        # a state solved at eps is a local minimizer of the scaled energy
+        # only: under the unscaled potential the same ball re-solve gains
+        kernel, potential, domain, weights, cons, res = solved
+        scaled = replace(potential, epsilon=0.125)
+        field = minimize_strip(weights, scaled, cons).field
+        center = (0.5 * domain.n_p * domain.h, interface_height(field))
+        F = abs(weights.period_value(field, scaled))
+        gains = [ball_improvement(weights, pot, field, center, 1.0)
+                 for pot in (scaled, potential)]
+        assert gains[0] <= minimize.CLASS_A_REL * F
+        assert gains[1] > 1e-3 * F
 
     def test_outside_ball_skipped(self):
         # a strip 4h high holds no ball of radius >= 2h clear of both

@@ -87,6 +87,31 @@ class TestKernel:
             spec.nu = 0.1
 
 
+class TestSpecValidation:
+    # nan fails every comparison, so a bare `tau <= 0` check lets it through
+    BAD = [math.nan, math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("tau", BAD)
+    @pytest.mark.parametrize("make", [
+        KernelSpec, lambda tau: PotentialSpec(tau=tau, Q_modulation=True)],
+        ids=["kernel", "potential"])
+    def test_tau_finite_and_positive(self, make, tau):
+        with pytest.raises(ValueError,
+                           match=f"tau must be finite and positive, got {tau!r}"):
+            make(tau=tau)
+
+    @pytest.mark.parametrize("eps", BAD)
+    def test_epsilon_finite_and_positive(self, eps):
+        with pytest.raises(
+                ValueError,
+                match=f"epsilon must be finite and positive, got {eps!r}"):
+            PotentialSpec(epsilon=eps)
+
+    def test_epsilon_defaults_to_unscaled(self):
+        assert PotentialSpec().epsilon is None
+        assert PotentialSpec(epsilon=0.25).epsilon == 0.25
+
+
 class TestPotential:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_wells_are_zeros(self, family):

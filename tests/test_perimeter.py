@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +211,7 @@ class TestGammaSweep:
         potential = PotentialSpec(family="quartic")
         for rec in recs:
             assert rec["E_eps"] == sweep_weights.period_value(
-                rec["field"], potential, rec["eps"])
+                rec["field"], replace(potential, epsilon=rec["eps"]))
 
     def test_recovery_identity_exact(self, sweep):
         assert sweep["recovery_identity_gap"] <= 1e-10

@@ -85,11 +85,19 @@ def test_every_public_name_has_a_caller():
                 refs.add(node.id)
             elif isinstance(node, ast.Attribute):
                 refs.add(node.attr)
-    uncalled = [f"{path.stem}.{node.name}"
-                for path in sorted((ROOT / "src" / "nlphase").glob("*.py"))
-                for node in ast.parse(path.read_text()).body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_") and node.name not in refs]
+    # a public name is a top-level function or class, or a method or
+    # property of a top-level class
+    public = []
+    for path in sorted((ROOT / "src" / "nlphase").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                public += [(f"{path.stem}.{node.name}.{m.name}", m.name)
+                           for m in node.body
+                           if isinstance(m, ast.FunctionDef)]
+    uncalled = [qual for qual, name in public
+                if not name.startswith("_") and name not in refs]
     assert uncalled == []
 
 
