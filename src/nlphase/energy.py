@@ -42,15 +42,18 @@ primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
   values times `far_weights` (per-period energy, gradient, L_K, flip
   gains, frozen ball couplings, row sums);
 * `rect_operator` -- the matvec X -> sum_j w_ij X_j over the cells of a
-  materialized single-copy rectangle (window energies, windowed
-  K-perimeters, and, through `ball_operator`, the class-A ball re-solves).
+  single-copy box, cut to its own lags (the inside pairs of windows, and,
+  through `ball_operator`, the class-A ball re-solves).
 
 All sums evaluate through FFTs, so the cutoff radius can be taken
 comparable to the simulated region at negligible cost.  The far weights
 (Fb, Fa) and the row sums are attributes built once with the table; the
 per-period value, its parts, its gradient and L_K share one kinetic pass
 (`WeightTable._kinetic`), which is also the kinetic gradient of the strip
-solver (`nlphase.minimize._descend`).
+solver (`nlphase.minimize._descend`).  A box or ball window takes its
+inside pairs from `rect_operator` on its cell box, and the pairs with one
+end in it from sums over every world cell for its rows, periodic in p and
+so one correlation over the fundamental columns (`WeightTable._world_sums`).
 """
 
 from __future__ import annotations
@@ -267,6 +270,13 @@ class BallWindow:
     center: tuple
     radius: float
 
+    def __post_init__(self):
+        if not 0.0 < self.radius < math.inf:    # NaN fails too
+            raise WindowError(
+                f"ball radius must be finite and positive, got {self.radius!r}")
+        if not np.all(np.isfinite(self.center)):
+            raise WindowError(f"ball centre must be finite, got {self.center!r}")
+
     def contains(self, P, T):
         p0, t0 = self.center
         return (P - p0) ** 2 + (T - t0) ** 2 < self.radius ** 2
@@ -354,14 +364,10 @@ class WeightTable:
             n, s, K, self.r_cut / h)
         self._fft_size = (domain.n_p, sfft.next_fast_len(domain.n_t + 2 * K))
         self._spectrum = np.conj(sfft.rfftn(self._embed(self._fft_size)))
-        ext = (0, domain.n_p, -K, domain.n_t + K)
-        g_ext = self._g_rect(ext)
-        self._g_slab = g_ext[:, K:K + domain.n_t]
+        self._g_slab = self._g_rect((0, domain.n_p, 0, domain.n_t))
         zero = np.zeros(domain.shape)
-        far_rows = np.stack([domain.unroll(zero, 1.0, 0.0, ext),
-                             domain.unroll(zero, 0.0, 1.0, ext)])
-        near_b, near_a = self._weighted_sum(far_rows, g_ext)[
-            ..., K:K + domain.n_t]
+        near_b, near_a = self._world_sums((0, domain.n_p, 0, domain.n_t),
+                                          (zero, zero), ((1.0, 0.0), (0.0, 1.0)))
         self._slab_tails = tp, tm = self._tails_for(np.arange(domain.n_t))
         self.far_weights = Fb, Fa = near_b + tp, near_a + tm
         # bitwise the interaction sum of the constant state 1, so that
@@ -417,16 +423,17 @@ class WeightTable:
 
     # -- heterogeneity ------------------------------------------------------
 
-    def _g_rect(self, rect) -> np.ndarray:
-        """Modulation g over a cell-index rectangle, evaluated on the
-        fundamental columns (so periodic images agree bitwise)."""
-        ip0, ip1, it0, it1 = rect
-        if self.kernel.family == "standard":
-            return np.zeros((ip1 - ip0, it1 - it0))
+    def _periodic_rect(self, rect, f) -> np.ndarray:
+        """f(x) at the world centres of a cell-index rectangle, evaluated on
+        the fundamental columns (so periodic images agree bitwise)."""
         d = self.domain
+        ip0, ip1, it0, it1 = rect
         P, T = d.rect_centers((0, d.n_p, it0, it1))
-        g = self.kernel.modulation(d.world_of_frame(P, T))
-        return g[np.mod(np.arange(ip0, ip1), d.n_p)]
+        return f(d.world_of_frame(P, T))[np.mod(np.arange(ip0, ip1), d.n_p)]
+
+    def _g_rect(self, rect) -> np.ndarray:
+        """Modulation g over a cell-index rectangle (`_periodic_rect`)."""
+        return self._periodic_rect(rect, self.kernel.modulation)
 
     # -- spectral helpers -----------------------------------------------------
 
@@ -434,7 +441,7 @@ class WeightTable:
         """The stencil on an FFT grid, offset 0 at index 0, cut to offsets
         of at most ``reach`` = (rp, rt) cells per axis (default: all);
         offsets that wrap onto one index (the periodic p axis,
-        n_p < 2K + 1) add up."""
+        n_p < 2K + 1) add up, in the order of `np.add.at`."""
         K = self.k_cells
         rp, rt = (K, K) if reach is None else (min(r, K) for r in reach)
         block = self.stencil[:, K - rt:K + rt + 1]
@@ -443,16 +450,17 @@ class WeightTable:
         else:
             block = block[K - rp:K + rp + 1]
             rows = np.arange(-rp, rp + 1)[:, None] % shape[0]
-        A = np.zeros(shape)
-        np.add.at(A, (rows, np.arange(-rt, rt + 1)[None, :] % shape[1]), block)
-        return A
+        flat = rows * shape[1] + np.arange(-rt, rt + 1)[None, :] % shape[1]
+        return np.bincount(flat.ravel(), block.ravel(),
+                           shape[0] * shape[1]).reshape(shape)
 
     def _weighted_sum(self, X: np.ndarray, G: np.ndarray, size=None,
                       spectrum=None) -> np.ndarray:
         """sum_j w_ij X_j for each cell i of the rows ``X`` (p periodic,
         rows beyond them zero); ``G`` is the modulation on those rows.  A
         transform ``size`` and stencil ``spectrum`` other than the period
-        grid's (`rect_operator`) correlate a single-copy rectangle."""
+        grid's correlate other rows (`_world_sums`) or a single-copy box
+        (`rect_operator`)."""
         size = size or self._fft_size
         spectrum = self._spectrum if spectrum is None else spectrum
 
@@ -478,27 +486,34 @@ class WeightTable:
         return (self._weighted_sum(u, self._g_slab)
                 + far_below * Fb + far_above * Fa)
 
+    def _world_sums(self, rect, values, far) -> np.ndarray:
+        """sum_j w_ij X_j over every world cell j within the cutoff, at the
+        cells i of a cell-index rectangle (rows past the slab too), for each
+        X with slab values ``values[k]`` and far values ``far[k]``: one
+        correlation over the fundamental columns of its rows grown by K, on
+        n_p x next_fast_len(rows + 2K) points, circular in p."""
+        d, K, (it0, it1) = self.domain, self.k_cells, rect[2:]
+        ext = (0, d.n_p, it0 - K, it1 + K)
+        X = np.stack([d.unroll(v, *f, ext) for v, f in zip(values, far)])
+        size = (d.n_p, sfft.next_fast_len(it1 - it0 + 2 * K))
+        spectrum = (self._spectrum if size == self._fft_size
+                    else np.conj(sfft.rfftn(self._embed(size))))
+        S = self._weighted_sum(X, self._g_rect(ext), size, spectrum)
+        return S[..., np.mod(np.arange(*rect[:2]), d.n_p), K:K + it1 - it0]
+
     def ball_operator(self, ball: BallWindow) -> tuple:
         """The cells of a ball and the matvec of its own pair weights.
 
         Returns (rect, inball, op): the cell-index rectangle that covers the
         ball (unpadded, single copy, so periodic images of one slab cell are
         separate cells), the mask of the ball's cells in it, and
-        op(v) = sum_{j in ball} w_ij v_j for each ball cell i, with ``v``
-        and the result ordered as ``rect``'s cells under ``inball``.
-
-        The matvec is a linear correlation on next_fast_len(2n - 1) points
-        per axis of an n-cell rectangle, against the stencil cut to lags of
-        at most n - 1, the largest lag inside the rectangle; longer lags
-        would wrap onto real ones.
+        op(v) = sum_{j in ball} w_ij v_j for each ball cell i (`rect_operator`),
+        with ``v`` and the result ordered as ``rect``'s cells under ``inball``.
         """
         d = self.domain
         rect = d.cover(ball.bounds(), 0)
         inball = ball.contains(*d.rect_centers(rect))
-        matvec = self.rect_operator(
-            self._g_rect(rect),
-            tuple(sfft.next_fast_len(2 * n - 1) for n in inball.shape),
-            tuple(n - 1 for n in inball.shape))
+        matvec = self.rect_operator(self._g_rect(rect))
 
         def op(v):
             X = np.zeros(inball.shape)
@@ -507,13 +522,15 @@ class WeightTable:
 
         return rect, inball, op
 
-    def rect_operator(self, G: np.ndarray, size=None, reach=None):
-        """The matvec X -> sum_j w_ij X_j for each cell i of a materialized
-        (single copy, non-periodic) rectangle whose modulation values are
-        ``G``: a correlation on ``size`` points per axis (default
-        `_fft_shape`) against the stencil cut to lags of at most ``reach``
-        cells per axis (default all)."""
-        size = size or self._fft_shape(G.shape)
+    def rect_operator(self, G: np.ndarray):
+        """The matvec X -> sum_j w_ij X_j for each cell i of a single-copy
+        (non-periodic) box of cells whose modulation values are ``G``, X
+        stacked or not: a linear correlation on N = next_fast_len(n + r)
+        points per axis of n cells, against the stencil cut to lags of at
+        most r = min(K, n - 1), the longest lag within the box.  It is
+        exact: a lag that wraps lands at least N - r >= n, past the box."""
+        reach = tuple(min(self.k_cells, n - 1) for n in G.shape)
+        size = tuple(sfft.next_fast_len(n + r) for n, r in zip(G.shape, reach))
         spectrum = np.conj(sfft.rfftn(self._embed(size, reach)))
         return lambda X: self._weighted_sum(X, G, size, spectrum)
 
@@ -587,69 +604,57 @@ class WeightTable:
 
     def window_report(self, field: Field, window, potential=None,
                       transform=None) -> EnergyReport:
-        """Energy over a window; ``transform(V, P, T)`` may edit the values
-        of the materialized (single copy, non-periodic) grid first.
+        """Energy over a window; ``transform(V, P, T)`` may first edit the
+        values V at the frame centres (P, T) of the window's cell box, of
+        which only the window's cells are read: outside it the field's
+        values U stand, as for a local competitor.
 
         The period window counts pairs once per equivalence class of ~ and
         is the per-period functional; box and ball windows are honest plane
         windows, in which pairs straddling the window boundary enter the
-        cross term once per world copy.
+        cross term once per world copy: sum_{i in W} sum_j w_ij (V_i - U_j)^2
+        over every world cell j (`_world_sums` of 1, U, U^2) less the pairs
+        with j in W, which come from the box correlation (`rect_operator`).
         """
         if isinstance(window, PeriodWindow):
             return self.period_report(field, potential)
-        V, G, P, T, tp, tm = self.window_cells(field, window)
-        if transform is not None:
-            V = transform(V, P, T)
-        inside = window.contains(P, T)
-        if not inside.any():
-            raise WindowError("window contains no cells")
+        d = self.domain
+        rect, inside, P, T = self._window_box(window)
+        u, fb, fa = field.values, field.far_below, field.far_above
+        U = d.unroll(u, fb, fa, rect)
+        V = U if transform is None else transform(U.copy(), P, T)
         chi = inside.astype(float)
-        chiV = chi * V
-        # chi and chi V vanish within K cells of the rectangle's edges and
-        # op(1) is read only where chi is 1, so no term aliases (`_fft_shape`)
-        op = self.rect_operator(G)
-        y1, y2 = op(chi), op(chiV)
-        kin_in = float(np.sum(chiV * V * y1)) - float(np.sum(chiV * y2))
-        # all pairs with one end in the window, less those with both ends
-        kin_cross = (float(np.sum(chiV * V * op(np.ones_like(V))))
-                     - 2.0 * float(np.sum(V * y2))
-                     + float(np.sum(V * V * y1)) - 2.0 * kin_in)
-        tail = float(np.sum(chi * ((V - field.far_below) ** 2 * tp
-                                   + (V - field.far_above) ** 2 * tm)))
-        kin_cross += tail
-
-        pot = 0.0 if potential is None else float(np.sum(
-            self._potential_weights(potential, self.domain.world_of_frame(
-                P[inside], T[inside])) * potential.profile(V[inside])))
+        w_chi, w_chiV, w_chiU = self.rect_operator(self._g_rect(rect))(np.stack(
+            [chi, chi * V] + ([] if transform is None else [chi * U])))[[0, 1, -1]]
+        kin_in = float(np.sum(chi * V * V * w_chi)) - float(np.sum(chi * V * w_chiV))
+        W1, WU, WU2 = self._world_sums(rect, (np.ones(d.shape), u, u * u),
+                                       ((1.0, 1.0), (fb, fa), (fb * fb, fa * fa)))
+        tp, tm = self._tails_for(np.arange(rect[2], rect[3]))
+        tail = float(np.sum(chi * ((V - fb) ** 2 * tp + (V - fa) ** 2 * tm)))
+        kin_cross = (float(np.sum(chi * (V * V * W1 - 2.0 * V * WU + WU2)))
+                     - float(np.sum(chi * (V * V + U * U) * w_chi))
+                     + 2.0 * float(np.sum(chi * V * w_chiU)) + tail)
+        pot = 0.0 if potential is None else float(np.sum(self._periodic_rect(
+            rect, lambda x: self._potential_weights(potential, x))[inside]
+            * potential.profile(V[inside])))
         total = kin_in + kin_cross + pot
         return EnergyReport(kin_in, kin_cross, pot, total, tail)
 
-    def window_cells(self, field: Field, window) -> tuple:
-        """(values, g, P, T, tp, tm) over the cell-index rectangle that
-        covers a box or ball window grown by the stencil radius: a single
-        copy of the plane, not folded by the periodicity; (tp, tm) are the
-        far tail weights of its rows, shaped to broadcast over it."""
+    def _window_box(self, window) -> tuple:
+        """(rect, inside, P, T): the single-copy cell-index box of a box or
+        ball window, the mask of the window's cells and the frame centres."""
         d = self.domain
         p_lo, p_hi, t_lo, t_hi = bounds = window.bounds()
         if t_hi <= t_lo or (d.dim == 2 and p_hi <= p_lo):
             raise WindowError("empty window")
         if t_hi <= d.t_lo or t_lo >= d.t_hi:
             raise WindowError("window lies outside the simulated region")
-        rect = d.cover(bounds, self.k_cells)
-        V = d.unroll(field.values, field.far_below, field.far_above, rect)
-        tp, tm = self._tails_for(np.arange(rect[2], rect[3]))
-        return (V, self._g_rect(rect), *d.rect_centers(rect),
-                tp[None, :], tm[None, :])
-
-    @staticmethod
-    def _fft_shape(grid_shape) -> tuple:
-        """Circular transform shape of `rect_operator` for a rectangle of n
-        cells per axis.  Where the argument vanishes within K cells of the
-        rectangle's edges, or the result is read only at cells at least K
-        from them, a pair has lag |j - i| <= n - 1 - K, and a circular lag
-        aliases only lags of at least N - K > n - 1 - K, so
-        N = next_fast_len(n) >= n is exact.  Otherwise N >= n + K is needed."""
-        return tuple(sfft.next_fast_len(n) for n in grid_shape)
+        rect = d.cover(bounds, 0)
+        P, T = d.rect_centers(rect)
+        inside = window.contains(P, T)
+        if not inside.any():
+            raise WindowError("window contains no cells")
+        return rect, inside, P, T
 
 
 # ---------------------------------------------------------------------------

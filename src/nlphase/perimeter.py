@@ -47,31 +47,27 @@ def _require_subcritical(weights: WeightTable):
 
 
 def per_K(weights: WeightTable, mask: SetMask, window) -> PerimeterResult:
-    """Three-part K-perimeter of a mask inside a window."""
+    """Three-part K-perimeter of a mask inside a window.  In a box or ball
+    window part1 comes from its cell box (`WeightTable.rect_operator`), and
+    the other parts from the weights W1 and WE of every world cell and of
+    every cell of E, for the window's rows, less part1."""
     _require_subcritical(weights)
     if isinstance(window, PeriodWindow):
         return _per_K_period(weights, mask)
-    V, G, P, T, tp, tm = weights.window_cells(mask.indicator_field(), window)
-    chiE = V > 0.0
-    chiW = window.contains(P, T)
+    d = weights.domain
+    rect, chiW = weights._window_box(window)[:2]
+    chiE = d.unroll(mask.inside, mask.far_below, mask.far_above, rect)
     X1 = (chiE & chiW).astype(float)
     Y1 = (chiW & ~chiE).astype(float)
-    Y2 = (~chiE & ~chiW).astype(float)
-    X3 = (chiE & ~chiW).astype(float)
-    # Y1 lies in the window, so z1 is exact everywhere; z2 is read only on
-    # X1, which lies in the window too (`WeightTable._fft_shape`)
-    op = weights.rect_operator(G)
-    z1, z2 = op(Y1), op(Y2)
-    part1 = float(np.sum(X1 * z1))
-    part2 = float(np.sum(X1 * z2))
-    part3 = float(np.sum(X3 * z1))
-
-    tail2 = float(np.sum(X1 * ((0.0 if mask.far_below else 1.0) * tp
-                               + (0.0 if mask.far_above else 1.0) * tm)))
-    tail3 = float(np.sum(Y1 * ((1.0 if mask.far_below else 0.0) * tp
-                               + (1.0 if mask.far_above else 0.0) * tm)))
-    part2 += tail2
-    part3 += tail3
+    part1 = float(np.sum(X1 * weights.rect_operator(weights._g_rect(rect))(Y1)))
+    fb, fa = float(mask.far_below), float(mask.far_above)
+    W1, WE = weights._world_sums(rect, (np.ones(d.shape), mask.inside.astype(float)),
+                                 ((1.0, 1.0), (fb, fa)))
+    tp, tm = weights._tails_for(np.arange(rect[2], rect[3]))
+    tail2 = float(np.sum(X1 * ((1.0 - fb) * tp + (1.0 - fa) * tm)))
+    tail3 = float(np.sum(Y1 * (fb * tp + fa * tm)))
+    part2 = float(np.sum(X1 * (W1 - WE))) - part1 + tail2
+    part3 = float(np.sum(Y1 * WE)) - part1 + tail3
     total = part1 + part2 + part3
     return PerimeterResult(total, (part1, part2, part3), repr(window),
                            tail2 + tail3)
@@ -84,11 +80,9 @@ def _per_K_period(weights: WeightTable, mask: SetMask) -> PerimeterResult:
     part1 = rep.kinetic_in / 4.0
     # split the far cross term into the E-side and complement-side parts
     Fb, Fa = weights.far_weights
-    chiE = mask.inside
-    part2 = float(np.sum(np.where(chiE, (0.0 if mask.far_below else 1.0) * Fb
-                                  + (0.0 if mask.far_above else 1.0) * Fa, 0.0)))
-    part3 = float(np.sum(np.where(~chiE, (1.0 if mask.far_below else 0.0) * Fb
-                                  + (1.0 if mask.far_above else 0.0) * Fa, 0.0)))
+    chiE, fb, fa = mask.inside, float(mask.far_below), float(mask.far_above)
+    part2 = float(np.sum(np.where(chiE, (1.0 - fb) * Fb + (1.0 - fa) * Fa, 0.0)))
+    part3 = float(np.sum(np.where(~chiE, fb * Fb + fa * Fa, 0.0)))
     total = part1 + part2 + part3
     return PerimeterResult(total, (part1, part2, part3), "period",
                            rep.tail_estimate / 4.0)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -205,13 +206,12 @@ def brute_window(wt, fld, window):
         return bool(window.contains(np.array(p), np.array(t)))
 
     kin_in = kin_cross = pot_cells = 0.0
-    lo_p = -3 * n_p - K
-    hi_p = 3 * n_p + K
-    for ip in range(lo_p, hi_p):
+    two_d = dom.dim == 2
+    for ip in range(-3 * n_p - K, 3 * n_p + K) if two_d else [0]:
         for it in range(-K, n_t + K):
             if not in_win(ip, it):
                 continue
-            for dp in range(-K, K + 1):
+            for dp in range(-K, K + 1) if two_d else [0]:
                 for dt in range(-K, K + 1):
                     w = 0.0
                     if abs(dp) <= K and abs(dt) <= K:
@@ -232,14 +232,21 @@ def brute_window(wt, fld, window):
     return kin_in, kin_cross
 
 
-def compensated_window(wt, fld, window):
+def compensated_window(wt, fld, window, transform=None):
     """(kinetic_in, kinetic_cross) of a window as `math.fsum` of the
     nonnegative pair terms w_ij (V_i - V_j)^2 over the stencil offsets (one
     correctly rounded partial per offset), with the tails added as
-    `window_report` adds them."""
-    V, G, P, T, tp, tm = wt.window_cells(fld, window)
+    `window_report` adds them, over the window's cells grown by K cells on
+    every side; ``transform`` edits the window's cells of this one copy."""
+    d, K = wt.domain, wt.k_cells
+    rect = d.cover(window.bounds(), K)
+    V = d.unroll(fld.values, fld.far_below, fld.far_above, rect)
+    G = wt._g_rect(rect)
+    P, T = d.rect_centers(rect)
+    tp, tm = (t[None, :] for t in wt._tails_for(np.arange(rect[2], rect[3])))
     inside = window.contains(P, T)
-    K = wt.k_cells
+    if transform is not None:
+        V = np.where(inside, transform(V, P, T), V)
     # every offset of a window cell stays inside the rectangle
     assert not (inside[:, :K].any() or inside[:, -K:].any())
     if wt.domain.dim == 2:
@@ -255,6 +262,21 @@ def compensated_window(wt, fld, window):
     tail = float(np.sum(inside * ((V - fld.far_below) ** 2 * tp
                                   + (V - fld.far_above) ** 2 * tm)))
     return math.fsum(in_parts), math.fsum(cross_parts) + tail
+
+
+def box_transforms(wt, fld, window):
+    """(box shape, transform size) of the inside-pair correlation of a
+    window energy, the one `_embed` call that is cut to the box's lags."""
+    calls = []
+    embed = wt._embed
+    wt._embed = lambda shape, reach=None: (
+        calls.append((shape, reach)) or embed(shape, reach))
+    try:
+        wt.window_report(fld, window)
+    finally:
+        del wt._embed
+    (size, _), = [c for c in calls if c[1] is not None]
+    return wt._window_box(window)[1].shape, size
 
 
 def lattice_images(d1, d2):
@@ -498,9 +520,9 @@ class TestWindowEnergies:
             assert rep.total == pytest.approx(lhs, rel=1e-12)
             assert min(rep.kinetic_in, rep.kinetic_cross, rep.potential) >= 0
 
-    # an unpadded ball sits on cell corners: its rectangle, 8 window cells
-    # plus K = 5 on each side, is 18 cells per axis, already a fast length,
-    # so the transform wraps at the rectangle's own size
+    # an unpadded ball sits on cell corners: its box is 8 cells per axis,
+    # and with K = 5 the inside pairs correlate on next_fast_len(8 + 5) = 14
+    # points, one more than a wrap-free transform needs
     @pytest.mark.parametrize("family,s,direction,unpadded", [
         pytest.param(family, s, direction, unpadded,
                      id=f"{family}-{s}-direction{i}"
@@ -525,9 +547,7 @@ class TestWindowEnergies:
         center = (2 * h, dom.t_lo + 5 * h) if unpadded else (0.4 * L, 0.7)
         window = BallWindow(center, 3.1 * h)
         if unpadded:
-            shape = wt.window_cells(fld, window)[0].shape
-            assert shape == (18, 18)
-            assert wt._fft_shape(shape) == shape
+            assert box_transforms(wt, fld, window) == ((8, 8), (14, 14))
         rep = wt.window_report(fld, window)
         kin_in, kin_cross = brute_window(wt, fld, window)
         assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
@@ -536,8 +556,8 @@ class TestWindowEnergies:
     @pytest.mark.parametrize("family", ["standard", "modulated"])
     def test_windowed_per_K_unpadded(self, family):
         # Per_K's third part pairs E outside the window, which is not
-        # window-supported, with the window's cells outside E; the
-        # transform is the 18 x 18 rectangle itself
+        # window-supported, with the window's cells outside E; the inside
+        # pairs correlate on the 8 x 8 box with K = 5
         d = Direction((0, 1), 1.0)
         h = 0.25
         wt = build_weights(KernelSpec(dim=2, s=0.25, family=family),
@@ -547,8 +567,7 @@ class TestWindowEnergies:
         fld = Field(dom, np.random.default_rng(5).uniform(-1, 1, dom.shape))
         mask = level_mask(fld, 0.0, "above")
         window = BallWindow((2 * h, dom.t_lo + 5 * h), 3.1 * h)
-        shape = wt.window_cells(fld, window)[0].shape
-        assert wt._fft_shape(shape) == shape == (18, 18)
+        assert box_transforms(wt, fld, window) == ((8, 8), (14, 14))
         res = per_K(wt, mask, window)
         assert res.parts[2] > 0.0
         assert res.per_K == pytest.approx(
@@ -560,7 +579,8 @@ class TestWindowEnergies:
     @pytest.mark.parametrize("s", [0.25, 0.75])
     def test_window_matches_compensated_sum(self, s):
         # the benchmark's s = 0.75 strip geometry and a ball of radius
-        # 6 tau, a rectangle of 169 x 169 cells with K = 48
+        # 6 tau, a box of 73 x 73 cells with K = 48, whose inside pairs
+        # correlate on 73 + 48 = 121 points, a fast length: no slack
         tau = 1.0
         dom = build_domain(tau, Direction((0, 1), tau), M=14.0 * tau,
                            h=tau / 6.0, buffer=4.0 * tau)
@@ -572,7 +592,7 @@ class TestWindowEnergies:
              + 0.05 * rng.standard_normal(dom.shape))
         fld = Field(dom, np.clip(u, -1.0, 1.0))
         window = BallWindow((0.3, 0.5 * dom.M + 0.2), 6.0 * tau)
-        assert wt.window_cells(fld, window)[0].shape == (169, 169)
+        assert box_transforms(wt, fld, window) == ((73, 73), (121, 121))
         rep = wt.window_report(fld, window)
         kin_in, kin_cross = compensated_window(wt, fld, window)
         assert rep.kinetic_in == pytest.approx(kin_in, rel=5e-12, abs=0)
@@ -688,6 +708,138 @@ class TestWindowEnergies:
                            match="potential tau=2.0 differs from strip tau=1.0"):
             wt.window_report(fld, BallWindow((0.5, 2.0), 1.5),
                              PotentialSpec(tau=2.0, Q_modulation=True))
+
+
+class TestWindowBox:
+    """Window energies on the window's own cell box: the inside pairs from
+    `rect_operator`, the rest from the world sums of the window's rows."""
+
+    @staticmethod
+    def small_table(family, dim=2, s=0.25):
+        """Four cells per period, eight rows, K = 5."""
+        h = 0.25
+        d = Direction((0, 1) if dim == 2 else (1,), 1.0)
+        dom = build_domain(1.0, d, M=4 * h, h=h, buffer=2 * h)
+        return build_weights(KernelSpec(dim=dim, s=s, family=family), dom,
+                             5 * h)
+
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_far_crossing_window_matches_brute_force(self, family, kind):
+        # the window reaches 2-3 rows into a far half-plane, whose cells
+        # take the far values and whose rows the world sums evaluate
+        wt = self.small_table(family)
+        dom, h = wt.domain, wt.domain.h
+        fld = random_field(dom, 11)
+        window = (BallWindow((0.4, dom.t_lo + h), 3.1 * h) if kind == "ball"
+                  else BoxWindow(0.1, 0.9, dom.t_hi - 2 * h, dom.t_hi + 3 * h))
+        rect = wt._window_box(window)[0]
+        assert rect[2] < 0 if kind == "ball" else rect[3] > dom.n_t
+        rep = wt.window_report(fld, window)
+        kin_in, kin_cross = brute_window(wt, fld, window)
+        assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
+        assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10)
+        mask = level_mask(fld, 0.0, "above")
+        ref = sum(brute_window(wt, mask.indicator_field(), window)) / 4.0
+        assert per_K(wt, mask, window).per_K == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    def test_far_crossing_window_1d(self, family):
+        wt = self.small_table(family, dim=1)
+        dom, h = wt.domain, wt.domain.h
+        fld = random_field(dom, 12)
+        window = BallWindow((0.5 * h, dom.t_hi - h), 3.1 * h)
+        rep = wt.window_report(fld, window)
+        kin_in, kin_cross = brute_window(wt, fld, window)
+        assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
+        assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10)
+
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    def test_transform_edits_window_cells_only(self, family):
+        wt, pot = strip_setup(2, family, 0.4)
+        fld = random_field(wt.domain, 13)
+        window = BallWindow((0.3, 1.1), 0.9)
+
+        def everywhere(V, P, T):
+            return 0.5 * V - 0.3 * np.cos(P + T)
+
+        def in_window(V, P, T):
+            return np.where(window.contains(P, T), everywhere(V, P, T), V)
+
+        rep = wt.window_report(fld, window, pot, transform=everywhere)
+        assert asdict(rep) == asdict(
+            wt.window_report(fld, window, pot, transform=in_window))
+        # the edit is local: the window's cells of one world copy change,
+        # every other cell, periodic images included, keeps its value
+        kin_in, kin_cross = compensated_window(wt, fld, window, everywhere)
+        assert rep.kinetic_in == pytest.approx(kin_in, rel=5e-12, abs=0)
+        assert rep.kinetic_cross == pytest.approx(kin_cross, rel=5e-12, abs=0)
+        same = wt.window_report(fld, window, pot, transform=lambda V, P, T: V)
+        base = wt.window_report(fld, window, pot)
+        for key, value in asdict(base).items():
+            assert asdict(same)[key] == pytest.approx(value, rel=1e-12), key
+
+    # K = 5: boxes with every n - 1 below K, equal to it, and above it, where
+    # n + K is a fast length (15, 12), so the transform has no slack
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    @pytest.mark.parametrize("shape", [(3, 4), (6, 6), (10, 7), (7, 12)])
+    def test_rect_operator_matches_pair_sum(self, family, shape):
+        wt = self.small_table(family, s=0.3)
+        assert wt.k_cells == 5
+        rng = np.random.default_rng(sum(shape))
+        G = (rng.uniform(-1.0, 1.0, shape) if family == "modulated"
+             else np.zeros(shape))
+        X = rng.uniform(-1.0, 1.0, (2, *shape))
+        I = np.indices(shape).reshape(2, -1)
+        Wm = wt.offset_weights(I[0][None, :] - I[0][:, None],
+                               I[1][None, :] - I[1][:, None],
+                               G.ravel()[:, None], G.ravel()[None, :])
+        ref = (X.reshape(2, -1) @ Wm.T).reshape(X.shape)
+        got = wt.rect_operator(G)(X)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestEmbed:
+    @staticmethod
+    def add_at_embed(wt, shape, reach=None):
+        """The stencil embedding accumulated with `np.add.at`."""
+        K = wt.k_cells
+        rp, rt = (K, K) if reach is None else (min(r, K) for r in reach)
+        A = np.zeros(shape)
+        np.add.at(A, (np.arange(-rp, rp + 1)[:, None] % shape[0],
+                      np.arange(-rt, rt + 1)[None, :] % shape[1]),
+                  wt.stencil[K - rp:K + rp + 1, K - rt:K + rt + 1])
+        return A
+
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    def test_bincount_matches_add_at(self, family):
+        wt, _ = strip_setup(2, family, 0.25)
+        K = wt.k_cells
+        # the period grid wraps p (n_p = 4 < 2K + 1 = 33); the others do not
+        assert wt._fft_size[0] < 2 * K + 1
+        for shape, reach in ((wt._fft_size, None), ((40, 45), None),
+                             ((12, 15), (4, 6))):
+            assert np.array_equal(wt._embed(shape, reach),
+                                  self.add_at_embed(wt, shape, reach))
+
+
+class TestBallWindowValidation:
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0,
+                                        -1.0])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(WindowError, match=re.escape(f"got {radius!r}")):
+            BallWindow((0.5, 2.0), radius)
+
+    @pytest.mark.parametrize("center", [(math.nan, 2.0), (0.5, math.inf)])
+    def test_bad_centre_rejected(self, center):
+        with pytest.raises(WindowError, match="centre must be finite"):
+            BallWindow(center, 1.0)
+
+    def test_ball_improvement_names_the_radius(self):
+        wt, pot = strip_setup(2, "standard", 0.25)
+        with pytest.raises(WindowError, match="radius must be finite"):
+            minimize.ball_improvement(wt, pot, Field.full(wt.domain, 0.0),
+                                      (0.5, 1.0), -1.0)
 
 
 def _direct_period(wt, fld):
