@@ -16,7 +16,9 @@ operator constant c3 so that |L_K w| <= delta (1 + w) holds on B_R with
     R0 = (c3 / delta)^(1/(1 - nu_bar)) r1,
     nu_bar = 1 - 2s  (s < 1/2)  or the kernel regularity exponent nu.
 
-In 2D, L_K is a radial integral against a closed-form angular kernel.
+L_K of a radial profile is one radial integral for n = 1 and 2, against
+the kernel summed over the sphere of radius t: its two points in 1D, a
+closed-form angular kernel in 2D.
 
 The operator constant c3 is measured, not proved: it is the sampled
 supremum of |L v| / (v + 16 r^(-2s)) times a 1.2 safety factor, clamped
@@ -42,8 +44,8 @@ class BarrierRangeError(ValueError):
     """Requested outer radius below the assembled threshold."""
 
 
-# _lk_radial: Gauss-Legendre on radial panels geometric in the offset, per dim
-_N_PANELS = {1: 96, 2: 32}
+# _lk_radial: Gauss-Legendre on radial panels geometric in the offset
+_N_PANELS = 32
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _S_GAP = 2.0 ** -13     # _angular_kernel interpolates in s within this of 1/2
 
@@ -130,11 +132,6 @@ class BarrierFn:
         t = r - np.geomspace(0.5 * r, 1.75, math.ceil(math.log2(r / 3.5)) + 1)
         return np.append(np.append(t, r - 1.25) * (scale / r), scale)
 
-    @property
-    def floor(self) -> float:
-        """Guaranteed lower bound -1 + C^(-1) R^(-2s)."""
-        return -1.0 + self.R ** (-2.0 * self.s) / self.C
-
 
 def _angular_kernel(rho, d, s):
     """int_0^2pi (rho^2 + t^2 - 2 rho t cos phi)^(-1-s) dphi at t = rho + d,
@@ -154,39 +151,44 @@ def _angular_kernel(rho, d, s):
 
 
 def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
-    """L_K at radius rho for a radial profile, standard kernel.
+    """L_K at radius rho for a radial profile, standard kernel, as
+    int_0^inf (w(rho) - w(t)) k(rho, t) dt with k the kernel summed over the
+    sphere of radius t: |t - rho|^(-1-2s) + (t + rho)^(-1-2s) in 1D and
+    t A(rho, t) with the angular kernel A in 2D.
 
     ``knots``: array of ascending radii where the profile changes formula
     or length scale; beyond the last it is flat, added in closed form.  The
-    Gauss-Legendre panels are geometric in the offset z from rho, from
-    r_inner on, and pair rho +- z, which cancels the odd singular part.  In
-    2D, L_K = int (w(rho) - w(t)) t A(rho, t) dt: the panels also break at
-    the knots, and t is one-sided beyond 2 rho.  With ``absolute``, the
-    envelope int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite for s < 1/2).
+    Gauss-Legendre panels are geometric in the offset z = t - rho, from
+    r_inner on, and break at the knots; they pair rho +- z, which cancels
+    the odd singular part, and t is one-sided beyond 2 rho.  With
+    ``absolute``, the envelope int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite
+    for s < 1/2).
     """
     w0 = float(profile(rho))
     diff = (lambda w: np.abs(w0 - w)) if absolute else (lambda w: w0 - w)
     gap = diff(float(profile(knots[-1])))
-    top = rho + knots[-1] if n == 1 else max(knots[-1], 2.0 * rho)
-    z = np.geomspace(r_inner, top - rho if n == 2 else top, _N_PANELS[n] + 1)
-    if n == 2:
-        z = np.concatenate([z, [rho], np.abs(knots - rho)])
-        z = np.unique(z[(z >= r_inner) & (z <= top - rho)])
+    top = max(knots[-1], 2.0 * rho)
+    z = np.geomspace(r_inner, top - rho, _N_PANELS + 1)
+    z = np.concatenate([z, [rho], np.abs(knots - rho)])
+    z = np.unique(z[(z >= r_inner) & (z <= top - rho)])
     a, b = z[:-1, None], z[1:, None]
     z = (0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_X).ravel()
     wz = (0.5 * (b - a) * _GAUSS_W).ravel()
-    if n == 1:
-        wp, wm = profile(np.abs(rho + z)), profile(np.abs(rho - z))
-        pair = diff(wp) + diff(wm) if absolute else 2.0 * w0 - wp - wm
-        return float(np.sum(wz * z ** (-1.0 - 2.0 * s) * pair)) \
-            + gap * 2.0 * top ** (-2.0 * s) / (2.0 * s)
     z = (rho + z) - rho             # so that rho +- z are exact: exact pairs
     d = np.concatenate([z, -z[z < rho]])
-    f = diff(profile(rho + d)) * (rho + d) * _angular_kernel(rho, d, s)
+    if n == 1:
+        f = diff(profile(rho + d)) * (np.abs(d) ** (-1.0 - 2.0 * s)
+                                      + (2.0 * rho + d) ** (-1.0 - 2.0 * s))
+        # int over t > top of |t - rho|^(-1-2s) + (t + rho)^(-1-2s)
+        far = gap * ((top - rho) ** (-2.0 * s)
+                     + (top + rho) ** (-2.0 * s)) / (2.0 * s)
+    else:
+        f = diff(profile(rho + d)) * (rho + d) * _angular_kernel(rho, d, s)
+        # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
+        far = gap * math.pi / s * top ** (-2.0 * s) \
+            * hyp2f1(1.0 + s, s, 1.0, (rho / top) ** 2)
     f[:z.size][z < rho] += f[z.size:]
-    # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
-    return float(np.sum(wz * f[:z.size])) + gap * math.pi / s \
-        * top ** (-2.0 * s) * hyp2f1(1.0 + s, s, 1.0, (rho / top) ** 2)
+    return float(np.sum(wz * f[:z.size])) + far
 
 
 def _assemble(n, s, r, R=math.nan, delta=math.nan, nu_bar=math.nan):

@@ -210,7 +210,7 @@ class ExperimentConfig:
         tau = self.tau if tau is None else tau
         d = Direction(direction or self.get("geometry", "direction"), tau)
         cpt = self.get("geometry", "cells_per_tau")
-        h = tau * d.norm_p / (cpt * d.p_sq) if d.dim == 2 else tau / cpt
+        h = tau * d.norm_p / (cpt * d.p_sq)
         # snap the strip extents onto the cell grid
         M = round(self.get("geometry", "M_factor") * tau / h) * h
         B = round(self.get("geometry", "buffer_factor") * tau / h) * h

@@ -294,6 +294,12 @@ class BoxWindow:
     t_lo: float
     t_hi: float
 
+    def __post_init__(self):
+        for lo, hi in ((self.p_lo, self.p_hi), (self.t_lo, self.t_hi)):
+            if not -math.inf < lo < hi < math.inf:    # NaN fails too
+                raise WindowError(f"box bounds need finite lo < hi on each "
+                                  f"axis, got {lo!r} and {hi!r}")
+
     def contains(self, P, T):
         return ((P >= self.p_lo) & (P < self.p_hi)
                 & (T >= self.t_lo) & (T < self.t_hi))
@@ -396,18 +402,19 @@ class WeightTable:
     def offset_weights(self, dp, dt, g_i, g_j) -> np.ndarray:
         """Pair weights a(Delta) (1 + (g_i + g_j)/4) at cell offsets
         (dp, dt) between cells with modulation values g_i and g_j, broadcast
-        over arrays; zero for the self pair and beyond the stencil."""
-        K = self.k_cells
-        near = (np.abs(dp) <= K) & (np.abs(dt) <= K)
-        row = np.where(near, dp, 0) + K if self.domain.dim == 2 else 0
-        a = np.where(near, self.stencil[row, np.where(near, dt, 0) + K], 0.0)
+        over arrays; zero for the self pair and beyond the stencil, whose
+        p reach is K in 2D and 0 in 1D (a 1D strip has no p axis)."""
+        K, Kp = self.k_cells, self.stencil.shape[0] // 2
+        near = (np.abs(dp) <= Kp) & (np.abs(dt) <= K)
+        a = np.where(near, self.stencil[np.where(near, dp, 0) + Kp,
+                                        np.where(near, dt, 0) + K], 0.0)
         return a * (1.0 + 0.25 * (g_i + g_j))
 
     def offset_weight(self, index: tuple, dp_cells: int, dt_cells: int) -> float:
-        """Weight between cell ``index`` and the lattice site at that offset."""
+        """Weight between cell ``index`` and the lattice site at that offset;
+        an offset with no pair weight (beyond r_cut, or dp != 0 in 1D)
+        raises `ConfigurationError`."""
         d = self.domain
-        if max(abs(dp_cells), abs(dt_cells)) > self.k_cells:
-            raise ConfigurationError("offset beyond r_cut")
         ip, it = index
         gi = self._g_rect((ip, ip + 1, it, it + 1))[0, 0]
         gj = self._g_rect((ip + dp_cells, ip + dp_cells + 1,
@@ -418,7 +425,9 @@ class WeightTable:
             return float(a * (1.0 + 0.25 * (gi + gj)))
         w = float(self.offset_weights(dp_cells, dt_cells, gi, gj))
         if w == 0.0:
-            raise ConfigurationError("offset beyond r_cut")
+            raise ConfigurationError(
+                f"no pair weight at offset {(dp_cells, dt_cells)} (beyond "
+                f"r_cut, or dp != 0 on a 1D strip)")
         return w
 
     # -- heterogeneity ------------------------------------------------------
@@ -439,17 +448,15 @@ class WeightTable:
 
     def _embed(self, shape, reach=None) -> np.ndarray:
         """The stencil on an FFT grid, offset 0 at index 0, cut to offsets
-        of at most ``reach`` = (rp, rt) cells per axis (default: all);
-        offsets that wrap onto one index (the periodic p axis,
-        n_p < 2K + 1) add up, in the order of `np.add.at`."""
-        K = self.k_cells
-        rp, rt = (K, K) if reach is None else (min(r, K) for r in reach)
-        block = self.stencil[:, K - rt:K + rt + 1]
-        if self.domain.dim == 1:
-            rows = np.zeros((1, 1), dtype=int)
-        else:
-            block = block[K - rp:K + rp + 1]
-            rows = np.arange(-rp, rp + 1)[:, None] % shape[0]
+        of at most ``reach`` = (rp, rt) cells per axis (default: all; the
+        1D stencil is the one row of p reach 0); offsets that wrap onto one
+        index (the periodic p axis, n_p < 2K + 1) add up, in the order of
+        `np.add.at`."""
+        K, Kp = self.k_cells, self.stencil.shape[0] // 2
+        rp, rt = ((Kp, K) if reach is None
+                  else (min(reach[0], Kp), min(reach[1], K)))
+        block = self.stencil[Kp - rp:Kp + rp + 1, K - rt:K + rt + 1]
+        rows = np.arange(-rp, rp + 1)[:, None] % shape[0]
         flat = rows * shape[1] + np.arange(-rt, rt + 1)[None, :] % shape[1]
         return np.bincount(flat.ravel(), block.ravel(),
                            shape[0] * shape[1]).reshape(shape)
@@ -505,13 +512,13 @@ class WeightTable:
         """The cells of a ball and the matvec of its own pair weights.
 
         Returns (rect, inball, op): the cell-index rectangle that covers the
-        ball (unpadded, single copy, so periodic images of one slab cell are
-        separate cells), the mask of the ball's cells in it, and
+        ball (`StripDomain.cover`, single copy, so periodic images of one
+        slab cell are separate cells), the mask of the ball's cells in it, and
         op(v) = sum_{j in ball} w_ij v_j for each ball cell i (`rect_operator`),
         with ``v`` and the result ordered as ``rect``'s cells under ``inball``.
         """
         d = self.domain
-        rect = d.cover(ball.bounds(), 0)
+        rect = d.cover(ball.bounds())
         inball = ball.contains(*d.rect_centers(rect))
         matvec = self.rect_operator(self._g_rect(rect))
 
@@ -644,12 +651,10 @@ class WeightTable:
         """(rect, inside, P, T): the single-copy cell-index box of a box or
         ball window, the mask of the window's cells and the frame centres."""
         d = self.domain
-        p_lo, p_hi, t_lo, t_hi = bounds = window.bounds()
-        if t_hi <= t_lo or (d.dim == 2 and p_hi <= p_lo):
-            raise WindowError("empty window")
+        _, _, t_lo, t_hi = bounds = window.bounds()
         if t_hi <= d.t_lo or t_lo >= d.t_hi:
             raise WindowError("window lies outside the simulated region")
-        rect = d.cover(bounds, 0)
+        rect = d.cover(bounds)
         P, T = d.rect_centers(rect)
         inside = window.contains(P, T)
         if not inside.any():

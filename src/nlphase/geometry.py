@@ -74,7 +74,7 @@ def ball_count(mask: SetMask, center, radius: float) -> int:
     and far-field cells included)."""
     d = mask.domain
     ball = BallWindow(center, radius)
-    rect = d.cover(ball.bounds(), 1)
+    rect = d.cover(ball.bounds())
     grid = d.unroll(mask.inside, mask.far_below, mask.far_above, rect)
     return int(np.count_nonzero(grid & ball.contains(*d.rect_centers(rect))))
 
@@ -197,7 +197,7 @@ def boundary_cube_family(mask: SetMask, cube, k: int) -> list:
 def clean_ball_search(field: Field, theta: float, center, R: float) -> dict:
     """Largest phase-pure inscribed balls inside B_R for both phases."""
     d = field.domain
-    rect = d.cover(BallWindow(center, R).bounds(), 1)
+    rect = d.cover(BallWindow(center, R).bounds())
     P, T = d.rect_centers(rect)
     dist_to_edge = R - np.hypot(P - center[0], T - center[1])
     inball = dist_to_edge > 0.0

@@ -154,17 +154,16 @@ class StripDomain:
     # with the period and rows it < 0 or it >= n_t lie in the far
     # half-planes.  A rectangle (ip0, ip1, it0, it1) is half-open.
 
-    def cover(self, bounds, pad: int = 0) -> tuple:
+    def cover(self, bounds) -> tuple:
         """Cell-index rectangle of the cells meeting the frame box
-        (p_lo, p_hi, t_lo, t_hi), grown by ``pad`` cells on every side; the
-        single column in 1D."""
+        (p_lo, p_hi, t_lo, t_hi); the single column in 1D."""
         p_lo, p_hi, t_lo, t_hi = bounds
         h = self.h
-        it0 = math.floor((t_lo - self.t_lo) / h) - pad
-        it1 = math.ceil((t_hi - self.t_lo) / h) + pad
+        it0 = math.floor((t_lo - self.t_lo) / h)
+        it1 = math.ceil((t_hi - self.t_lo) / h)
         if self.dim == 1:
             return 0, 1, it0, it1
-        return math.floor(p_lo / h) - pad, math.ceil(p_hi / h) + pad, it0, it1
+        return math.floor(p_lo / h), math.ceil(p_hi / h), it0, it1
 
     def rect_centers(self, rect) -> tuple:
         """Meshgrid (P, T) of the frame centers of a cell-index rectangle."""
@@ -270,18 +269,6 @@ class Field:
         if (bad := u[~(np.abs(u) <= 1.0 + 1e-12)]).size:    # NaN fails too
             raise GeometryError(f"field and far values must lie in [-1, 1], "
                                 f"got {float(bad[0])!r}")
-
-    @classmethod
-    def full(cls, domain: StripDomain, value: float,
-             matching_far: bool = False) -> "Field":
-        if matching_far:
-            return cls(domain, np.full(domain.shape, float(value)),
-                       far_below=float(value), far_above=float(value))
-        return cls(domain, np.full(domain.shape, float(value)))
-
-    def copy(self) -> "Field":
-        return Field(self.domain, self.values.copy(),
-                     self.far_below, self.far_above)
 
     def dump_csv(self, path) -> None:
         self.domain.dump_csv(path, "u", self.values)

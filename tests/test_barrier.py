@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestConstruction:
         rho = np.linspace(0.0, 1.2 * bar.R, 1001)
         w = bar.w_radial(rho)
         assert np.all(np.diff(w) >= -1e-12)
-        assert np.min(w) >= bar.floor - 1e-12
+        assert np.min(w) >= -1.0 + bar.R ** (-2.0 * bar.s) / bar.C - 1e-12
 
     def test_profile_continuity_at_knots(self, barrier_quarter):
         # straddle so tightly that the C^1 variation itself is below the
@@ -201,6 +202,26 @@ def _lk_two_sided(profile, rho, s, r_inner, r_outer, n_panels, n_phi):
     return val + (w0 - 1.0) * 2.0 * math.pi * r_outer ** (-2.0 * s) / (2.0 * s)
 
 
+def _lk_1d_two_sided(profile, rho, s, r_inner, knots):
+    """The 1D L_K, int (w(rho) - w(|y|)) |rho - y|^(-1-2s) dy over
+    |y - rho| >= r_inner, summed over y = rho +- z: 16-point Gauss-Legendre
+    on 4,000 panels geometric in z from r_inner to rho + knots[-1], split
+    where rho +- z crosses a knot or 0, and the closed-form flat tail.  The
+    reference for the 1D quadrature of `_lk_radial`."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    outer = rho + knots[-1]
+    edges = np.concatenate([np.geomspace(r_inner, outer, 4001),
+                            np.abs(knots - rho), knots + rho, [rho]])
+    edges = np.unique(edges[(edges >= r_inner) & (edges <= outer)])
+    a, b = edges[:-1, None], edges[1:, None]
+    z = (0.5 * (a + b) + 0.5 * (b - a) * x).ravel()
+    wz = (0.5 * (b - a) * w).ravel()
+    w0 = float(profile(rho))
+    pair = 2.0 * w0 - profile(np.abs(rho + z)) - profile(np.abs(rho - z))
+    return float(np.sum(wz * z ** (-1.0 - 2.0 * s) * pair)) \
+        + (w0 - float(profile(knots[-1]))) * outer ** (-2.0 * s) / s
+
+
 def _quad_angular(u, s):
     """int_0^2pi (1 + u^2 - 2 u cos phi)^(-1-s) dphi by adaptive quadrature
     at its tightest relative tolerance, which a smooth integrand meets up
@@ -250,6 +271,21 @@ class TestRadialQuadrature:
                 want = _lk_two_sided(profile, rho, s, r_inner, rho + R,
                                      384, 1536)
                 assert abs(got - want) <= 1e-3 * abs(want), (frac, got, want)
+
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_one_dimensional_matches_refined_two_sided(self, s):
+        # the unscaled g at r1 and the w_radial of a 1D barrier built at
+        # R = 1e9, at the r_inner of _measure_c3 and verify_barrier
+        proto = _assemble(1, s, 2.0 ** (3.0 / s))
+        bar = build_barrier(KernelSpec(dim=1, s=s), R=1e9, delta=0.1)
+        for profile, R, r_inner, knots in (
+                (proto.g_profile, proto.r, 1e-6, proto.knots(proto.r)),
+                (bar.w_radial, bar.R, 1e-7 * bar.R, bar.knots(bar.R))):
+            for frac in (0.0, 0.3, 0.7, 0.9, 0.97, 0.999):
+                rho = frac * R
+                got = _lk_radial(profile, rho, s, 1, r_inner, knots)
+                want = _lk_1d_two_sided(profile, rho, s, r_inner, knots)
+                assert abs(got - want) <= 1e-6 * abs(want), (frac, got, want)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("absolute", [False, True])
@@ -355,7 +391,7 @@ class TestSlide:
         it = int(np.argmin(np.abs(u.mean(axis=0))))
         t0 = min(domain.t_lo + (it + 0.5) * domain.h + 0.5 * bar.R,
                  domain.t_hi - bar.R - domain.h)
-        bad = result.field.copy()
+        bad = replace(result.field, values=result.field.values.copy())
         itc = int((t0 - domain.t_lo) / domain.h)
         bad.values[:, itc - 2:itc + 3] = 0.2
         rep = barrier_slide_test(weights, potential, bad, bar, (0.5, t0))

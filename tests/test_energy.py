@@ -211,7 +211,7 @@ def brute_window(wt, fld, window):
         for it in range(-K, n_t + K):
             if not in_win(ip, it):
                 continue
-            for dp in range(-K, K + 1) if two_d else [0]:
+            for dp in range(-K, K + 1):      # dp != 0 raises in 1D
                 for dt in range(-K, K + 1):
                     w = 0.0
                     if abs(dp) <= K and abs(dt) <= K:
@@ -237,9 +237,11 @@ def compensated_window(wt, fld, window, transform=None):
     nonnegative pair terms w_ij (V_i - V_j)^2 over the stencil offsets (one
     correctly rounded partial per offset), with the tails added as
     `window_report` adds them, over the window's cells grown by K cells on
-    every side; ``transform`` edits the window's cells of this one copy."""
-    d, K = wt.domain, wt.k_cells
-    rect = d.cover(window.bounds(), K)
+    every side (K = 0 along p in 1D, where the stencil is one row);
+    ``transform`` edits the window's cells of this one copy."""
+    d, K, Kp = wt.domain, wt.k_cells, wt.stencil.shape[0] // 2
+    ip0, ip1, it0, it1 = d.cover(window.bounds())
+    rect = (ip0 - Kp, ip1 + Kp, it0 - K, it1 + K)
     V = d.unroll(fld.values, fld.far_below, fld.far_above, rect)
     G = wt._g_rect(rect)
     P, T = d.rect_centers(rect)
@@ -248,12 +250,10 @@ def compensated_window(wt, fld, window, transform=None):
     if transform is not None:
         V = np.where(inside, transform(V, P, T), V)
     # every offset of a window cell stays inside the rectangle
-    assert not (inside[:, :K].any() or inside[:, -K:].any())
-    if wt.domain.dim == 2:
-        assert not (inside[:K].any() or inside[-K:].any())
+    assert inside[Kp:len(inside) - Kp, K:-K].sum() == inside.sum()
     I = np.nonzero(inside)
     in_parts, cross_parts = [], []
-    for dp in range(-K, K + 1) if wt.domain.dim == 2 else [0]:
+    for dp in range(-Kp, Kp + 1):
         for dt in range(-K, K + 1):
             J = (I[0] + dp, I[1] + dt)
             t = wt.offset_weights(dp, dt, G[I], G[J]) * (V[I] - V[J]) ** 2
@@ -483,7 +483,7 @@ class TestWindowEnergies:
     def test_constant_field_zero(self):
         _, dom, wt = axis_setup()
         pot = PotentialSpec(family="quartic")
-        rep = wt.window_report(Field.full(dom, 1.0, matching_far=True),
+        rep = wt.window_report(Field(dom, np.full(dom.shape, 1.0), 1.0, 1.0),
                                PERIOD, pot)
         assert rep.total == 0.0
 
@@ -683,7 +683,7 @@ class TestWindowEnergies:
     def test_window_outside_region_rejected(self):
         _, dom, wt = axis_setup()
         with pytest.raises(WindowError):
-            wt.window_report(Field.full(dom, 0.0),
+            wt.window_report(Field(dom, np.full(dom.shape, 0.0)),
                              BallWindow((0.5, dom.t_hi + 5.0), 1.0))
 
     def test_epsilon_scales_potential_only(self):
@@ -822,6 +822,48 @@ class TestEmbed:
             assert np.array_equal(wt._embed(shape, reach),
                                   self.add_at_embed(wt, shape, reach))
 
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    def test_one_dimensional_table_is_row_zero(self, family):
+        # the layout of the former 1D branch: every offset in row 0
+        wt, _ = strip_setup(1, family, 0.25)
+        K = wt.k_cells
+        assert wt.stencil.shape == (1, 2 * K + 1)
+        for shape, reach in ((wt._fft_size, None), ((1, 45), None),
+                             ((1, 15), (0, 6)), ((3, 20), (2, 6))):
+            rt = K if reach is None else min(reach[1], K)
+            flat = np.arange(-rt, rt + 1) % shape[1]
+            want = np.bincount(flat, wt.stencil[0, K - rt:K + rt + 1],
+                               shape[0] * shape[1]).reshape(shape)
+            assert np.array_equal(wt._embed(shape, reach), want)
+
+
+class TestOneDimensionalOffsets:
+    def test_p_offset_has_no_weight(self):
+        # s = 0.25, h = 0.25, r_cut 1.25: a 1D strip has no p axis, so
+        # (2, 1) is not the offset (0, 1)
+        wt = TestWindowBox.small_table("standard", dim=1)
+        assert wt.offset_weight((0, 3), 0, 1) > 0.0
+        assert wt.offset_weights(2, 1, 0.0, 0.0) == 0.0
+        with pytest.raises(ConfigurationError, match=r"offset \(2, 1\)"):
+            wt.offset_weight((0, 3), 2, 1)
+        for dp in (-1, 1):
+            with pytest.raises(ConfigurationError, match="1D strip"):
+                wt.offset_weight((0, 3), dp, 0)
+
+
+class TestBoxWindowValidation:
+    @pytest.mark.parametrize("bounds,bad", [
+        ((0.0, 1.0, math.nan, 2.0), math.nan),
+        ((math.nan, 1.0, 0.0, 2.0), math.nan),
+        ((0.0, 1.0, 0.0, math.inf), math.inf),
+        ((-math.inf, 1.0, 0.0, 2.0), -math.inf),
+        ((0.0, 1.0, 2.0, 0.5), 0.5),
+        ((1.0, 0.0, 0.0, 2.0), 0.0),
+        ((0.0, 1.0, 2.0, 2.0), 2.0)])
+    def test_bad_bounds_rejected(self, bounds, bad):
+        with pytest.raises(WindowError, match=re.escape(repr(bad))):
+            BoxWindow(*bounds)
+
 
 class TestBallWindowValidation:
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0,
@@ -838,8 +880,9 @@ class TestBallWindowValidation:
     def test_ball_improvement_names_the_radius(self):
         wt, pot = strip_setup(2, "standard", 0.25)
         with pytest.raises(WindowError, match="radius must be finite"):
-            minimize.ball_improvement(wt, pot, Field.full(wt.domain, 0.0),
-                                      (0.5, 1.0), -1.0)
+            minimize.ball_improvement(
+                wt, pot, Field(wt.domain, np.zeros(wt.domain.shape)),
+                (0.5, 1.0), -1.0)
 
 
 def _direct_period(wt, fld):
@@ -879,7 +922,7 @@ def _direct_period(wt, fld):
 class TestOperatorAndGradient:
     def test_lk_constant_zero(self):
         _, dom, wt = axis_setup()
-        lk = wt.apply_lk(Field.full(dom, 0.3, matching_far=True))
+        lk = wt.apply_lk(Field(dom, np.full(dom.shape, 0.3), 0.3, 0.3))
         # zero up to spectral round-off of the correlation path
         assert np.max(np.abs(lk)) < 1e-11
 
@@ -999,7 +1042,7 @@ class TestOperatorAndGradient:
     def test_gradient_zero_at_matching_well(self):
         _, dom, wt = axis_setup()
         pot = PotentialSpec(family="quartic")
-        g = wt.gradient(Field.full(dom, 1.0, matching_far=True), pot)
+        g = wt.gradient(Field(dom, np.full(dom.shape, 1.0), 1.0, 1.0), pot)
         assert np.max(np.abs(g)) == 0.0
 
     def test_kinetic_response_linearity(self):

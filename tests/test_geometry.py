@@ -29,7 +29,7 @@ def step_field(domain, level=2.0):
 class TestLevelMask:
     def test_constant_field_full(self):
         dom = axis_domain()
-        mask = level_mask(Field.full(dom, 1.0, matching_far=True), 0.0)
+        mask = level_mask(Field(dom, np.full(dom.shape, 1.0), 1.0, 1.0), 0.0)
         assert mask.inside.all() and mask.far_below and mask.far_above
         assert measure(mask) == pytest.approx(dom.n_p * dom.n_t * dom.cell_volume)
 
@@ -62,7 +62,7 @@ class TestLevelMask:
 class TestDensityProfile:
     def test_full_mask_ball_volume(self):
         dom = axis_domain()
-        mask = level_mask(Field.full(dom, 1.0, matching_far=True), 0.0)
+        mask = level_mask(Field(dom, np.full(dom.shape, 1.0), 1.0, 1.0), 0.0)
         rows = density_profile(mask, (0.5, 2.0), [1.5, 1.9])
         for R, val, tag in rows:
             assert val == pytest.approx(math.pi, rel=0.02)
@@ -82,8 +82,8 @@ class TestDensityProfile:
         center, radii = (0.5, 2.0), [1.2]
         a = density_profile(mask, center, radii)[0][1]
         b = density_profile(mask.complement(), center, radii)[0][1]
-        ball = ball_count(level_mask(Field.full(dom, 1.0, matching_far=True),
-                                     0.0), center, 1.2)
+        ones = Field(dom, np.ones(dom.shape), 1.0, 1.0)
+        ball = ball_count(level_mask(ones, 0.0), center, 1.2)
         assert a + b == pytest.approx(ball * dom.cell_volume / 1.2 ** 2)
 
     def test_far_field_extension_and_tags(self):
@@ -104,7 +104,7 @@ class TestDensityProfile:
 class TestInterfaceProfile:
     def test_no_interface(self):
         dom = axis_domain()
-        f = Field.full(dom, 1.0, matching_far=True)
+        f = Field(dom, np.full(dom.shape, 1.0), 1.0, 1.0)
         rows = interface_profile(f, 0.9, (0.5, 2.0), [1.0])
         assert rows[0][1] == 0.0
 
@@ -147,7 +147,7 @@ class TestInterfaceHeight:
         f = Field(dom, np.ones(dom.shape))      # far values +1 below, -1 above
         assert interface_height(f) == pytest.approx(dom.t_hi, abs=1e-12)
         with pytest.raises(GeometryError):
-            interface_height(Field.full(dom, 1.0, matching_far=True))
+            interface_height(Field(dom, np.full(dom.shape, 1.0), 1.0, 1.0))
 
 
 class TestGridBoundary:
@@ -219,7 +219,7 @@ class TestCleanBall:
 
     def test_pure_phase_empty_side(self):
         dom = axis_domain()
-        f = Field.full(dom, 1.0, matching_far=True)
+        f = Field(dom, np.full(dom.shape, 1.0), 1.0, 1.0)
         out = clean_ball_search(f, 0.5, (0.5, 2.0), 1.0)
         assert out["minus"]["radius"] == 0.0
         assert out["plus"]["radius"] > 0.8

@@ -156,7 +156,7 @@ class TestBirkhoffShift:
         d = Direction((1, 2), tau)
         h = tau * math.sqrt(5.0) / 8  # n_p = 8 not divisible by 5
         dom = build_domain(tau, d, M=16 * h, h=h, buffer=8 * h)
-        f = Field.full(dom, 0.0)
+        f = Field(dom, np.full(dom.shape, 0.0))
         with pytest.raises(GeometryError):
             birkhoff_shift(f, (1, 0))
 
@@ -201,9 +201,8 @@ class TestCellGrid:
     @settings(max_examples=80)
     @given(dim=st.sampled_from([1, 2]), p_lo=st.integers(-40, 40),
            t_lo=st.integers(-40, 80), width=st.integers(1, 40),
-           height=st.integers(1, 40), pad=st.integers(0, 3))
-    def test_cover_matches_cell_loop(self, dim, p_lo, t_lo, width, height,
-                                     pad):
+           height=st.integers(1, 40))
+    def test_cover_matches_cell_loop(self, dim, p_lo, t_lo, width, height):
         # box edges on an h/8 grid, so every comparison below is exact
         dom = grid_domain(dim)
         h, e = dom.h, dom.h / 8
@@ -212,9 +211,8 @@ class TestCellGrid:
         ips = [ip for ip in range(-40, 40) if ip * h < p1 and (ip + 1) * h > p0]
         its = [it for it in range(-40, 60)
                if dom.t_lo + it * h < t1 and dom.t_lo + (it + 1) * h > t0]
-        cols = (min(ips) - pad, max(ips) + 1 + pad) if dim == 2 else (0, 1)
-        want = (*cols, min(its) - pad, max(its) + 1 + pad)
-        assert dom.cover((p0, p1, t0, t1), pad) == want
+        cols = (min(ips), max(ips) + 1) if dim == 2 else (0, 1)
+        assert dom.cover((p0, p1, t0, t1)) == (*cols, min(its), max(its) + 1)
 
     def test_rect_centers_of_fundamental_rect(self):
         dom = diag_domain()
@@ -249,7 +247,7 @@ class TestField:
 
     def test_dump_csv(self, tmp_path):
         dom = axis_domain(M=1.0, h=0.5, B=0.5)
-        f = Field.full(dom, 0.25)
+        f = Field(dom, np.full(dom.shape, 0.25))
         path = tmp_path / "field.csv"
         f.dump_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -259,7 +257,7 @@ class TestField:
 
     def test_extended_rows(self):
         dom = axis_domain(M=1.0, h=0.5, B=0.5)
-        f = Field.full(dom, 0.0)
+        f = Field(dom, np.full(dom.shape, 0.0))
         ext = dom.unroll(f.values, f.far_below, f.far_above,
                          (0, dom.n_p, -2, dom.n_t + 2))
         assert np.all(ext[:, :2] == 1.0) and np.all(ext[:, -2:] == -1.0)
