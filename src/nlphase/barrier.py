@@ -48,6 +48,7 @@ class BarrierRangeError(ValueError):
 _N_PANELS = 32
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _S_GAP = 2.0 ** -13     # _angular_kernel interpolates in s within this of 1/2
+_RHO_BLOCK = 64         # radii per vectorized pass, so memory stays bounded
 
 
 @dataclass
@@ -151,44 +152,60 @@ def _angular_kernel(rho, d, s):
 
 
 def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
-    """L_K at radius rho for a radial profile, standard kernel, as
-    int_0^inf (w(rho) - w(t)) k(rho, t) dt with k the kernel summed over the
-    sphere of radius t: |t - rho|^(-1-2s) + (t + rho)^(-1-2s) in 1D and
-    t A(rho, t) with the angular kernel A in 2D.
+    """L_K at radius rho (a scalar, or an array in blocks of `_RHO_BLOCK`)
+    for a radial profile, standard kernel, as int_0^inf (w(rho) - w(t))
+    k(rho, t) dt with k the kernel summed over the sphere of radius t:
+    |t - rho|^(-1-2s) + (t + rho)^(-1-2s) in 1D and t A(rho, t) with the
+    angular kernel A in 2D.
 
     ``knots``: array of ascending radii where the profile changes formula
     or length scale; beyond the last it is flat, added in closed form.  The
     Gauss-Legendre panels are geometric in the offset z = t - rho, from
     r_inner on, and break at the knots; they pair rho +- z, which cancels
-    the odd singular part, and t is one-sided beyond 2 rho.  With
+    the odd singular part, and t is one-sided beyond 2 rho.  Each radius's
+    breaks are clipped to [r_inner, top - rho] and sorted along one row, so
+    a repeated or clipped break is a panel of length 0 and weight 0.  With
     ``absolute``, the envelope int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite
     for s < 1/2).
     """
-    w0 = float(profile(rho))
-    diff = (lambda w: np.abs(w0 - w)) if absolute else (lambda w: w0 - w)
-    gap = diff(float(profile(knots[-1])))
-    top = max(knots[-1], 2.0 * rho)
-    z = np.geomspace(r_inner, top - rho, _N_PANELS + 1)
-    z = np.concatenate([z, [rho], np.abs(knots - rho)])
-    z = np.unique(z[(z >= r_inner) & (z <= top - rho)])
-    a, b = z[:-1, None], z[1:, None]
-    z = (0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_X).ravel()
-    wz = (0.5 * (b - a) * _GAUSS_W).ravel()
-    z = (rho + z) - rho             # so that rho +- z are exact: exact pairs
-    d = np.concatenate([z, -z[z < rho]])
-    if n == 1:
-        f = diff(profile(rho + d)) * (np.abs(d) ** (-1.0 - 2.0 * s)
-                                      + (2.0 * rho + d) ** (-1.0 - 2.0 * s))
-        # int over t > top of |t - rho|^(-1-2s) + (t + rho)^(-1-2s)
-        far = gap * ((top - rho) ** (-2.0 * s)
-                     + (top + rho) ** (-2.0 * s)) / (2.0 * s)
-    else:
-        f = diff(profile(rho + d)) * (rho + d) * _angular_kernel(rho, d, s)
-        # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
-        far = gap * math.pi / s * top ** (-2.0 * s) \
-            * hyp2f1(1.0 + s, s, 1.0, (rho / top) ** 2)
-    f[:z.size][z < rho] += f[z.size:]
-    return float(np.sum(wz * f[:z.size])) + far
+    rhos = np.atleast_1d(np.asarray(rho, dtype=float))
+    w_top = float(profile(knots[-1]))
+    out = np.empty(rhos.size)
+    for lo in range(0, rhos.size, _RHO_BLOCK):
+        r = rhos[lo:lo + _RHO_BLOCK]
+        w0 = profile(r)
+        gap = np.abs(w0 - w_top) if absolute else w0 - w_top
+        top = np.maximum(knots[-1], 2.0 * r)
+        z = np.concatenate([np.geomspace(r_inner, top - r, _N_PANELS + 1,
+                                         axis=1), r[:, None],
+                            np.abs(knots - r[:, None])], axis=1)
+        z = np.sort(np.clip(z, r_inner, (top - r)[:, None]), axis=1)
+        a, b = z[:, :-1, None], z[:, 1:, None]
+        z = (0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_X).reshape(r.size, -1)
+        wz = (0.5 * (b - a) * _GAUSS_W).reshape(z.shape)
+        z = (r[:, None] + z) - r[:, None]   # so rho +- z are exact: exact pairs
+        pair = z < r[:, None]
+        rows = np.broadcast_to(np.arange(r.size)[:, None], z.shape)
+        row = np.concatenate([rows.ravel(), rows[pair]])
+        d = np.concatenate([z.ravel(), -z[pair]])
+        rr = r[row]
+        dw = w0[row] - profile(rr + d)
+        dw = np.abs(dw) if absolute else dw
+        if n == 1:
+            f = dw * (np.abs(d) ** (-1.0 - 2.0 * s)
+                      + (2.0 * rr + d) ** (-1.0 - 2.0 * s))
+            # int over t > top of |t - rho|^(-1-2s) + (t + rho)^(-1-2s)
+            far = gap * ((top - r) ** (-2.0 * s)
+                         + (top + r) ** (-2.0 * s)) / (2.0 * s)
+        else:
+            f = dw * (rr + d) * _angular_kernel(rr, d, s)
+            # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
+            far = gap * math.pi / s * top ** (-2.0 * s) \
+                * hyp2f1(1.0 + s, s, 1.0, (r / top) ** 2)
+        f, f_mirror = f[:z.size].reshape(z.shape), f[z.size:]
+        f[pair] += f_mirror
+        out[lo:lo + r.size] = np.sum(wz * f, axis=1) + far
+    return float(out[0]) if np.ndim(rho) == 0 else out
 
 
 def _assemble(n, s, r, R=math.nan, delta=math.nan, nu_bar=math.nan):
@@ -203,14 +220,14 @@ def _assemble(n, s, r, R=math.nan, delta=math.nan, nu_bar=math.nan):
 
 @functools.lru_cache(maxsize=64)
 def _measure_c3(n, s, r) -> float:
-    """Sampled sup of |L v| / (v + 16 r^(-2s)) over B_r, with 1.2 safety."""
+    """Sampled sup of |L v| / (v + 16 r^(-2s)) over B_r, with 1.2 safety;
+    one `_lk_radial` call over the 160 sample radii."""
     proto = _assemble(n, s, r)
     # dense radial samples concentrated near the profile features
     base = np.unique(np.clip(np.concatenate([
         np.linspace(0.0, r, 80), r - np.geomspace(1e-3, max(r / 2.0, 1e-2), 80),
     ]), 0.0, r * (1.0 - 1e-9)))
-    knots = proto.knots(r)
-    lk = [_lk_radial(proto.g_profile, rho, s, n, 1e-6, knots) for rho in base]
+    lk = _lk_radial(proto.g_profile, base, s, n, 1e-6, proto.knots(r))
     return 1.2 * float(np.max(np.abs(lk) / (proto.g_profile(base)
                                             + 16.0 * r ** (-2.0 * s))))
 
@@ -265,7 +282,8 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
     For the standard kernel the principal value is the paired radial
     quadrature of `_lk_radial`; heterogeneous kernels in the strongly
     nonlocal range are checked against the Lambda-envelope bound
-    Lambda * int |w(x)-w(y)| |x-y|^(-n-2s) dy instead.
+    Lambda * int |w(x)-w(y)| |x-y|^(-n-2s) dy instead.  One `_lk_radial`
+    call evaluates every sample radius.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -279,9 +297,8 @@ def verify_barrier(kernel, barrier: BarrierFn, n_samples: int = 200,
     envelope_only = kernel.family != "standard"
     if envelope_only and s >= 0.5:
         raise ValueError("envelope verification requires s < 1/2")
-    knots = barrier.knots(R)
-    lk = np.array([_lk_radial(barrier.w_radial, p, s, n, 1e-7 * max(R, 1.0),
-                              knots, absolute=envelope_only) for p in rho])
+    lk = _lk_radial(barrier.w_radial, rho, s, n, 1e-7 * max(R, 1.0),
+                    barrier.knots(R), absolute=envelope_only)
     lk = kernel.Lam * lk if envelope_only else np.abs(lk)
     wv = barrier.w_radial(rho)
     worst_op = float(np.max(lk / (barrier.delta * (1.0 + wv))))

@@ -42,8 +42,8 @@ primitives built on the one modulated weight w_ij = a(Delta)(1 + (g_i + g_j)/4):
   values times `far_weights` (per-period energy, gradient, L_K, flip
   gains, frozen ball couplings, row sums);
 * `rect_operator` -- the matvec X -> sum_j w_ij X_j over the cells of a
-  single-copy box, cut to its own lags (the inside pairs of windows, and,
-  through `ball_operator`, the class-A ball re-solves).
+  single-copy box, cut to its own lags (the inside pairs of windowed
+  K-perimeters, and, through `ball_operator`, the class-A ball re-solves).
 
 All sums evaluate through FFTs, so the cutoff radius can be taken
 comparable to the simulated region at negligible cost.  The far weights
@@ -51,7 +51,9 @@ comparable to the simulated region at negligible cost.  The far weights
 per-period value, its parts, its gradient and L_K share one kinetic pass
 (`WeightTable._kinetic`), which is also the kinetic gradient of the strip
 solver (`nlphase.minimize._descend`).  A box or ball window takes its
-inside pairs from `rect_operator` on its cell box, and the pairs with one
+inside pairs from plain-stencil correlations on its cell box (the size
+rule of `rect_operator`) and <p, W q> = <(1 + g/4) p, A q> + <A p, g q>/4,
+which holds because A is symmetric, and the pairs with one
 end in it from sums over every world cell for its rows, periodic in p and
 so one correlation over the fundamental columns (`WeightTable._world_sums`).
 """
@@ -470,16 +472,18 @@ class WeightTable:
         (`rect_operator`)."""
         size = size or self._fft_size
         spectrum = self._spectrum if spectrum is None else spectrum
-
-        def corr(Y):
-            FY = sfft.rfftn(Y, s=size, axes=(-2, -1))
-            return sfft.irfftn(FY * spectrum, s=size, axes=(-2, -1))[
-                ..., :X.shape[-2], :X.shape[-1]]
-
         if self.kernel.family == "standard":
-            return corr(X)
-        conv, conv_g = corr(np.stack([X, G * X]))
+            return self._correlate(X, size, spectrum)
+        conv, conv_g = self._correlate(np.stack([X, G * X]), size, spectrum)
         return (1.0 + 0.25 * G) * conv + 0.25 * conv_g
+
+    @staticmethod
+    def _correlate(Y, size, spectrum) -> np.ndarray:
+        """sum_j a_ij Y_j with the plain stencil a (no modulation) over the
+        last two axes of ``Y``, on a transform of ``size``."""
+        FY = sfft.rfftn(Y, s=size, axes=(-2, -1))
+        return sfft.irfftn(FY * spectrum, s=size, axes=(-2, -1))[
+            ..., :Y.shape[-2], :Y.shape[-1]]
 
     def interaction_sum(self, u: np.ndarray, far_below: float,
                         far_above: float) -> np.ndarray:
@@ -536,10 +540,14 @@ class WeightTable:
         points per axis of n cells, against the stencil cut to lags of at
         most r = min(K, n - 1), the longest lag within the box.  It is
         exact: a lag that wraps lands at least N - r >= n, past the box."""
-        reach = tuple(min(self.k_cells, n - 1) for n in G.shape)
-        size = tuple(sfft.next_fast_len(n + r) for n, r in zip(G.shape, reach))
-        spectrum = np.conj(sfft.rfftn(self._embed(size, reach)))
+        size, spectrum = self._box_spectrum(G.shape)
         return lambda X: self._weighted_sum(X, G, size, spectrum)
+
+    def _box_spectrum(self, shape) -> tuple:
+        """(size, spectrum) of `rect_operator` for a box of ``shape``."""
+        reach = tuple(min(self.k_cells, n - 1) for n in shape)
+        size = tuple(sfft.next_fast_len(n + r) for n, r in zip(shape, reach))
+        return size, np.conj(sfft.rfftn(self._embed(size, reach)))
 
     # -- per-period functional, gradient, operator ----------------------------
 
@@ -621,7 +629,11 @@ class WeightTable:
         windows, in which pairs straddling the window boundary enter the
         cross term once per world copy: sum_{i in W} sum_j w_ij (V_i - U_j)^2
         over every world cell j (`_world_sums` of 1, U, U^2) less the pairs
-        with j in W, which come from the box correlation (`rect_operator`).
+        with j in W.  Those and the inside pairs are forms <p, W q> of the
+        box stack chi, chiV, chiV^2 (and chiU, chiU^2 under a transform):
+        the standard family correlates only the q sides chi, chiV, chiU
+        with the stencil A = W; the modulated family correlates the whole
+        stack with A and takes <(1 + g/4) p, A q> + <A p, g q>/4.
         """
         if isinstance(window, PeriodWindow):
             return self.period_report(field, potential)
@@ -630,17 +642,31 @@ class WeightTable:
         u, fb, fa = field.values, field.far_below, field.far_above
         U = d.unroll(u, fb, fa, rect)
         V = U if transform is None else transform(U.copy(), P, T)
-        chi = inside.astype(float)
-        w_chi, w_chiV, w_chiU = self.rect_operator(self._g_rect(rect))(np.stack(
-            [chi, chi * V] + ([] if transform is None else [chi * U])))[[0, 1, -1]]
-        kin_in = float(np.sum(chi * V * V * w_chi)) - float(np.sum(chi * V * w_chiV))
+        chi, G = inside.astype(float), self._g_rect(rect)
+        # slots chi, chiV, chiU | chiV^2, chiU^2; U's point at V's unedited
+        q = [chi, chi * V] + ([] if transform is None else [chi * U])
+        S = np.stack(q + [chi * V * V] + ([] if transform is None
+                                          else [chi * U * U]))
+        std = self.kernel.family == "standard"
+        AS = self._correlate(S[:len(q)] if std else S,
+                             *self._box_spectrum(G.shape))
+
+        def form(i, j):     # <S_i, W S_j> from A = plain stencil, symmetric
+            val = np.sum(S[i] * AS[j]) if std else (
+                np.sum((1.0 + 0.25 * G) * S[i] * AS[j])
+                + 0.25 * np.sum(AS[i] * G * S[j]))
+            return float(val)
+
+        iu, iv2, iu2 = len(q) - 1, len(q), len(S) - 1
+        in_v2 = form(iv2, 0)
+        kin_in = in_v2 - form(1, 1)
         W1, WU, WU2 = self._world_sums(rect, (np.ones(d.shape), u, u * u),
                                        ((1.0, 1.0), (fb, fa), (fb * fb, fa * fa)))
         tp, tm = self._tails_for(np.arange(rect[2], rect[3]))
         tail = float(np.sum(chi * ((V - fb) ** 2 * tp + (V - fa) ** 2 * tm)))
         kin_cross = (float(np.sum(chi * (V * V * W1 - 2.0 * V * WU + WU2)))
-                     - float(np.sum(chi * (V * V + U * U) * w_chi))
-                     + 2.0 * float(np.sum(chi * V * w_chiU)) + tail)
+                     - (in_v2 - 2.0 * form(1, iu) + form(iu2, 0))
+                     + tail)
         pot = 0.0 if potential is None else float(np.sum(self._periodic_rect(
             rect, lambda x: self._potential_weights(potential, x))[inside]
             * potential.profile(V[inside])))

@@ -296,6 +296,24 @@ class TestRadialQuadrature:
                 assert _lk_radial(lambda t: np.full_like(t, c), rho, 0.25, n,
                                   1e-6, knots, absolute=absolute) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("s", [0.25, 0.5 - barrier_mod._S_GAP / 2,
+                                   0.5 + barrier_mod._S_GAP / 2, 0.75])
+    def test_radius_array_matches_scalar_calls(self, n, absolute, s):
+        # rho = 0, every knot, rho beyond R (top = 2 rho) and more radii
+        # than one block
+        proto = _assemble(n, s, 2.0 ** (3.0 / s))
+        r, knots = proto.r, proto.knots(proto.r)
+        rho = np.concatenate([[0.0], knots, np.linspace(0.0, 2.5 * r,
+                                                        barrier_mod._RHO_BLOCK + 9)])
+        got = _lk_radial(proto.g_profile, rho, s, n, 1e-6, knots, absolute)
+        assert got.shape == rho.shape
+        for x, g in zip(rho, got):
+            want = _lk_radial(proto.g_profile, x, s, n, 1e-6, knots, absolute)
+            assert isinstance(want, float)
+            assert abs(g - want) <= 1e-13 * abs(want), (x, g, want)
+
     @pytest.mark.parametrize("s", [0.25, 0.75])
     def test_scaling(self, s):
         # L[p(./lam)](lam rho) = lam^(-2s) L[p](rho) with r_inner and the

@@ -779,6 +779,28 @@ class TestWindowBox:
         for key, value in asdict(base).items():
             assert asdict(same)[key] == pytest.approx(value, rel=1e-12), key
 
+    @pytest.mark.parametrize("s", [0.25, 0.75])
+    def test_modulated_far_crossing_transform(self, s):
+        # the inside pairs come from the plain stencil and the identity
+        # <p, W q> = <(1 + g/4) p, A q> + <A p, g q>/4, here with U != V
+        wt = self.small_table("modulated", s=s)
+        dom, h = wt.domain, wt.domain.h
+        fld = random_field(dom, 14)
+        window = BallWindow((0.4, dom.t_lo + h), 3.1 * h)
+        assert wt._window_box(window)[0][2] < 0
+
+        def edit(V, P, T):
+            return 0.5 * V - 0.3 * np.cos(P + T)
+
+        rep = wt.window_report(fld, window, transform=edit)
+        kin_in, kin_cross = compensated_window(wt, fld, window, edit)
+        assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10, abs=0)
+        assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10, abs=0)
+        rep = wt.window_report(fld, window)
+        kin_in, kin_cross = brute_window(wt, fld, window)
+        assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
+        assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10)
+
     # K = 5: boxes with every n - 1 below K, equal to it, and above it, where
     # n + K is a fast length (15, 12), so the transform has no slack
     @pytest.mark.parametrize("family", ["standard", "modulated"])
