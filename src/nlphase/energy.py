@@ -119,17 +119,22 @@ def _tent_window(cs, sn, d1, d2, r_lo, r_hi):
 def _angular_tent(rr, d1, d2, n_phi):
     """(2 pi / n_phi) sum_phi (1-|r cos phi - d1|)_+ (1-|r sin phi - d2|)_+
     at each radius r of ``rr``, in chunks of 256 radii; the sum runs over
-    the nodes of `_tent_window` only, since every other term is 0."""
+    the nodes of `_tent_window` only, since every other term is 0; the two
+    tent factors fill two preallocated buffers in place."""
     phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
     cs, sn = np.cos(phi), np.sin(phi)
     keep = _tent_window(cs, sn, d1, d2, rr.min(), rr.max())
-    cs, sn = cs[keep], sn[keep]
+    bufs = np.empty((2, 256, keep.size))
     ang = np.empty_like(rr)
     for lo in range(0, rr.size, 256):
         r = rr[lo:lo + 256, None]
-        v = (np.maximum(1.0 - np.abs(r * cs - d1), 0.0)
-             * np.maximum(1.0 - np.abs(r * sn - d2), 0.0))
-        ang[lo:lo + 256] = v.sum(axis=1) * (2.0 * math.pi / n_phi)
+        x, y = bufs[:, :r.size]
+        for out, c, d in ((x, cs[keep], d1), (y, sn[keep], d2)):
+            np.subtract(np.multiply(r, c, out=out), d, out=out)
+            np.maximum(np.subtract(1.0, np.abs(out, out=out), out=out), 0.0,
+                       out=out)
+        ang[lo:lo + 256] = np.multiply(x, y, out=x).sum(axis=1) \
+            * (2.0 * math.pi / n_phi)
     return ang
 
 

@@ -342,6 +342,24 @@ class TestStencilQuadrature:
                                        tent, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("d1,d2,n_phi", [(1, 1, 1024), (5, 3, 512)])
+def test_angular_tent_buffers_bitwise(d1, d2, n_phi):
+    # the in-place buffers give the plain chunked expression bit for bit,
+    # for a touching class and a far one, over more than one chunk
+    rr = TestTentWindow.radii(d1, d2)
+    assert rr.size > 256
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+    cs, sn = np.cos(phi), np.sin(phi)
+    keep = energy._tent_window(cs, sn, d1, d2, rr.min(), rr.max())
+    cs, sn = cs[keep], sn[keep]
+    want = np.concatenate([
+        (np.maximum(1.0 - np.abs(r * cs - d1), 0.0)
+         * np.maximum(1.0 - np.abs(r * sn - d2), 0.0)).sum(axis=1)
+        * (2.0 * math.pi / n_phi)
+        for r in (rr[lo:lo + 256, None] for lo in range(0, rr.size, 256))])
+    assert np.array_equal(energy._angular_tent(rr, d1, d2, n_phi), want)
+
+
 class TestTentWindow:
     """The angular tent sum runs only over the angles whose ray meets the
     square |z - d|_inf < 1; every dropped term must be an exact zero."""
