@@ -293,6 +293,10 @@ class BallWindow:
         r = self.radius
         return (p0 - r, p0 + r, t0 - r, t0 + r)
 
+    @property
+    def p_inside(self):
+        return self.center[0]
+
 
 @dataclass(frozen=True)
 class BoxWindow:
@@ -313,6 +317,18 @@ class BoxWindow:
 
     def bounds(self):
         return (self.p_lo, self.p_hi, self.t_lo, self.t_hi)
+
+    @property
+    def p_inside(self):
+        return self.p_lo
+
+
+def window_centers(domain: StripDomain, window, rect) -> tuple:
+    """Frame centres (P, T) of a cell-index rectangle as a box or ball
+    window reads them: a 1D strip has no p axis, so a 1D window is an
+    interval in t and its cells sit at a p inside it, whatever its p."""
+    P, T = domain.rect_centers(rect)
+    return (np.full_like(P, window.p_inside) if domain.dim == 1 else P), T
 
 
 class PeriodWindow:
@@ -528,7 +544,7 @@ class WeightTable:
         """
         d = self.domain
         rect = d.cover(ball.bounds())
-        inball = ball.contains(*d.rect_centers(rect))
+        inball = ball.contains(*window_centers(d, ball, rect))
         matvec = self.rect_operator(self._g_rect(rect))
 
         def op(v):
@@ -686,7 +702,7 @@ class WeightTable:
         if t_hi <= d.t_lo or t_lo >= d.t_hi:
             raise WindowError("window lies outside the simulated region")
         rect = d.cover(bounds)
-        P, T = d.rect_centers(rect)
+        P, T = window_centers(d, window, rect)
         inside = window.contains(P, T)
         if not inside.any():
             raise WindowError("window contains no cells")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .energy import BallWindow
+from .energy import BallWindow, window_centers
 from .lattice import Field, GeometryError, StripDomain
 
 
@@ -76,7 +76,8 @@ def ball_count(mask: SetMask, center, radius: float) -> int:
     ball = BallWindow(center, radius)
     rect = d.cover(ball.bounds())
     grid = d.unroll(mask.inside, mask.far_below, mask.far_above, rect)
-    return int(np.count_nonzero(grid & ball.contains(*d.rect_centers(rect))))
+    return int(np.count_nonzero(
+        grid & ball.contains(*window_centers(d, ball, rect))))
 
 
 def _ball_profile(mask: SetMask, center, radii, k: int, xi_bound,
@@ -197,8 +198,9 @@ def boundary_cube_family(mask: SetMask, cube, k: int) -> list:
 def clean_ball_search(field: Field, theta: float, center, R: float) -> dict:
     """Largest phase-pure inscribed balls inside B_R for both phases."""
     d = field.domain
-    rect = d.cover(BallWindow(center, R).bounds())
-    P, T = d.rect_centers(rect)
+    ball = BallWindow(center, R)
+    rect = d.cover(ball.bounds())
+    P, T = window_centers(d, ball, rect)
     dist_to_edge = R - np.hypot(P - center[0], T - center[1])
     inball = dist_to_edge > 0.0
     out = {}

@@ -201,9 +201,13 @@ def brute_window(wt, fld, window):
         return u[ip % n_p, it]
 
     def in_win(ip, it):
-        p = (ip + 0.5) * dom.h
         t = dom.t_lo + (it + 0.5) * dom.h
-        return bool(window.contains(np.array(p), np.array(t)))
+        if dom.dim == 1:        # a 1D window is an interval in t
+            lo, hi = window.bounds()[2:]
+            if isinstance(window, BallWindow):
+                return abs(t - window.center[1]) < window.radius
+            return lo <= t < hi
+        return bool(window.contains(np.array((ip + 0.5) * dom.h), np.array(t)))
 
     kin_in = kin_cross = pot_cells = 0.0
     two_d = dom.dim == 2
@@ -771,6 +775,23 @@ class TestWindowBox:
         kin_in, kin_cross = brute_window(wt, fld, window)
         assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
         assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10)
+
+    @pytest.mark.parametrize("family", ["standard", "modulated"])
+    def test_one_dimensional_window_ignores_p(self, family):
+        # a 1D window is an interval in t, whatever its p
+        wt = self.small_table(family, dim=1)
+        dom, h = wt.domain, wt.domain.h
+        fld = random_field(dom, 15)
+        window = BallWindow((3.7, dom.t_hi - h), 3.1 * h)
+        rep = wt.window_report(fld, window)
+        kin_in, kin_cross = brute_window(wt, fld, window)
+        assert rep.kinetic_in == pytest.approx(kin_in, rel=1e-10)
+        assert rep.kinetic_cross == pytest.approx(kin_cross, rel=1e-10)
+        assert asdict(rep) == asdict(wt.window_report(
+            fld, BallWindow((0.5 * h, dom.t_hi - h), 3.1 * h)))
+        box = wt.window_report(fld, BoxWindow(5.0, 6.0, 0.1, 0.9))
+        assert asdict(box) == asdict(wt.window_report(
+            fld, BoxWindow(0.0, h, 0.1, 0.9)))
 
     @pytest.mark.parametrize("family", ["standard", "modulated"])
     def test_transform_edits_window_cells_only(self, family):

@@ -101,6 +101,14 @@ class TestDensityProfile:
         assert "R>xi/3" in rows[0][2]
 
 
+def test_one_dimensional_ball_count_ignores_p():
+    # a 1D ball is the interval (t0 - r, t0 + r), whatever its p
+    dom = build_domain(1.0, Direction((1,), 1.0), M=8.0, h=0.5, buffer=2.0)
+    mask = SetMask(dom, np.ones(dom.shape, bool), True, True)
+    for p0 in (0.0, 0.25, 5.0):
+        assert ball_count(mask, (p0, 4.0), 1.26) == 6
+
+
 class TestInterfaceProfile:
     def test_no_interface(self):
         dom = axis_domain()
