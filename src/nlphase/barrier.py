@@ -163,8 +163,11 @@ def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
     Gauss-Legendre panels are geometric in the offset z = t - rho, from
     r_inner on, and break at the knots; they pair rho +- z, which cancels
     the odd singular part, and t is one-sided beyond 2 rho.  Each radius's
-    breaks are clipped to [r_inner, top - rho] and sorted along one row, so
-    a repeated or clipped break is a panel of length 0 and weight 0.  With
+    breaks are clipped to [r_inner, top - rho] and sorted along one row; a
+    repeated or clipped break is a panel of length 0, left out of the row's
+    sum.  w(rho) and the tail are scalars per radius (numpy's scalar and
+    array powers round apart), so a radius's value is the same in any
+    array, and the barrier's constants do not move with the call.  With
     ``absolute``, the envelope int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite
     for s < 1/2).
     """
@@ -173,15 +176,15 @@ def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
     out = np.empty(rhos.size)
     for lo in range(0, rhos.size, _RHO_BLOCK):
         r = rhos[lo:lo + _RHO_BLOCK]
-        w0 = profile(r)
-        gap = np.abs(w0 - w_top) if absolute else w0 - w_top
+        w0 = np.array([float(profile(x)) for x in r])
         top = np.maximum(knots[-1], 2.0 * r)
         z = np.concatenate([np.geomspace(r_inner, top - r, _N_PANELS + 1,
                                          axis=1), r[:, None],
                             np.abs(knots - r[:, None])], axis=1)
         z = np.sort(np.clip(z, r_inner, (top - r)[:, None]), axis=1)
         a, b = z[:, :-1, None], z[:, 1:, None]
-        z = (0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_X).reshape(r.size, -1)
+        live = np.repeat(z[:, 1:] > z[:, :-1], _GAUSS_X.size, axis=1)
+        z = (0.5 * (a + b) + 0.5 * (b - a) * _GAUSS_X).reshape(live.shape)
         wz = (0.5 * (b - a) * _GAUSS_W).reshape(z.shape)
         z = (r[:, None] + z) - r[:, None]   # so rho +- z are exact: exact pairs
         pair = z < r[:, None]
@@ -194,17 +197,22 @@ def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
         if n == 1:
             f = dw * (np.abs(d) ** (-1.0 - 2.0 * s)
                       + (2.0 * rr + d) ** (-1.0 - 2.0 * s))
-            # int over t > top of |t - rho|^(-1-2s) + (t + rho)^(-1-2s)
-            far = gap * ((top - r) ** (-2.0 * s)
-                         + (top + r) ** (-2.0 * s)) / (2.0 * s)
         else:
             f = dw * (rr + d) * _angular_kernel(rr, d, s)
-            # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
-            far = gap * math.pi / s * top ** (-2.0 * s) \
-                * hyp2f1(1.0 + s, s, 1.0, (r / top) ** 2)
         f, f_mirror = f[:z.size].reshape(z.shape), f[z.size:]
         f[pair] += f_mirror
-        out[lo:lo + r.size] = np.sum(wz * f, axis=1) + far
+        f *= wz
+        for i, (x, t, gap) in enumerate(zip(r, top, w0 - w_top)):
+            gap = abs(gap) if absolute else gap
+            if n == 1:
+                # int over t > top of |t - rho|^(-1-2s) + (t + rho)^(-1-2s)
+                far = gap * ((t - x) ** (-2.0 * s)
+                             + (t + x) ** (-2.0 * s)) / (2.0 * s)
+            else:
+                # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
+                far = gap * math.pi / s * t ** (-2.0 * s) \
+                    * hyp2f1(1.0 + s, s, 1.0, (x / t) ** 2)
+            out[lo + i] = np.sum(f[i][live[i]]) + far
     return float(out[0]) if np.ndim(rho) == 0 else out
 
 
