@@ -51,11 +51,11 @@ comparable to the simulated region at negligible cost.  The far weights
 per-period value, its parts, its gradient and L_K share one kinetic pass
 (`WeightTable._kinetic`), which is also the kinetic gradient of the strip
 solver (`nlphase.minimize._descend`).  A box or ball window takes its
-inside pairs from plain-stencil correlations on its cell box (the size
-rule of `rect_operator`) and <p, W q> = <(1 + g/4) p, A q> + <A p, g q>/4,
-which holds because A is symmetric, and the pairs with one
-end in it from sums over every world cell for its rows, periodic in p and
-so one correlation over the fundamental columns (`WeightTable._world_sums`).
+inside pairs from correlations with the plain stencil A on its cell box
+(the size rule of `rect_operator`), the g_j part of each modulated weight
+moved onto cell i as A is symmetric, and the pairs with one end in it from
+sums over every world cell for its rows, periodic in p and so one
+correlation over the fundamental columns (`WeightTable._world_sums`).
 """
 
 from __future__ import annotations
@@ -293,10 +293,6 @@ class BallWindow:
         r = self.radius
         return (p0 - r, p0 + r, t0 - r, t0 + r)
 
-    @property
-    def p_inside(self):
-        return self.center[0]
-
 
 @dataclass(frozen=True)
 class BoxWindow:
@@ -318,17 +314,16 @@ class BoxWindow:
     def bounds(self):
         return (self.p_lo, self.p_hi, self.t_lo, self.t_hi)
 
-    @property
-    def p_inside(self):
-        return self.p_lo
-
 
 def window_centers(domain: StripDomain, window, rect) -> tuple:
     """Frame centres (P, T) of a cell-index rectangle as a box or ball
     window reads them: a 1D strip has no p axis, so a 1D window is an
-    interval in t and its cells sit at a p inside it, whatever its p."""
+    interval in t and its cells sit at the middle of its p range."""
     P, T = domain.rect_centers(rect)
-    return (np.full_like(P, window.p_inside) if domain.dim == 1 else P), T
+    if domain.dim == 1:
+        p_lo, p_hi = window.bounds()[:2]
+        P = np.full_like(P, 0.5 * (p_lo + p_hi))
+    return P, T
 
 
 class PeriodWindow:
@@ -650,11 +645,12 @@ class WeightTable:
         windows, in which pairs straddling the window boundary enter the
         cross term once per world copy: sum_{i in W} sum_j w_ij (V_i - U_j)^2
         over every world cell j (`_world_sums` of 1, U, U^2) less the pairs
-        with j in W.  Those and the inside pairs are forms <p, W q> of the
-        box stack chi, chiV, chiV^2 (and chiU, chiU^2 under a transform):
-        the standard family correlates only the q sides chi, chiV, chiU
-        with the stencil A = W; the modulated family correlates the whole
-        stack with A and takes <(1 + g/4) p, A q> + <A p, g q>/4.
+        with j in W.  Those and the inside pairs come from the plain stencil
+        A correlated on the box with chi, chiV (and chiU under a transform),
+        and for the modulated family also with chiV^2 (and chiU^2), which
+        carry the g_j part of w_ij = a_ij (1 + (g_i + g_j)/4) over to cell i;
+        each is summed per window cell before the one sum over the window,
+        the cross pairs less their world sums.
         """
         if isinstance(window, PeriodWindow):
             return self.period_report(field, potential)
@@ -664,30 +660,30 @@ class WeightTable:
         U = d.unroll(u, fb, fa, rect)
         V = U if transform is None else transform(U.copy(), P, T)
         chi, G = inside.astype(float), self._g_rect(rect)
-        # slots chi, chiV, chiU | chiV^2, chiU^2; U's point at V's unedited
-        q = [chi, chi * V] + ([] if transform is None else [chi * U])
-        S = np.stack(q + [chi * V * V] + ([] if transform is None
-                                          else [chi * U * U]))
-        std = self.kernel.family == "standard"
-        AS = self._correlate(S[:len(q)] if std else S,
-                             *self._box_spectrum(G.shape))
-
-        def form(i, j):     # <S_i, W S_j> from A = plain stencil, symmetric
-            val = np.sum(S[i] * AS[j]) if std else (
-                np.sum((1.0 + 0.25 * G) * S[i] * AS[j])
-                + 0.25 * np.sum(AS[i] * G * S[j]))
-            return float(val)
-
-        iu, iv2, iu2 = len(q) - 1, len(q), len(S) - 1
-        in_v2 = form(iv2, 0)
-        kin_in = in_v2 - form(1, 1)
+        std, edited = self.kernel.family == "standard", transform is not None
+        # A X for X = chi, chiV, chiU and, modulated, chiV^2, chiU^2, with
+        # A the plain stencil; U's slots are V's when it is unedited
+        X = [chi, chi * V] + [chi * U] * edited
+        X += [] if std else [chi * V * V] + [chi * U * U] * edited
+        AX = self._correlate(np.stack(X), *self._box_spectrum(G.shape))
+        A1, AV, AU = AX[0], AX[1], AX[1 + edited]
+        # each window cell i's share of the inside pairs: sum_{j in W} of
+        # w_ij (V_i^2 - V_i V_j) and of w_ij (V_i - U_j)^2, the g_j part of
+        # w_ij = a_ij (1 + (g_i + g_j)/4) moved onto i since a_ij = a_ji
+        in_in = V * V * A1 - V * AV
+        in_cross = (V * V + U * U) * A1 - 2.0 * V * AU
+        if not std:
+            AV2, AU2 = AX[-1 - edited], AX[-1]
+            in_in = (1.0 + 0.25 * G) * in_in + 0.25 * G * (AV2 - V * AV)
+            in_cross = ((1.0 + 0.25 * G) * in_cross
+                        + 0.25 * G * (AV2 - 2.0 * U * AV + AU2))
+        kin_in = float(np.sum(chi * in_in))
         W1, WU, WU2 = self._world_sums(rect, (np.ones(d.shape), u, u * u),
                                        ((1.0, 1.0), (fb, fa), (fb * fb, fa * fa)))
         tp, tm = self._tails_for(np.arange(rect[2], rect[3]))
         tail = float(np.sum(chi * ((V - fb) ** 2 * tp + (V - fa) ** 2 * tm)))
-        kin_cross = (float(np.sum(chi * (V * V * W1 - 2.0 * V * WU + WU2)))
-                     - (in_v2 - 2.0 * form(1, iu) + form(iu2, 0))
-                     + tail)
+        kin_cross = float(np.sum(chi * (V * V * W1 - 2.0 * V * WU + WU2
+                                        - in_cross))) + tail
         pot = 0.0 if potential is None else float(np.sum(self._periodic_rect(
             rect, lambda x: self._potential_weights(potential, x))[inside]
             * potential.profile(V[inside])))
