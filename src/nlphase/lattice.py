@@ -44,15 +44,12 @@ def whole_number(value, what: str) -> int:
 
 def write_csv(path, header: str, rows) -> None:
     """``header``, then one line per row: strings as they are, numbers
-    with 17 significant digits, each row through the one %-format of the
-    first row's column types."""
+    with 17 significant digits."""
     with open(path, "w") as f:
         f.write(header + "\n")
-        fmt = None
         for row in rows:
-            fmt = fmt or ",".join("%s" if isinstance(v, str) else "%.17g"
-                                  for v in row) + "\n"
-            f.write(fmt % tuple(row))
+            f.write(",".join(
+                v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass(frozen=True)
