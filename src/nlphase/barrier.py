@@ -202,16 +202,16 @@ def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
         f, f_mirror = f[:z.size].reshape(z.shape), f[z.size:]
         f[pair] += f_mirror
         f *= wz
-        for i, (x, t, gap) in enumerate(zip(r, top, w0 - w_top)):
+        for i, (rho_i, top_i, gap) in enumerate(zip(r, top, w0 - w_top)):
             gap = abs(gap) if absolute else gap
             if n == 1:
                 # int over t > top of |t - rho|^(-1-2s) + (t + rho)^(-1-2s)
-                far = gap * ((t - x) ** (-2.0 * s)
-                             + (t + x) ** (-2.0 * s)) / (2.0 * s)
+                far = gap * ((top_i - rho_i) ** (-2.0 * s)
+                             + (top_i + rho_i) ** (-2.0 * s)) / (2.0 * s)
             else:
                 # int |x - y|^(-2-2s) over |y| > top, for |x| = rho <= top / 2
-                far = gap * math.pi / s * t ** (-2.0 * s) \
-                    * hyp2f1(1.0 + s, s, 1.0, (x / t) ** 2)
+                far = gap * math.pi / s * top_i ** (-2.0 * s) \
+                    * hyp2f1(1.0 + s, s, 1.0, (rho_i / top_i) ** 2)
             out[lo + i] = np.sum(f[i][live[i]]) + far
     return float(out[0]) if np.ndim(rho) == 0 else out
 

@@ -645,12 +645,9 @@ class WeightTable:
         windows, in which pairs straddling the window boundary enter the
         cross term once per world copy: sum_{i in W} sum_j w_ij (V_i - U_j)^2
         over every world cell j (`_world_sums` of 1, U, U^2) less the pairs
-        with j in W.  Those and the inside pairs come from the plain stencil
-        A correlated on the box with chi, chiV (and chiU under a transform),
-        and for the modulated family also with chiV^2 (and chiU^2), which
-        carry the g_j part of w_ij = a_ij (1 + (g_i + g_j)/4) over to cell i;
-        each is summed per window cell before the one sum over the window,
-        the cross pairs less their world sums.
+        with j in W.  Those and the inside pairs are summed per window cell
+        from the plain stencil A correlated on the box, the g_j part of each
+        modulated weight w_ij = a_ij (1 + (g_i + g_j)/4) moved onto cell i.
         """
         if isinstance(window, PeriodWindow):
             return self.period_report(field, potential)
@@ -661,15 +658,14 @@ class WeightTable:
         V = U if transform is None else transform(U.copy(), P, T)
         chi, G = inside.astype(float), self._g_rect(rect)
         std, edited = self.kernel.family == "standard", transform is not None
-        # A X for X = chi, chiV, chiU and, modulated, chiV^2, chiU^2, with
-        # A the plain stencil; U's slots are V's when it is unedited
+        # A X, A the plain stencil, for X = chi, chiV, chiU and, modulated,
+        # chiV^2, chiU^2; U's slots are V's when it is unedited
         X = [chi, chi * V] + [chi * U] * edited
         X += [] if std else [chi * V * V] + [chi * U * U] * edited
         AX = self._correlate(np.stack(X), *self._box_spectrum(G.shape))
         A1, AV, AU = AX[0], AX[1], AX[1 + edited]
-        # each window cell i's share of the inside pairs: sum_{j in W} of
-        # w_ij (V_i^2 - V_i V_j) and of w_ij (V_i - U_j)^2, the g_j part of
-        # w_ij = a_ij (1 + (g_i + g_j)/4) moved onto i since a_ij = a_ji
+        # cell i's shares sum_{j in W} w_ij (V_i^2 - V_i V_j) and
+        # w_ij (V_i - U_j)^2, the g_j part of w_ij moved onto i (a_ij = a_ji)
         in_in = V * V * A1 - V * AV
         in_cross = (V * V + U * U) * A1 - 2.0 * V * AU
         if not std:
