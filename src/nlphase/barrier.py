@@ -165,9 +165,9 @@ def _lk_radial(profile, rho, s, n, r_inner, knots, absolute=False):
     the odd singular part, and t is one-sided beyond 2 rho.  Each radius's
     breaks are clipped to [r_inner, top - rho] and sorted along one row; a
     repeated or clipped break is a panel of length 0, left out of the row's
-    sum.  w(rho) and the tail are scalars per radius (numpy's scalar and
-    array powers round apart), so a radius's value is the same in any
-    array, and the barrier's constants do not move with the call.  With
+    sum.  w(rho) and the tail are scalars per radius, as numpy's scalar
+    and array powers round apart, so a radius gets the same value alone
+    as in any array.  With
     ``absolute``, the envelope int |w(x) - w(y)| |x-y|^(-n-2s) dy (finite
     for s < 1/2).
     """
